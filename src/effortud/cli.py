@@ -42,10 +42,9 @@ from .experiment import (
     summary_table,
     write_metrics_json,
 )
-from .geometry import Raster, StudyRegion, build_grid
+from .geometry import StudyRegion, build_grid
 from .inference import LikelihoodData, fit_mle, predict_intensity
-from .model_io import read_fit_json, read_model_spec, write_fit_json
-from .raster_io import read_ascii_grid, read_raster_csv, write_ascii_grid, write_raster_csv
+from .model_io import read_fit_json, read_model_spec, read_raster, write_fit_json, write_raster
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,21 +65,6 @@ _NUMERIC_ERRORS = (
     SingularCovarianceError,
     np.linalg.LinAlgError,
 )
-
-
-def _read_raster_any(path: str) -> Raster:
-    p = Path(path)
-    if p.suffix.lower() == ".asc":
-        return read_ascii_grid(p)
-    return read_raster_csv(p)
-
-
-def _write_raster_any(raster: Raster, path: str) -> None:
-    p = Path(path)
-    if p.suffix.lower() == ".asc":
-        write_ascii_grid(raster, p)
-    else:
-        write_raster_csv(raster, p)
 
 
 def _load_config(path: str, seed: int | None):
@@ -130,7 +114,7 @@ def cmd_effort(args: argparse.Namespace) -> int:
     field = trip_grouped_effort(
         tracks, grid, args.range, mode=args.mode, overlap=args.overlap
     )
-    _write_raster_any(field, args.out)
+    write_raster(field, args.out)
     print(f"effort raster written to {args.out} (total {field.values.sum():.6g})")
     return EXIT_OK
 
@@ -144,39 +128,48 @@ def _likelihood_data(args: argparse.Namespace, grid) -> LikelihoodData:
         pts = np.array([[row["x"], row["y"]] for row in rows], dtype=float).reshape(-1, 2)
         return LikelihoodData.from_points(grid, pts)
     if args.counts:
-        return LikelihoodData.from_counts(grid, _read_raster_any(args.counts))
-    return LikelihoodData.from_presence(grid, _read_raster_any(args.presence))
+        return LikelihoodData.from_counts(grid, read_raster(args.counts))
+    return LikelihoodData.from_presence(grid, read_raster(args.presence))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     ms = read_model_spec(args.model)
     data = _likelihood_data(args, ms.model.grid)
     fit = fit_mle(ms.model, data, gtol=ms.gtol, maxiter=ms.maxiter)
-    if ms.rename:
-        fit = dataclasses.replace(fit, names=[ms.rename.get(n, n) for n in fit.names])
+    fit = dataclasses.replace(fit, names=ms.parameter_names())
     write_fit_json(fit, args.out)
     tag = "converged" if fit.converged else "NOT converged"
     print(f"fit written to {args.out} ({tag}, loglik {fit.loglik:.6g})")
     return EXIT_OK
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def _read_model_fit(args: argparse.Namespace):
+    """The model spec and a fit whose coefficients match the model's names."""
     ms = read_model_spec(args.model)
     fit = read_fit_json(args.fit)
+    expected = ms.parameter_names()
+    if fit.names != expected:
+        raise DataInconsistencyError(
+            f"{args.fit}: fit coefficients {fit.names} do not match the model's {expected}"
+        )
+    return ms, fit
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    ms, fit = _read_model_fit(args)
     surface = predict_intensity(
         ms.model, fit.theta, fix_detection=args.fix_detection, fix_effort=args.fix_effort
     )
     if not args.intensity:
         surface = normalize_ud(surface)
-    _write_raster_any(surface, args.out)
+    write_raster(surface, args.out)
     kind = "intensity" if args.intensity else "normalized UD"
     print(f"{kind} raster written to {args.out}")
     return EXIT_OK
 
 
 def cmd_exceed(args: argparse.Namespace) -> int:
-    ms = read_model_spec(args.model)
-    fit = read_fit_json(args.fit)
+    ms, fit = _read_model_fit(args)
     rng = np.random.default_rng(args.seed)
     emap = exceedance_map(
         ms.model,
@@ -190,7 +183,7 @@ def cmd_exceed(args: argparse.Namespace) -> int:
         fix_effort=args.fix_effort,
     )
     raster = emap.masked() if args.cutoff is not None else emap.probabilities
-    _write_raster_any(raster, args.out)
+    write_raster(raster, args.out)
     flagged = int(np.sum(np.nan_to_num(raster.values) > 0))
     print(f"exceedance map written to {args.out} ({flagged} cells flagged)")
     return EXIT_OK

@@ -22,17 +22,15 @@ an animal at that cell center during the step.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError, OutOfDomainError
-from .geometry import Grid, Raster
+from .geometry import Grid, Raster, _axis_index, cells_of
 from .movement import Trajectory
 
 _POSITION_CHUNK = 65536
@@ -54,8 +52,8 @@ def _cells_and_fractions(grid: Grid, xs: np.ndarray, ys: np.ndarray):
     if np.any(bad):
         i = int(np.argmax(bad))
         raise OutOfDomainError(f"track position ({xs[i]}, {ys[i]}) outside region")
-    ix = np.clip(np.ceil((xs - r.xmin) / grid.dx).astype(np.int64) - 1, 0, grid.nx - 1)
-    iy = np.clip(np.ceil((ys - r.ymin) / grid.dy).astype(np.int64) - 1, 0, grid.ny - 1)
+    ix = _axis_index(xs, r.xmin, grid.dx, grid.nx)
+    iy = _axis_index(ys, r.ymin, grid.dy, grid.ny)
     # offset of the position from its cell center, in cell units
     fx = (xs - r.xmin) / grid.dx - ix - 0.5
     fy = (ys - r.ymin) / grid.dy - iy - 0.5
@@ -70,23 +68,25 @@ def _window_weights(d2: np.ndarray, radius: float, mode: str) -> np.ndarray:
     raise ValueError(f"unknown effort mode {mode!r}")
 
 
-def _accumulate_positions(
-    acc: np.ndarray,
+def _stencil(
     grid: Grid,
     xs: np.ndarray,
     ys: np.ndarray,
     radius: float,
     mode: str,
-) -> None:
-    """Add each position's field-of-view weights into flat array ``acc``."""
-    if len(xs) == 0:
-        return
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(flat cell index, weight)`` chunks of the positions' fields of view.
+
+    Every weight is positive. A cell appears once per position covering
+    it, so callers reduce the chunks with ``np.bincount``.
+    """
     ix, iy, fx, fy = _cells_and_fractions(grid, xs, ys)
     nx, ny = grid.nx, grid.ny
     iw = int(np.floor(radius / grid.dx + 0.5))
     jw = int(np.floor(radius / grid.dy + 0.5))
     di = np.arange(-iw, iw + 1)
     r2 = radius * radius
+    step = max(1, _POSITION_CHUNK // len(di))
     for dj in range(-jw, jw + 1):
         offy = (dj - fy) * grid.dy
         d2y = offy * offy
@@ -98,7 +98,6 @@ def _accumulate_positions(
         kfx = fx[keep]
         krow = row[keep]
         kd2y = d2y[keep]
-        step = max(1, _POSITION_CHUNK // len(di))
         for s in range(0, len(kix), step):
             e = s + step
             offx = (di[None, :] - kfx[s:e, None]) * grid.dx
@@ -106,8 +105,7 @@ def _accumulate_positions(
             w = _window_weights(d2, radius, mode)
             tx = kix[s:e, None] + di[None, :]
             valid = (tx >= 0) & (tx < nx) & (w > 0)
-            flat = (krow[s:e, None] * nx + tx)[valid]
-            acc += np.bincount(flat, weights=w[valid], minlength=acc.size)
+            yield (krow[s:e, None] * nx + tx)[valid], w[valid]
 
 
 def _check_shared_dt(tracks: Sequence[Trajectory]) -> float:
@@ -138,7 +136,8 @@ def path_integral_effort(
     acc = np.zeros(grid.ncells)
     xs = np.concatenate([t.positions[:, 0] for t in tracks])
     ys = np.concatenate([t.positions[:, 1] for t in tracks])
-    _accumulate_positions(acc, grid, xs, ys, detection_range, mode)
+    for flat, w in _stencil(grid, xs, ys, detection_range, mode):
+        acc += np.bincount(flat, weights=w, minlength=acc.size)
     return EffortField(grid, (acc * dt).reshape(grid.ny, grid.nx))
 
 
@@ -164,44 +163,15 @@ def overlap_corrected_effort(
     for s in range(n_steps):
         xs = np.array([t.positions[s, 0] for t in tracks if len(t) > s])
         ys = np.array([t.positions[s, 1] for t in tracks if len(t) > s])
+        # log(1 - p) per cell, summed over the observers covering it
         step_acc = np.zeros(grid.ncells)
-        _accumulate_step_log_miss(step_acc, grid, xs, ys, detection_range, mode)
+        for flat, w in _stencil(grid, xs, ys, detection_range, mode):
+            with np.errstate(divide="ignore"):
+                logmiss = np.log1p(-w)
+            step_acc += np.bincount(flat, weights=logmiss, minlength=step_acc.size)
         touched = np.nonzero(step_acc)[0]
         acc[touched] += -np.expm1(step_acc[touched])
     return EffortField(grid, (acc * dt).reshape(grid.ny, grid.nx), units="step-time")
-
-
-def _accumulate_step_log_miss(
-    step_acc: np.ndarray,
-    grid: Grid,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    radius: float,
-    mode: str,
-) -> None:
-    """Accumulate log(1 - p) per cell for one synchronized step."""
-    ix, iy, fx, fy = _cells_and_fractions(grid, xs, ys)
-    nx, ny = grid.nx, grid.ny
-    iw = int(np.floor(radius / grid.dx + 0.5))
-    jw = int(np.floor(radius / grid.dy + 0.5))
-    di = np.arange(-iw, iw + 1)
-    r2 = radius * radius
-    for dj in range(-jw, jw + 1):
-        offy = (dj - fy) * grid.dy
-        d2y = offy * offy
-        row = iy + dj
-        keep = (d2y <= r2) & (row >= 0) & (row < ny)
-        if not np.any(keep):
-            continue
-        offx = (di[None, :] - fx[keep, None]) * grid.dx
-        d2 = d2y[keep, None] + offx * offx
-        w = _window_weights(d2, radius, mode)
-        tx = ix[keep, None] + di[None, :]
-        valid = (tx >= 0) & (tx < nx) & (w > 0)
-        flat = (row[keep, None] * nx + tx)[valid]
-        with np.errstate(divide="ignore"):
-            logmiss = np.log1p(-w[valid])
-        step_acc += np.bincount(flat, weights=logmiss, minlength=step_acc.size)
 
 
 def trip_grouped_effort(
@@ -223,10 +193,18 @@ def trip_grouped_effort(
     return EffortField(grid, total, units="step-time")
 
 
+def floored_log_offset(effort: Raster, floor: float) -> Raster:
+    """Log-effort offset: effort floored at ``floor``, then logged.
+
+    With a floor of 0, cells without effort become -inf and drop out of
+    the fitted intensity integral.
+    """
+    with np.errstate(divide="ignore"):
+        return Raster(effort.grid, np.log(np.maximum(effort.values, floor)))
+
+
 def bin_track_effort(track: Trajectory, grid: Grid, units: str = "boat-hours") -> EffortField:
     """Presence-count effort: (positions falling in cell) * dt."""
-    from .geometry import cells_of
-
     idx = cells_of(grid, track.positions[:, 0], track.positions[:, 1])
     counts = np.bincount(idx, minlength=grid.ncells).astype(float)
     return EffortField(grid, (counts * track.dt).reshape(grid.ny, grid.nx), units=units)
@@ -266,29 +244,6 @@ def regularize_track(
         dt=float(dt_hours) if dt_hours is not None else float(interval),
         entity=entity,
     )
-
-
-def read_gps_csv(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Read raw GPS fixes: observer,timestamp_iso8601,x,y.
-
-    Returns per-observer (seconds-since-epoch, positions) sorted by time.
-    """
-    rows: dict[str, list[tuple[float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        need = {"observer", "timestamp_iso8601", "x", "y"}
-        if r.fieldnames is None or not need.issubset(r.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(need)}, got {r.fieldnames}")
-        for row in r:
-            t = datetime.fromisoformat(row["timestamp_iso8601"]).timestamp()
-            rows.setdefault(row["observer"], []).append((t, float(row["x"]), float(row["y"])))
-    out = {}
-    for obs, recs in rows.items():
-        recs.sort()
-        ts = np.array([t for t, _, _ in recs])
-        ps = np.array([(x, y) for _, x, y in recs])
-        out[obs] = (ts, ps)
-    return out
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ import numpy as np
 from .analysis import QuadraticDesign, RobustInterval, mspe, normalize_ud, robust_interval
 from .encounters import EncounterDataset, ObserverSpec, run_study
 from .errors import ConfigError, NonConcaveFitError
-from .geometry import Grid, Raster, StudyRegion, build_grid
-from .effort import trip_grouped_effort
+from .geometry import Grid, StudyRegion, build_grid
+from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
 from .movement import BivariateNormalPotential, HalfNormalYPotential, MovementSpec, analytic_ud
 
@@ -224,11 +224,6 @@ def simulate_replicate(cfg: ExperimentConfig, replicate: int) -> EncounterDatase
     )
 
 
-def _floored_log_offset(effort_values: np.ndarray, floor: float, grid: Grid) -> Raster:
-    with np.errstate(divide="ignore"):
-        return Raster(grid, np.log(np.maximum(effort_values, floor)))
-
-
 def run_replicate(cfg: ExperimentConfig, replicate: int) -> dict[str, Any]:
     """Simulate, fit, and score one replicate; returns a metrics record."""
     grid = cfg.grid
@@ -269,12 +264,12 @@ def run_replicate(cfg: ExperimentConfig, replicate: int) -> dict[str, Any]:
     tracks = {t.trip: t.tracks for t in dataset.trips}
     mode = "detection" if cfg.detection_modeled else "indicator"
     eff = trip_grouped_effort(tracks, grid, cfg.assumed_range, mode=mode, overlap=False)
-    offset = _floored_log_offset(eff.values, cfg.effort_floor, grid)
+    offset = floored_log_offset(eff, cfg.effort_floor)
     score(IntensityModel(grid=grid, env=block, log_effort_offset=offset), "corrected")
 
     if cfg.overlap:
         eff_o = trip_grouped_effort(tracks, grid, cfg.assumed_range, mode=mode, overlap=True)
-        offset_o = _floored_log_offset(eff_o.values, cfg.effort_floor, grid)
+        offset_o = floored_log_offset(eff_o, cfg.effort_floor)
         score(IntensityModel(grid=grid, env=block, log_effort_offset=offset_o), "overlap")
     return record
 

@@ -195,7 +195,3 @@ def raster_lookup(raster: Raster, p: Point | tuple[float, float]) -> float:
     if np.isnan(v):
         raise MissingDataError(f"missing value at cell {idx} (point {tuple(p)})")
     return v
-
-
-def same_grid(a: Grid, b: Grid) -> bool:
-    return a == b

@@ -197,146 +197,134 @@ class FitResult:
         return {n: float(s) for n, s in zip(self.names, sd)}
 
 
+def _env_block(model: IntensityModel) -> np.ndarray:
+    """Environment design columns: the intercept, then the env covariates."""
+    n = model.grid.ncells
+    cols = [np.ones(n)] if model.intercept else []
+    if model.env is not None:
+        cols += [r.flat for r in model.env.rasters]
+    return np.column_stack(cols) if cols else np.zeros((n, 0))
+
+
+def _design_blocks(model: IntensityModel):
+    """Full-grid design blocks ``(A, W1, W2, off)`` of log eta."""
+    n = model.grid.ncells
+    W1 = model.detection.matrix() if model.detection is not None else np.zeros((n, 0))
+    W2 = model.effort.matrix() if model.effort is not None else np.zeros((n, 0))
+    off = (
+        model.log_effort_offset.flat.astype(float)
+        if model.log_effort_offset is not None
+        else np.zeros(n)
+    )
+    return _env_block(model), W1, W2, off
+
+
+def _split(theta: np.ndarray, p_env: int, p_det: int):
+    """theta as (beta, gamma1, gamma2): env, detection, effort coefficients."""
+    return theta[:p_env], theta[p_env : p_env + p_det], theta[p_env + p_det :]
+
+
+def _log_eta(blocks, theta: np.ndarray):
+    """log eta on the rows of ``blocks`` plus the detection linear predictor."""
+    A, W1, W2, off = blocks
+    b, g1, g2 = _split(theta, A.shape[1], W1.shape[1])
+    le = off.copy()
+    if b.size:
+        le += A @ b
+    t = None
+    if g1.size:
+        t = W1 @ g1
+        le += -np.logaddexp(0.0, -t)  # log logistic(t)
+    if g2.size:
+        le += W2 @ g2
+    return le, t
+
+
+def _u_matrix(blocks, t):
+    """d log eta / d theta rows; detection columns carry 1 - g(t)."""
+    A, W1, W2, _ = blocks
+    parts = []
+    if A.shape[1]:
+        parts.append(A)
+    if W1.shape[1]:
+        parts.append(expit(-t)[:, None] * W1)
+    if W2.shape[1]:
+        parts.append(W2)
+    if not parts:
+        return np.zeros((A.shape[0], 0))
+    return np.column_stack(parts)
+
+
 class _Design:
-    """Precomputed matrices binding one model to one dataset."""
+    """Design rows of one model on the cells and points of one dataset."""
 
     def __init__(self, model: IntensityModel, data: LikelihoodData):
         if model.grid != data.grid:
             raise GridMismatchError("model and data grids differ")
-        self.model = model
-        self.data = data
-        grid = model.grid
-        n = grid.ncells
-
-        cols = []
-        if model.intercept:
-            cols.append(np.ones(n))
-        if model.env is not None:
-            cols.append(model.env.matrix())
-        self.A = np.column_stack(cols) if cols else np.zeros((n, 0))
-        self.W1 = model.detection.matrix() if model.detection is not None else np.zeros((n, 0))
-        self.W2 = model.effort.matrix() if model.effort is not None else np.zeros((n, 0))
-        self.off = (
-            model.log_effort_offset.flat.astype(float)
-            if model.log_effort_offset is not None
-            else np.zeros(n)
-        )
-        if np.any(self.off == np.inf):
+        self.kind = data.kind
+        blocks = _design_blocks(model)
+        A, W1, W2, off = blocks
+        if np.any(off == np.inf):
             raise ValueError("log-effort offset contains +inf")
 
         cov_ok = (
-            np.isfinite(self.A).all(axis=1)
-            & np.isfinite(self.W1).all(axis=1)
-            & np.isfinite(self.W2).all(axis=1)
-            & ~np.isnan(self.off)
+            np.isfinite(A).all(axis=1)
+            & np.isfinite(W1).all(axis=1)
+            & np.isfinite(W2).all(axis=1)
+            & ~np.isnan(off)
         )
         # excluded: zero weight, zero effort (offset -inf), or missing covariates
-        self.active = (data.weights > 0) & cov_ok & (self.off > -np.inf)
-        self.w_act = data.weights[self.active]
-
-        self.p_env = self.A.shape[1]
-        self.p_det = self.W1.shape[1]
-        self.p_eff = self.W2.shape[1]
+        active = (data.weights > 0) & cov_ok & (off > -np.inf)
+        self.cells = tuple(blk[active] for blk in blocks)
+        self.w_act = data.weights[active]
 
         if data.kind == "points":
             pts = data.points
-            idx = cells_of(grid, pts[:, 0], pts[:, 1])
+            idx = cells_of(model.grid, pts[:, 0], pts[:, 1])
             bad_cov = ~cov_ok[idx]
             if np.any(bad_cov):
                 i = int(np.argmax(bad_cov))
                 raise MissingDataError(
                     f"point {tuple(pts[i])} falls in a cell with missing covariates"
                 )
-            inactive = ~self.active[idx]
+            inactive = ~active[idx]
             if np.any(inactive):
                 i = int(np.argmax(inactive))
                 raise DataInconsistencyError(
                     f"observed point {tuple(pts[i])} lies in a cell with zero "
                     "effort or zero integration weight"
                 )
-            self.idx = idx
-            self.Ap = self.A[idx]
-            self.W1p = self.W1[idx]
-            self.W2p = self.W2[idx]
-            self.offp = self.off[idx]
+            self.points = tuple(blk[idx] for blk in blocks)
         elif data.kind == "counts":
-            bad = (data.counts > 0) & ~self.active
+            bad = (data.counts > 0) & ~active
             if np.any(bad):
                 raise DataInconsistencyError(
                     f"{int(bad.sum())} cells have positive counts but zero effort/weight"
                 )
-            self.N_act = data.counts[self.active]
+            self.N_act = data.counts[active]
         else:
-            bad = data.presence & ~self.active
+            bad = data.presence & ~active
             if np.any(bad):
                 raise DataInconsistencyError(
                     f"{int(bad.sum())} cells are occupied but have zero effort/weight"
                 )
-            self.O_act = data.presence[self.active]
-
-    def split(self, theta: np.ndarray):
-        b = theta[: self.p_env]
-        g1 = theta[self.p_env : self.p_env + self.p_det]
-        g2 = theta[self.p_env + self.p_det :]
-        return b, g1, g2
-
-    def _cell_parts(self, theta: np.ndarray):
-        """log eta on active cells plus the detection linear predictor."""
-        b, g1, g2 = self.split(theta)
-        act = self.active
-        le = self.off[act].copy()
-        if self.p_env:
-            le += self.A[act] @ b
-        t = None
-        if self.p_det:
-            t = self.W1[act] @ g1
-            le += -np.logaddexp(0.0, -t)  # log logistic(t)
-        if self.p_eff:
-            le += self.W2[act] @ g2
-        return le, t
-
-    def _point_parts(self, theta: np.ndarray):
-        b, g1, g2 = self.split(theta)
-        le = self.offp.copy()
-        if self.p_env:
-            le += self.Ap @ b
-        t = None
-        if self.p_det:
-            t = self.W1p @ g1
-            le += -np.logaddexp(0.0, -t)
-        if self.p_eff:
-            le += self.W2p @ g2
-        return le, t
-
-    def _u_matrix(self, A, W1, W2, t):
-        """d log eta / d theta rows; detection columns carry 1 - g(t)."""
-        parts = []
-        if self.p_env:
-            parts.append(A)
-        if self.p_det:
-            parts.append(expit(-t)[:, None] * W1)
-        if self.p_eff:
-            parts.append(W2)
-        if not parts:
-            return np.zeros((A.shape[0], 0))
-        return np.column_stack(parts)
+            self.O_act = data.presence[active]
 
     def loglik_grad(self, theta: np.ndarray):
-        kind = self.data.kind
-        le, t = self._cell_parts(theta)
+        kind = self.kind
+        le, t = _log_eta(self.cells, theta)
         with np.errstate(over="ignore"):
             eta_act = np.exp(le)
         mu = self.w_act * eta_act
         if not np.all(np.isfinite(mu)):
             p = len(theta)
             return -np.inf, np.full(p, np.nan)
-        act = self.active
-        U = self._u_matrix(self.A[act], self.W1[act], self.W2[act], t)
+        U = _u_matrix(self.cells, t)
 
         if kind == "points":
-            le_p, t_p = self._point_parts(theta)
+            le_p, t_p = _log_eta(self.points, theta)
             ll = float(le_p.sum() - mu.sum())
-            Up = self._u_matrix(self.Ap, self.W1p, self.W2p, t_p)
+            Up = _u_matrix(self.points, t_p)
             grad = Up.sum(axis=0) - mu @ U
             return ll, grad
         if kind == "counts":
@@ -365,30 +353,10 @@ def eta(model: IntensityModel, theta: np.ndarray) -> Raster:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.n_parameters,):
         raise ValueError(f"theta must have {model.n_parameters} entries, got {theta.shape}")
-    grid = model.grid
-    n = grid.ncells
-    cols = []
-    if model.intercept:
-        cols.append(np.ones(n))
-    if model.env is not None:
-        cols.append(model.env.matrix())
-    A = np.column_stack(cols) if cols else np.zeros((n, 0))
-    W1 = model.detection.matrix() if model.detection is not None else np.zeros((n, 0))
-    W2 = model.effort.matrix() if model.effort is not None else np.zeros((n, 0))
-    off = model.log_effort_offset.flat if model.log_effort_offset is not None else np.zeros(n)
-    p_env = A.shape[1]
-    b = theta[:p_env]
-    g1 = theta[p_env : p_env + W1.shape[1]]
-    g2 = theta[p_env + W1.shape[1] :]
-    le = np.asarray(off, dtype=float).copy()
-    if p_env:
-        le += A @ b
-    if W1.shape[1]:
-        le += -np.logaddexp(0.0, -(W1 @ g1))
-    if W2.shape[1]:
-        le += W2 @ g2
+    le, _ = _log_eta(_design_blocks(model), theta)
     with np.errstate(over="ignore"):
         vals = np.exp(le)
+    grid = model.grid
     return Raster(grid, vals.reshape(grid.ny, grid.nx))
 
 
@@ -607,19 +575,10 @@ def predict_intensity(
     if theta.shape != (model.n_parameters,):
         raise ValueError(f"theta must have {model.n_parameters} entries")
     grid = model.grid
-    n = grid.ncells
-    cols = []
-    if model.intercept:
-        cols.append(np.ones(n))
-    if model.env is not None:
-        cols.append(model.env.matrix())
-    A = np.column_stack(cols) if cols else np.zeros((n, 0))
-    p_env = A.shape[1]
+    A = _env_block(model)
     p_det = len(model.detection.names) if model.detection is not None else 0
-    b = theta[:p_env]
-    g1 = theta[p_env : p_env + p_det]
-    g2 = theta[p_env + p_det :]
-    le = A @ b if p_env else np.zeros(n)
+    b, g1, g2 = _split(theta, A.shape[1], p_det)
+    le = A @ b if b.size else np.zeros(grid.ncells)
     if p_det:
         c1 = np.broadcast_to(np.asarray(fix_detection, dtype=float), (p_det,))
         le = le - np.logaddexp(0.0, -float(c1 @ g1))

@@ -38,10 +38,11 @@ from typing import Any
 import numpy as np
 
 from .analysis import QuadraticDesign
+from .effort import floored_log_offset
 from .errors import ConfigError
 from .geometry import Grid, Raster, StudyRegion, build_grid
 from .inference import CovariateBlock, FitResult, IntensityModel
-from .raster_io import read_ascii_grid, read_raster_csv
+from .raster_io import read_ascii_grid, read_raster_csv, write_ascii_grid, write_raster_csv
 
 
 @dataclass
@@ -53,11 +54,25 @@ class ModelSpec:
     maxiter: int = 500
     rename: dict[str, str] | None = None
 
+    def parameter_names(self) -> list[str]:
+        """The model's qualified coefficient names after ``rename``."""
+        rename = self.rename or {}
+        return [rename.get(n, n) for n in self.model.parameter_names()]
 
-def _read_raster(path: Path) -> Raster:
-    if path.suffix.lower() == ".asc":
+
+def read_raster(path: str | Path) -> Raster:
+    """Read an ASCII grid (".asc") or, for any other suffix, a raster CSV."""
+    if Path(path).suffix.lower() == ".asc":
         return read_ascii_grid(path)
     return read_raster_csv(path)
+
+
+def write_raster(raster: Raster, path: str | Path) -> None:
+    """Write an ASCII grid (".asc") or, for any other suffix, a raster CSV."""
+    if Path(path).suffix.lower() == ".asc":
+        write_ascii_grid(raster, path)
+    else:
+        write_raster_csv(raster, path)
 
 
 def _covariate_block(entries: Any, base: Path, what: str) -> CovariateBlock:
@@ -68,7 +83,7 @@ def _covariate_block(entries: Any, base: Path, what: str) -> CovariateBlock:
         if not isinstance(e, dict) or "name" not in e or "path" not in e:
             raise ConfigError(f"{what} entries need 'name' and 'path', got {e!r}")
         names.append(str(e["name"]))
-        rasters.append(_read_raster(base / str(e["path"])))
+        rasters.append(read_raster(base / str(e["path"])))
     return CovariateBlock(names, rasters)
 
 
@@ -87,14 +102,13 @@ def _grid_from(doc: dict[str, Any]) -> Grid:
 def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
     if not isinstance(doc, dict) or "path" not in doc:
         raise ConfigError("offset needs a 'path'")
-    raster = _read_raster(base / str(doc["path"]))
+    raster = read_raster(base / str(doc["path"]))
     if not bool(doc.get("log", True)):
         return raster
     floor = float(doc.get("floor", 0.0))
     if floor < 0:
         raise ConfigError("offset floor must be nonnegative")
-    with np.errstate(divide="ignore"):
-        return Raster(raster.grid, np.log(np.maximum(raster.values, floor)))
+    return floored_log_offset(raster, floor)
 
 
 def read_model_spec(path: str | Path) -> ModelSpec:
@@ -191,18 +205,53 @@ def write_fit_json(fit: FitResult, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v: Any, n: int) -> bool:
+    return isinstance(v, list) and len(v) == n and all(_is_number(x) for x in v)
+
+
+_REQUIRED = object()
+
+
 def read_fit_json(path: str | Path) -> FitResult:
+    """Read a fit written by ``write_fit_json``.
+
+    A missing or ill-typed entry raises ValueError naming its key.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    cov = doc.get("covariance")
-    gmax = doc.get("gradient_max_norm")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: fit JSON must be an object")
+
+    def entry(key: str, ok, default: Any = _REQUIRED) -> Any:
+        if key not in doc:
+            if default is _REQUIRED:
+                raise ValueError(f"{path}: fit JSON has no {key!r}")
+            return default
+        if not ok(doc[key]):
+            raise ValueError(f"{path}: fit JSON has an ill-typed {key!r}: {doc[key]!r}")
+        return doc[key]
+
+    names = entry("names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v))
+    p = len(names)
+    theta = entry("theta", lambda v: _is_numbers(v, p))
+    cov = entry(
+        "covariance",
+        lambda v: v is None
+        or (isinstance(v, list) and len(v) == p and all(_is_numbers(r, p) for r in v)),
+        None,
+    )
+    gmax = entry("gradient_max_norm", lambda v: v is None or _is_number(v), None)
     return FitResult(
-        names=list(doc["names"]),
-        theta=np.asarray(doc["theta"], dtype=float),
-        loglik=float(doc["loglik"]),
-        converged=bool(doc["converged"]),
-        iterations=int(doc["iterations"]),
+        names=list(names),
+        theta=np.asarray(theta, dtype=float),
+        loglik=float(entry("loglik", _is_number)),
+        converged=entry("converged", lambda v: isinstance(v, bool)),
+        iterations=entry("iterations", lambda v: isinstance(v, int) and not isinstance(v, bool)),
         covariance=None if cov is None else np.asarray(cov, dtype=float),
-        singular_information=bool(doc.get("singular_information", False)),
+        singular_information=entry("singular_information", lambda v: isinstance(v, bool), False),
         gradient_max_norm=float("nan") if gmax is None else float(gmax),
     )

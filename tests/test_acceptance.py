@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (run with `pytest -s` to see them all)
 and asserts the same condition. The replicated study settings are shared
-module-scope fixtures; the whole module takes a few minutes on four cores.
+module-scope fixtures, run with EFFORTUD_WORKERS worker processes, or one
+per CPU when it is unset; the whole module takes a few minutes on four cores.
 """
 
 import dataclasses
@@ -36,7 +37,6 @@ from effortud.movement import (
 )
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
-WORKERS = 4
 
 # One strongly habit-driven observer searching from the north: the raw
 # encounter pattern drags the estimated UD toward the observer's waters.
@@ -100,28 +100,28 @@ def _covers_zero(iv) -> bool:
 @pytest.fixture(scope="module")
 def high_result():
     t0 = time.time()
-    res = run_experiment(HIGH, workers=WORKERS)
+    res = run_experiment(HIGH)
     return res, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def range2_result():
-    return run_experiment(RANGE2, workers=WORKERS)
+    return run_experiment(RANGE2)
 
 
 @pytest.fixture(scope="module")
 def range50_result():
-    return run_experiment(RANGE50, workers=WORKERS)
+    return run_experiment(RANGE50)
 
 
 @pytest.fixture(scope="module")
 def low20_result():
-    return run_experiment(LOW20, workers=WORKERS)
+    return run_experiment(LOW20)
 
 
 @pytest.fixture(scope="module")
 def fast_result():
-    return run_experiment(FAST, workers=WORKERS)
+    return run_experiment(FAST)
 
 
 def test_c1_correction_lowers_mspe_under_biased_search(high_result):

@@ -11,6 +11,8 @@ from effortud.encounters import read_tracks_csv
 from effortud.geometry import StudyRegion, build_grid, raster_from_function
 from effortud.raster_io import read_raster_csv, write_raster_csv
 
+_DROP = object()  # marks a fit JSON entry to leave out
+
 CONFIG = {
     "label": "cli-toy",
     "grid": {"nx": 25, "ny": 25},
@@ -198,6 +200,16 @@ class TestPredict:
                      str(homog_fit["fit"]), "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fit_without_theta_exit_3(self, homog_fit, tmp_path, capsys):
+        doc = json.loads(homog_fit["fit"].read_text())
+        del doc["theta"]
+        fit = tmp_path / "no_theta.json"
+        fit.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(homog_fit["model"]), "--fit", str(fit),
+                     "--out", str(tmp_path / "ud.csv")])
+        assert code == EXIT_DATA
+        assert "'theta'" in capsys.readouterr().err
+
 
 class TestExceed:
     def _distinct_model(self, tmp_path):
@@ -211,9 +223,8 @@ class TestExceed:
         }))
         return model
 
-    def _fit_json(self, tmp_path, covariance, singular=False):
-        p = tmp_path / "fit.json"
-        p.write_text(json.dumps({
+    def _fit_json(self, tmp_path, covariance, singular=False, **entries):
+        doc = {
             "names": ["env:intercept", "env:z"],
             "theta": [0.0, 0.001],
             "loglik": 0.0,
@@ -222,7 +233,10 @@ class TestExceed:
             "gradient_max_norm": 0.0,
             "singular_information": singular,
             "covariance": covariance,
-        }))
+        }
+        doc.update(entries)
+        p = tmp_path / "fit.json"
+        p.write_text(json.dumps({k: v for k, v in doc.items() if v is not _DROP}))
         return p
 
     def test_degenerate_flags_exact_fraction(self, tmp_path):
@@ -253,6 +267,52 @@ class TestExceed:
         code = main(["exceed", "--model", str(model), "--fit", str(fit),
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("theta", _DROP),
+            ("names", _DROP),
+            ("loglik", _DROP),
+            ("converged", _DROP),
+            ("iterations", _DROP),
+            ("theta", "0.0 0.001"),
+            ("theta", [0.0]),
+            ("names", "env:intercept,env:z"),
+            ("loglik", None),
+            ("converged", "yes"),
+            ("iterations", 1.5),
+            ("covariance", [[0.0, 0.0]]),
+            ("gradient_max_norm", "small"),
+        ],
+    )
+    def test_bad_fit_json_exit_3(self, tmp_path, capsys, key, value):
+        model = self._distinct_model(tmp_path)
+        entries = {"covariance": [[0.0, 0.0], [0.0, 0.0]], key: value}
+        fit = self._fit_json(tmp_path, **entries)
+        code = main(["exceed", "--model", str(model), "--fit", str(fit),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_DATA
+        assert repr(key) in capsys.readouterr().err
+
+    def test_fit_names_must_match_model(self, tmp_path):
+        model = self._distinct_model(tmp_path)
+        fit = self._fit_json(tmp_path, [[0.0, 0.0], [0.0, 0.0]], names=["env:intercept", "env:w"])
+        args = ["--model", str(model), "--fit", str(fit), "--out", str(tmp_path / "x.csv")]
+        assert main(["exceed", *args]) == EXIT_DATA
+        assert main(["predict", *args]) == EXIT_DATA
+
+    def test_fit_names_follow_model_rename(self, tmp_path):
+        model = self._distinct_model(tmp_path)
+        doc = json.loads(model.read_text())
+        doc["rename"] = {"env:z": "shared:z"}
+        model.write_text(json.dumps(doc))
+        fit = self._fit_json(
+            tmp_path, [[0.0, 0.0], [0.0, 0.0]], names=["env:intercept", "shared:z"]
+        )
+        code = main(["predict", "--model", str(model), "--fit", str(fit),
+                     "--out", str(tmp_path / "ud.csv")])
+        assert code == EXIT_OK
 
     def test_bad_percentile_exit_3(self, tmp_path):
         model = self._distinct_model(tmp_path)

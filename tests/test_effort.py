@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effortud.effort import (
     DailyEffortCDF,
@@ -30,18 +32,73 @@ def static_track(x, y, n_steps, dt=1.0):
     return Trajectory(positions=np.tile([float(x), float(y)], (n_steps, 1)), dt=dt)
 
 
+def brute_force_weight(grid, x, y, radius, mode):
+    """Field-of-view weight of one position at every cell center."""
+    X, Y = grid.center_arrays()
+    d = np.hypot(X - x, Y - y)
+    if mode == "indicator":
+        return (d <= radius).astype(float)
+    return np.clip(1.0 - d / radius, 0.0, 1.0)
+
+
 def brute_force_effort(tracks, grid, radius, mode):
     """Independent per-step recount over every cell center."""
-    X, Y = grid.center_arrays()
     acc = np.zeros((grid.ny, grid.nx))
     for t in tracks:
         for x, y in t.positions:
-            d = np.hypot(X - x, Y - y)
-            if mode == "indicator":
-                acc += (d <= radius).astype(float)
-            else:
-                acc += np.clip(1.0 - d / radius, 0.0, 1.0)
+            acc += brute_force_weight(grid, x, y, radius, mode)
     return acc * tracks[0].dt
+
+
+def brute_force_overlap(tracks, grid, radius, mode):
+    """Independent per-step 1 - prod(1 - p) over the observers at each cell center."""
+    acc = np.zeros((grid.ny, grid.nx))
+    for s in range(max(len(t) for t in tracks)):
+        miss = np.ones((grid.ny, grid.nx))
+        for t in tracks:
+            if len(t) > s:
+                miss *= 1.0 - brute_force_weight(grid, *t.positions[s], radius, mode)
+        acc += 1.0 - miss
+    return acc * tracks[0].dt
+
+
+def _coordinate(lo, hi, n):
+    """A coordinate in [lo, hi]: on a cell edge (region boundary included) or anywhere."""
+    edge = st.integers(0, n).map(lambda k: lo + (hi - lo) * k / n)
+    anywhere = st.floats(0.0, 1.0).map(lambda f: lo + (hi - lo) * f)
+    return st.one_of(edge, anywhere).map(lambda v: min(max(v, lo), hi))
+
+
+@st.composite
+def effort_cases(draw):
+    """Off-origin region, non-square cells, several radii, ragged step-aligned tracks."""
+    x0 = draw(st.floats(-50.0, 50.0))
+    y0 = draw(st.floats(-50.0, 50.0))
+    region = StudyRegion(x0, x0 + draw(st.floats(0.5, 40.0)), y0, y0 + draw(st.floats(0.5, 40.0)))
+    g = build_grid(region, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    cells = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 3.0)))
+    radius = cells * draw(st.sampled_from([g.dx, g.dy]))
+    xs = _coordinate(region.xmin, region.xmax, g.nx)
+    ys = _coordinate(region.ymin, region.ymax, g.ny)
+    n_obs = draw(st.integers(1, 3))
+    tracks = [
+        Trajectory(positions=draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=5)), dt=1.0)
+        for _ in range(n_obs)
+    ]
+    mode = draw(st.sampled_from(["indicator", "detection"]))
+    return g, tracks, radius, mode
+
+
+def _decided_cells(tracks, grid, radius, mode):
+    """Cells not within rounding of an indicator window's rim, where either side may win."""
+    if mode == "detection":
+        return np.ones((grid.ny, grid.nx), dtype=bool)
+    X, Y = grid.center_arrays()
+    rim = np.zeros((grid.ny, grid.nx), dtype=bool)
+    for t in tracks:
+        for x, y in t.positions:
+            rim |= np.abs(np.hypot(X - x, Y - y) - radius) <= 1e-9 * (1.0 + radius)
+    return ~rim
 
 
 class TestPathIntegralEffort:
@@ -138,6 +195,26 @@ class TestOverlapCorrectedEffort:
         plain = path_integral_effort(tracks, g, 10.0, mode="detection")
         corr = overlap_corrected_effort(tracks, g, 10.0)
         assert np.allclose(corr.values, plain.values, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(effort_cases())
+def test_path_integral_matches_brute_force(case):
+    g, tracks, radius, mode = case
+    fast = path_integral_effort(tracks, g, radius, mode=mode).values
+    slow = brute_force_effort(tracks, g, radius, mode)
+    keep = _decided_cells(tracks, g, radius, mode)
+    assert np.allclose(fast[keep], slow[keep], rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(effort_cases())
+def test_overlap_matches_brute_force(case):
+    g, tracks, radius, mode = case
+    fast = overlap_corrected_effort(tracks, g, radius, mode=mode).values
+    slow = brute_force_overlap(tracks, g, radius, mode)
+    keep = _decided_cells(tracks, g, radius, mode)
+    assert np.allclose(fast[keep], slow[keep], rtol=1e-10, atol=1e-12)
 
 
 class TestTripGroupedEffort:
