@@ -128,8 +128,8 @@ def _likelihood_data(args: argparse.Namespace, grid) -> LikelihoodData:
         pts = np.array([[row["x"], row["y"]] for row in rows], dtype=float).reshape(-1, 2)
         return LikelihoodData.from_points(grid, pts)
     if args.counts:
-        return LikelihoodData.from_counts(grid, read_raster(args.counts))
-    return LikelihoodData.from_presence(grid, read_raster(args.presence))
+        return LikelihoodData.from_counts(grid, read_raster(args.counts, grid))
+    return LikelihoodData.from_presence(grid, read_raster(args.presence, grid))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

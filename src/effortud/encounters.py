@@ -222,25 +222,39 @@ def write_encounters_csv(dataset: EncounterDataset, path: str | Path) -> None:
             )
 
 
-def read_encounters_csv(path: str | Path) -> list[dict]:
-    out = []
+def _read_csv_rows(path: str | Path, need: set[str], parse) -> list:
+    """``parse`` applied to each row of a CSV that has the columns ``need``.
+
+    A row ``parse`` cannot read (a short row, a non-number) raises
+    ValueError naming the file and line.
+    """
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)
-        need = {"trip", "step", "x", "y", "mark", "observer"}
         if r.fieldnames is None or not need.issubset(r.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(need)}, got {r.fieldnames}")
-        for row in r:
-            out.append(
-                {
-                    "trip": int(row["trip"]),
-                    "step": int(row["step"]),
-                    "x": float(row["x"]),
-                    "y": float(row["y"]),
-                    "mark": row["mark"] or None,
-                    "observer": int(row["observer"]),
-                }
-            )
+        out = []
+        try:
+            for row in r:
+                out.append(parse(row))
+        except (TypeError, ValueError) as exc:
+            fields = {k: row.get(k) for k in sorted(need)}
+            raise ValueError(f"{path}, line {r.line_num}: cannot read row {fields}") from exc
     return out
+
+
+def read_encounters_csv(path: str | Path) -> list[dict]:
+    return _read_csv_rows(
+        path,
+        {"trip", "step", "x", "y", "mark", "observer"},
+        lambda row: {
+            "trip": int(row["trip"]),
+            "step": int(row["step"]),
+            "x": float(row["x"]),
+            "y": float(row["y"]),
+            "mark": row["mark"] or None,
+            "observer": int(row["observer"]),
+        },
+    )
 
 
 def write_tracks_csv(dataset: EncounterDataset, path: str | Path) -> None:
@@ -261,15 +275,17 @@ def read_tracks_csv(path: str | Path, dt: float = 1.0) -> dict[int, list[Traject
     step-aligned (they were recorded simultaneously). The file carries
     no time spacing, so ``dt`` must be supplied.
     """
+    parsed = _read_csv_rows(
+        path,
+        {"trip", "observer", "step", "x", "y"},
+        lambda row: (
+            (int(row["trip"]), int(row["observer"])),
+            (int(row["step"]), float(row["x"]), float(row["y"])),
+        ),
+    )
     rows: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        need = {"trip", "observer", "step", "x", "y"}
-        if r.fieldnames is None or not need.issubset(r.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(need)}, got {r.fieldnames}")
-        for row in r:
-            key = (int(row["trip"]), int(row["observer"]))
-            rows.setdefault(key, []).append((int(row["step"]), float(row["x"]), float(row["y"])))
+    for key, pt in parsed:
+        rows.setdefault(key, []).append(pt)
     by_trip: dict[int, list[Trajectory]] = {}
     for (trip, obs), pts in sorted(rows.items()):
         pts.sort()

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, gammaln
 
 from .errors import (
@@ -240,19 +239,28 @@ def _log_eta(blocks, theta: np.ndarray):
     return le, t
 
 
-def _u_matrix(blocks, t):
-    """d log eta / d theta rows; detection columns carry 1 - g(t)."""
+def _assemble(blocks, t, c: np.ndarray, d: np.ndarray):
+    """Gradient and observed information from per-row log-eta derivatives.
+
+    ``c`` is d ll / d log eta and ``d`` is d c / d log eta on each row of
+    ``blocks``. With U = d log eta / d theta, the gradient is c'U and the
+    information -U' diag(d) U; the logistic detection block adds
+    sum c g (1 - g) W1'W1, its own curvature of log eta.
+    """
     A, W1, W2, _ = blocks
-    parts = []
-    if A.shape[1]:
-        parts.append(A)
-    if W1.shape[1]:
-        parts.append(expit(-t)[:, None] * W1)
-    if W2.shape[1]:
-        parts.append(W2)
-    if not parts:
-        return np.zeros((A.shape[0], 0))
-    return np.column_stack(parts)
+    p_env, p_det = A.shape[1], W1.shape[1]
+    parts = [A]
+    if p_det:
+        q = expit(-t)  # 1 - g(t)
+        parts.append(q[:, None] * W1)
+    parts.append(W2)
+    U = np.column_stack(parts)
+    grad = c @ U
+    info = -(U.T * d) @ U
+    if p_det:
+        det = slice(p_env, p_env + p_det)
+        info[det, det] += (W1.T * (c * q * (1.0 - q))) @ W1
+    return grad, info
 
 
 class _Design:
@@ -311,38 +319,41 @@ class _Design:
             self.O_act = data.presence[active]
 
     def loglik_grad(self, theta: np.ndarray):
-        kind = self.kind
+        """Log likelihood, gradient and observed information at theta.
+
+        Each data kind supplies only c = d ll / d log eta and d = d c / d log eta
+        per row; ``_assemble`` turns them into the gradient and information.
+        """
         le, t = _log_eta(self.cells, theta)
         with np.errstate(over="ignore"):
-            eta_act = np.exp(le)
-        mu = self.w_act * eta_act
+            mu = self.w_act * np.exp(le)
         if not np.all(np.isfinite(mu)):
             p = len(theta)
-            return -np.inf, np.full(p, np.nan)
-        U = _u_matrix(self.cells, t)
+            return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
 
-        if kind == "points":
+        if self.kind == "points":
             le_p, t_p = _log_eta(self.points, theta)
             ll = float(le_p.sum() - mu.sum())
-            Up = _u_matrix(self.points, t_p)
-            grad = Up.sum(axis=0) - mu @ U
-            return ll, grad
-        if kind == "counts":
+            ones = np.ones(len(le_p))
+            grad_p, info_p = _assemble(self.points, t_p, ones, np.zeros_like(ones))
+            grad, info = _assemble(self.cells, t, -mu, -mu)
+            return ll, grad + grad_p, info + info_p
+        if self.kind == "counts":
             N = self.N_act
             logw = np.log(self.w_act)
             terms = np.where(N > 0, N * (logw + le), 0.0) - mu - gammaln(N + 1.0)
             ll = float(terms.sum())
-            grad = (N - mu) @ U
-            return ll, grad
-        # presence
-        O = self.O_act
-        with np.errstate(over="ignore"):
-            r = np.where(O, mu / np.expm1(np.where(O, mu, 1.0)), 0.0)
-        occ = np.log(-np.expm1(-mu[O])) if np.any(O) else np.zeros(0)
-        ll = float(occ.sum() - mu[~O].sum())
-        coef = np.where(O, r, -mu)
-        grad = coef @ U
-        return ll, grad
+            c, d = N - mu, -mu
+        else:
+            O = self.O_act
+            with np.errstate(over="ignore"):
+                r = np.where(O, mu / np.expm1(np.where(O, mu, 1.0)), 0.0)
+            occ = np.log(-np.expm1(-mu[O])) if np.any(O) else np.zeros(0)
+            ll = float(occ.sum() - mu[~O].sum())
+            c = np.where(O, r, -mu)
+            d = np.where(O, r * (1.0 - mu - r), -mu)
+        grad, info = _assemble(self.cells, t, c, d)
+        return ll, grad, info
 
 
 def eta(model: IntensityModel, theta: np.ndarray) -> Raster:
@@ -438,17 +449,6 @@ def joint_loglik(components: Sequence[JointComponent], theta: np.ndarray) -> flo
     return float(total)
 
 
-def _fd_hessian(grad_fn, x: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    p = len(x)
-    H = np.zeros((p, p))
-    for k in range(p):
-        h = rel * max(1.0, abs(float(x[k])))
-        e = np.zeros(p)
-        e[k] = h
-        H[:, k] = (grad_fn(x + e) - grad_fn(x - e)) / (2.0 * h)
-    return 0.5 * (H + H.T)
-
-
 def _covariance_from_info(info: np.ndarray) -> tuple[np.ndarray, bool]:
     """Invert the observed information; flag rank deficiency.
 
@@ -473,12 +473,17 @@ def fit_joint(
     maxiter: int = 500,
     start: np.ndarray | None = None,
 ) -> FitResult:
-    """Quasi-Newton maximum likelihood over shared coefficients.
+    """Damped Newton maximum likelihood over shared coefficients.
 
-    Starts from zero (unless ``start`` is given) and stops when the
-    gradient max-norm falls below ``gtol`` or after ``maxiter``
-    iterations. The coefficient covariance is the inverse observed
-    information (finite differences of the analytic gradient).
+    Starts from zero (unless ``start`` is given). Each step solves
+    ``(info + lam * diag|info|) s = grad`` by Cholesky, with the analytic
+    observed information ``info``; ``lam`` grows tenfold when that matrix
+    is not positive definite or the step lowers the log likelihood beyond
+    rounding, and shrinks tenfold after an accepted step. Stops when the
+    gradient max-norm falls below ``gtol`` or after ``maxiter`` steps. The
+    coefficient covariance is the inverse observed information at the
+    estimate. A start where the likelihood is not finite is returned
+    unfitted, with a NaN gradient norm and no covariance.
     """
     if not components:
         raise ValueError("no components")
@@ -486,61 +491,52 @@ def fit_joint(
     designs = [_Design(c.model, c.data) for c in components]
     p = len(names)
 
-    def negll_grad(theta: np.ndarray):
-        ll = 0.0
-        g = np.zeros(p)
+    def evaluate(theta: np.ndarray):
+        ll, grad, info = 0.0, np.zeros(p), np.zeros((p, p))
         for d, m in zip(designs, maps):
-            li, gi = d.loglik_grad(theta[m])
+            li, gi, ii = d.loglik_grad(theta[m])
             if not np.isfinite(li):
-                return np.inf, np.zeros(p)
+                return -np.inf, None, None
             ll += li
-            np.add.at(g, m, gi)
-        return -ll, -g
+            grad[m] += gi
+            info[np.ix_(m, m)] += ii
+        return ll, grad, info
 
-    x0 = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
-    if x0.shape != (p,):
+    theta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
+    if theta.shape != (p,):
         raise ValueError(f"start must have {p} entries")
-    res = minimize(
-        negll_grad,
-        x0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": gtol, "maxiter": maxiter, "norm": np.inf},
-    )
-    theta_hat = res.x
-    nll, ngrad = negll_grad(theta_hat)
-    gmax = float(np.max(np.abs(ngrad))) if p else 0.0
-
-    def grad_only(theta: np.ndarray) -> np.ndarray:
-        return -negll_grad(theta)[1]
-
-    H = _fd_hessian(grad_only, theta_hat)
-    # Line searches can stall on rounding noise just short of gtol; Newton
-    # steps with the observed information finish the climb. Only engage when
-    # the iteration budget was not the reason the ascent stopped.
-    polish = 0
-    while np.isfinite(nll) and gmax >= gtol and res.nit < maxiter and polish < 8:
+    ll, grad, info = evaluate(theta)
+    if not np.isfinite(ll):
+        return FitResult(names=names, theta=theta, loglik=ll, converged=False, iterations=0)
+    gmax = float(np.max(np.abs(grad))) if p else 0.0
+    lam = 1e-3
+    steps = 0
+    while gmax >= gtol and steps < maxiter:
+        steps += 1
+        scale = np.abs(np.diag(info))
+        scale[scale == 0.0] = 1.0  # a coefficient the data leave flat still gets damped
         try:
-            step = np.linalg.solve(H, -ngrad)
+            L = np.linalg.cholesky(info + lam * np.diag(scale))
         except np.linalg.LinAlgError:
-            break
-        nll_c, ngrad_c = negll_grad(theta_hat - step)
-        gmax_c = float(np.max(np.abs(ngrad_c)))
-        if not np.isfinite(nll_c) or gmax_c >= gmax:
-            break
-        theta_hat = theta_hat - step
-        nll, ngrad, gmax = nll_c, ngrad_c, gmax_c
-        H = _fd_hessian(grad_only, theta_hat)
-        polish += 1
+            lam *= 10.0
+            continue
+        step = np.linalg.solve(L.T, np.linalg.solve(L, grad))
+        ll_new, grad_new, info_new = evaluate(theta + step)
+        # a loss within 1e-12 of |ll| is rounding in the sums, not a worse fit
+        if not ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
+            lam *= 10.0
+            continue
+        theta, ll, grad, info = theta + step, ll_new, grad_new, info_new
+        gmax = float(np.max(np.abs(grad)))
+        lam /= 10.0
 
-    converged = bool(np.isfinite(nll)) and gmax < gtol
-    cov, singular = _covariance_from_info(-H)
+    cov, singular = _covariance_from_info(info)
     return FitResult(
         names=names,
-        theta=theta_hat,
-        loglik=float(-nll),
-        converged=converged,
-        iterations=int(res.nit) + polish,
+        theta=theta,
+        loglik=float(ll),
+        converged=gmax < gtol,
+        iterations=steps,
         covariance=cov,
         singular_information=singular,
         gradient_max_norm=gmax,

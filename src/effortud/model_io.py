@@ -17,7 +17,8 @@ rasters of each model component:
     }
 
 Raster paths are resolved relative to the model file; ".asc" files are
-read as ASCII grids, anything else as raster CSV. The "env" section is
+read as ASCII grids, anything else as raster CSV, and every raster must
+lie on the spec's grid. The "env" section is
 either the built-in scaled quadratic surface or an explicit covariate
 list like the detection block. When "log" is true the offset raster is
 floored then logged; with a floor of 0 empty cells become -inf and drop
@@ -39,7 +40,7 @@ import numpy as np
 
 from .analysis import QuadraticDesign
 from .effort import floored_log_offset
-from .errors import ConfigError
+from .errors import ConfigError, GridMismatchError
 from .geometry import Grid, Raster, StudyRegion, build_grid
 from .inference import CovariateBlock, FitResult, IntensityModel
 from .raster_io import read_ascii_grid, read_raster_csv, write_ascii_grid, write_raster_csv
@@ -60,11 +61,22 @@ class ModelSpec:
         return [rename.get(n, n) for n in self.model.parameter_names()]
 
 
-def read_raster(path: str | Path) -> Raster:
-    """Read an ASCII grid (".asc") or, for any other suffix, a raster CSV."""
-    if Path(path).suffix.lower() == ".asc":
-        return read_ascii_grid(path)
-    return read_raster_csv(path)
+def read_raster(path: str | Path, grid: Grid) -> Raster:
+    """Read an ASCII grid (".asc") or, for any other suffix, a raster CSV on ``grid``.
+
+    The file's shape must equal the grid's and its cell centers must lie
+    within 1e-9 of a cell width of the grid's; the values are then
+    returned on ``grid`` itself, so rounding in the file's coordinates
+    (or a single column, which carries no spacing) does not change it.
+    """
+    raster = read_ascii_grid(path) if Path(path).suffix.lower() == ".asc" else read_raster_csv(path)
+    got = raster.grid
+    if (got.nx, got.ny) != (grid.nx, grid.ny) or not (
+        np.allclose(got.x_centers(), grid.x_centers(), rtol=0.0, atol=1e-9 * grid.dx)
+        and np.allclose(got.y_centers(), grid.y_centers(), rtol=0.0, atol=1e-9 * grid.dy)
+    ):
+        raise GridMismatchError(f"{path}: raster on {got} does not lie on the model grid {grid}")
+    return Raster(grid, raster.values)
 
 
 def write_raster(raster: Raster, path: str | Path) -> None:
@@ -75,7 +87,7 @@ def write_raster(raster: Raster, path: str | Path) -> None:
         write_raster_csv(raster, path)
 
 
-def _covariate_block(entries: Any, base: Path, what: str) -> CovariateBlock:
+def _covariate_block(entries: Any, base: Path, grid: Grid, what: str) -> CovariateBlock:
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{what} must be a nonempty list of covariate entries")
     names, rasters = [], []
@@ -83,7 +95,7 @@ def _covariate_block(entries: Any, base: Path, what: str) -> CovariateBlock:
         if not isinstance(e, dict) or "name" not in e or "path" not in e:
             raise ConfigError(f"{what} entries need 'name' and 'path', got {e!r}")
         names.append(str(e["name"]))
-        rasters.append(read_raster(base / str(e["path"])))
+        rasters.append(read_raster(base / str(e["path"]), grid))
     return CovariateBlock(names, rasters)
 
 
@@ -102,7 +114,7 @@ def _grid_from(doc: dict[str, Any]) -> Grid:
 def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
     if not isinstance(doc, dict) or "path" not in doc:
         raise ConfigError("offset needs a 'path'")
-    raster = read_raster(base / str(doc["path"]))
+    raster = read_raster(base / str(doc["path"]), grid)
     if not bool(doc.get("log", True)):
         return raster
     floor = float(doc.get("floor", 0.0))
@@ -134,7 +146,7 @@ def read_model_spec(path: str | Path) -> ModelSpec:
                 env = QuadraticDesign(grid).block()
             else:
                 cov = env_doc.get("covariates") if isinstance(env_doc, dict) else env_doc
-                env = _covariate_block(cov, base, "env covariates")
+                env = _covariate_block(cov, base, grid, "env covariates")
 
         detection = None
         link = "logistic"
@@ -143,11 +155,13 @@ def read_model_spec(path: str | Path) -> ModelSpec:
             if not isinstance(det_doc, dict):
                 raise ConfigError("detection must be an object")
             link = str(det_doc.get("link", "logistic"))
-            detection = _covariate_block(det_doc.get("covariates"), base, "detection covariates")
+            detection = _covariate_block(
+                det_doc.get("covariates"), base, grid, "detection covariates"
+            )
 
         effort = None
         if doc.get("effort_covariates") is not None:
-            effort = _covariate_block(doc["effort_covariates"], base, "effort_covariates")
+            effort = _covariate_block(doc["effort_covariates"], base, grid, "effort_covariates")
 
         offset = None
         if doc.get("offset") is not None:

@@ -5,7 +5,12 @@ survive a write/read cycle bit-exact.
 
 CSV layout: header ``x,y,value``, one row per cell center, x varying
 fastest, rows from the south edge upward. The reader reconstructs the
-grid from the center coordinates, assuming uniform spacing.
+grid from the center coordinates; it refuses a row it cannot parse, a
+center listed twice and spacing that is not uniform, naming the file
+and line. The reconstructed region is exact only up to rounding of the
+centers (a single column or row has no spacing at all), so callers that
+know the intended grid should compare centers against it;
+``model_io.read_raster`` does.
 
 ASCII grid layout follows the ESRI convention: six header lines
 (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value) and data
@@ -43,42 +48,75 @@ def write_raster_csv(raster: Raster, path: str | Path) -> None:
                 w.writerow([_fmt(xc[ix]), _fmt(yc[iy]), _fmt(row[ix])])
 
 
+def _axis(u: np.ndarray, path, name: str) -> tuple[np.ndarray, float]:
+    """Sorted distinct centers of one axis and their spacing.
+
+    The spacing must be uniform: every center lies within 1e-9 of a cell
+    width (or a few ulps of the coordinate) of its evenly spaced place.
+    """
+    c = np.unique(u)
+    if len(c) == 1:
+        return c, 2.0 * c[0] if c[0] > 0 else 1.0
+    d = c[1] - c[0]
+    even = c[0] + np.arange(len(c)) * ((c[-1] - c[0]) / (len(c) - 1))
+    tol = max(1e-9 * d, 4.0 * float(np.spacing(np.max(np.abs(c)))))
+    bad = np.abs(c - even) > tol
+    if np.any(bad):
+        raise ValueError(
+            f"{path}: {name} centers are not evenly spaced "
+            f"({name} = {c[int(np.argmax(bad))]!r} is off a spacing of {d!r})"
+        )
+    return c, float(d)
+
+
 def read_raster_csv(path: str | Path) -> Raster:
     xs: list[float] = []
     ys: list[float] = []
     vs: list[float] = []
+    lines: list[int] = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header is None or [h.strip().lower() for h in header[:3]] != ["x", "y", "value"]:
             raise ValueError(f"{path}: expected header x,y,value, got {header}")
-        for row in r:
-            if not row:
-                continue
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-            vs.append(float(row[2]))
+        try:
+            for row in r:
+                if not row:
+                    continue
+                xs.append(float(row[0]))
+                ys.append(float(row[1]))
+                vs.append(float(row[2]))
+                lines.append(r.line_num)
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}, line {r.line_num}: expected x,y,value numbers, got {row}") from exc
     if not vs:
         raise ValueError(f"{path}: no data rows")
-    ux = np.unique(np.asarray(xs))
-    uy = np.unique(np.asarray(ys))
+    ux, dx = _axis(np.asarray(xs), path, "x")
+    uy, dy = _axis(np.asarray(ys), path, "y")
     nx, ny = len(ux), len(uy)
     if nx * ny != len(vs):
         raise ValueError(f"{path}: {len(vs)} rows do not fill a {nx}x{ny} grid")
-    dx = ux[1] - ux[0] if nx > 1 else 2.0 * (ux[0] - 0.0) if ux[0] > 0 else 1.0
-    dy = uy[1] - uy[0] if ny > 1 else 2.0 * (uy[0] - 0.0) if uy[0] > 0 else 1.0
+    ix = np.searchsorted(ux, xs)
+    iy = np.searchsorted(uy, ys)
+    flat = iy * nx + ix
+    seen = np.zeros(nx * ny, dtype=bool)
+    seen[flat] = True
+    if not np.all(seen):
+        # as many rows as cells, so some cell center is listed twice
+        _, first = np.unique(flat, return_index=True)
+        dup = np.setdiff1d(np.arange(len(flat)), first)[0]
+        raise ValueError(
+            f"{path}, line {lines[dup]}: cell center ({xs[dup]!r}, {ys[dup]!r}) listed twice"
+        )
     region = StudyRegion(
         xmin=float(ux[0] - dx / 2.0),
         xmax=float(ux[-1] + dx / 2.0),
         ymin=float(uy[0] - dy / 2.0),
         ymax=float(uy[-1] + dy / 2.0),
     )
-    grid = Grid(region, nx, ny)
-    values = np.full((ny, nx), np.nan)
-    ix = np.searchsorted(ux, xs)
-    iy = np.searchsorted(uy, ys)
+    values = np.empty((ny, nx))
     values[iy, ix] = vs
-    return Raster(grid, values)
+    return Raster(Grid(region, nx, ny), values)
 
 
 def write_ascii_grid(raster: Raster, path: str | Path, nodata: float = _DEFAULT_NODATA) -> None:

@@ -322,6 +322,77 @@ class TestExceed:
         assert code == EXIT_DATA
 
 
+
+def _raster_rows(cells):
+    return "x,y,value\n" + "".join(f"{x},{y},{v}\n" for x, y, v in cells)
+
+
+GOOD_2X2 = [(25, 25, 1.0), (75, 25, 1.0), (25, 75, 1.0), (75, 75, 1.0)]
+
+
+class TestMalformedFiles:
+    """A malformed input file exits 3, naming the file and line, without a traceback."""
+
+    def _fit(self, tmp_path, spec, encounters=None):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"grid": {"nx": 2, "ny": 2}, **spec}))
+        if encounters is None:
+            encounters = tmp_path / "enc.csv"
+            encounters.write_text("trip,step,x,y,mark,observer\n0,3,25.0,25.0,,0\n")
+        return main(["fit", "--model", str(model), "--encounters", str(encounters),
+                     "--out", str(tmp_path / "fit.json")])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (_raster_rows(GOOD_2X2[:3]) + "1.5,0.5\n", "eff.csv, line 5"),
+            (_raster_rows(GOOD_2X2[:3]) + "75,75,lots\n", "eff.csv, line 5"),
+            (_raster_rows(GOOD_2X2[:3] + [(25, 75, 2.0)]), "eff.csv, line 5"),
+            (_raster_rows([(10, 50, 1.0), (30, 50, 1.0), (80, 50, 1.0)]), "not evenly spaced"),
+        ],
+        ids=["short-row", "not-a-number", "duplicate-center", "uneven-spacing"],
+    )
+    def test_bad_offset_csv_exit_3(self, tmp_path, capsys, body, message):
+        (tmp_path / "eff.csv").write_text(body)
+        assert self._fit(tmp_path, {"offset": {"path": "eff.csv"}}) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    def test_short_encounter_row_exit_3(self, tmp_path, capsys):
+        enc = tmp_path / "enc.csv"
+        enc.write_text("trip,step,x,y,mark,observer\n0,3,25.0,25.0,,0\n1,4,75.0\n")
+        assert self._fit(tmp_path, {}, encounters=enc) == EXIT_DATA
+        assert "enc.csv, line 3" in capsys.readouterr().err
+
+    def test_short_track_row_exit_3(self, tmp_path, capsys):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("trip,observer,step,x,y\n0,0,0,50.0,50.0\n0,0,1\n")
+        code = main(["effort", "--tracks", str(tracks), "--out", str(tmp_path / "e.csv"),
+                     "--range", "5"])
+        assert code == EXIT_DATA
+        assert "tracks.csv, line 3" in capsys.readouterr().err
+
+    def test_counts_off_the_model_grid_exit_3(self, tmp_path):
+        (tmp_path / "n.csv").write_text(_raster_rows([(x + 1, y, 0.0) for x, y, _ in GOOD_2X2]))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"grid": {"nx": 2, "ny": 2}}))
+        code = main(["fit", "--model", str(model), "--counts", str(tmp_path / "n.csv"),
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == EXIT_DATA
+
+    def test_presence_on_an_off_origin_grid(self, tmp_path):
+        g = build_grid(StudyRegion(0.1, 7.3, -3.3, 5.9), 7, 9)
+        occ = raster_from_function(g, lambda X, Y: (X > 3.0).astype(float))
+        write_raster_csv(occ, tmp_path / "occ.csv")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "region": {"xmin": 0.1, "xmax": 7.3, "ymin": -3.3, "ymax": 5.9},
+            "grid": {"nx": 7, "ny": 9},
+        }))
+        code = main(["fit", "--model", str(model), "--presence", str(tmp_path / "occ.csv"),
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "fit.json").read_text())["converged"]
+
 class TestExperiment:
     def test_metrics_deterministic_and_summarized(self, sim, tmp_path):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
+from effortud.analysis import QuadraticDesign
 from effortud.errors import DataInconsistencyError, GridMismatchError, MissingDataError
 from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
 from effortud.inference import (
@@ -20,6 +24,7 @@ from effortud.inference import (
     predict_intensity,
     presence_loglik,
     riemann_loglik,
+    _Design,
 )
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
@@ -40,6 +45,15 @@ def xy_block(grid, scale=50.0):
             raster_from_function(grid, lambda X, Y: (Y - 50.0) / scale),
         ],
     )
+
+
+def all_blocks_model(n=8):
+    """Env, detection, effort and offset blocks on an n x n grid."""
+    g = build_grid(REGION, n, n)
+    det = CovariateBlock(["w1"], [raster_from_function(g, lambda X, Y: np.cos(X / 20.0))])
+    eff = CovariateBlock(["e1"], [raster_from_function(g, lambda X, Y: Y / 100.0)])
+    off = raster_from_function(g, lambda X, Y: 0.01 * X)
+    return IntensityModel(grid=g, env=xy_block(g), detection=det, effort=eff, log_effort_offset=off)
 
 
 def finite_diff_gradient(fn, theta, h=1e-6):
@@ -231,22 +245,8 @@ class TestRiemannCountEquivalence:
 
 
 class TestGradients:
-    def _model_with_all_blocks(self, n=8):
-        g = build_grid(REGION, n, n)
-        env = xy_block(g)
-        det = CovariateBlock(
-            ["w1"], [raster_from_function(g, lambda X, Y: np.cos(X / 20.0))]
-        )
-        eff = CovariateBlock(
-            ["e1"], [raster_from_function(g, lambda X, Y: Y / 100.0)]
-        )
-        off = raster_from_function(g, lambda X, Y: 0.01 * X)
-        return IntensityModel(
-            grid=g, env=env, detection=det, effort=eff, log_effort_offset=off
-        )
-
     def test_matches_finite_differences_all_kinds(self):
-        m = self._model_with_all_blocks()
+        m = all_blocks_model()
         g = m.grid
         rng = np.random.default_rng(31)
         pts = rng.uniform(0, 100, size=(30, 2))
@@ -278,7 +278,7 @@ class TestGradients:
         assert np.abs(grad).max() < 1e-8
 
     def test_intercept_component_identity(self):
-        m = self._model_with_all_blocks()
+        m = all_blocks_model()
         g = m.grid
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 100, size=(12, 2))
@@ -287,6 +287,44 @@ class TestGradients:
         grad = loglik_gradient(m, theta, data)
         expected = 12 - float((eta(m, theta).flat * g.cell_area).sum())
         assert grad[0] == pytest.approx(expected, rel=1e-10)
+
+
+def _all_kinds_designs():
+    m = all_blocks_model()
+    g = m.grid
+    rng = np.random.default_rng(71)
+    pts = rng.uniform(0, 100, size=(30, 2))
+    mu = eta(m, np.array([np.log(0.01), 0.5, -0.5, 0.2, 0.3])).flat * g.cell_area
+    counts = rng.poisson(np.clip(mu, 0, 20)).astype(float)
+    datasets = [
+        LikelihoodData.from_points(g, pts),
+        LikelihoodData.from_counts(g, counts),
+        LikelihoodData.from_presence(g, (counts > 0).astype(float)),
+    ]
+    return [_Design(m, data) for data in datasets]
+
+
+ALL_KINDS = _all_kinds_designs()
+
+
+class TestObservedInformation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from([0, 1, 2]),
+        intercept=st.floats(np.log(0.01) - 1.0, np.log(0.01) + 1.0),
+        rest=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_equals_minus_central_differences_of_gradient(self, kind, intercept, rest):
+        d = ALL_KINDS[kind]
+        theta = np.array([intercept, *rest])
+        _, _, info = d.loglik_grad(theta)
+        fd = np.zeros_like(info)
+        for k in range(len(theta)):
+            e = np.zeros_like(theta)
+            e[k] = 1e-6
+            fd[:, k] = (d.loglik_grad(theta + e)[1] - d.loglik_grad(theta - e)[1]) / 2e-6
+        scale = max(1.0, float(np.max(np.abs(info))))
+        assert np.max(np.abs(info + fd)) <= 1e-6 * scale, d.kind
 
 
 class TestFitMle:
@@ -309,6 +347,20 @@ class TestFitMle:
         rng = np.random.default_rng(6)
         pts = rng.uniform(0, 100, size=(30, 2))
         fit = fit_mle(m, LikelihoodData.from_points(g, pts))
+        assert fit.singular_information
+
+    def test_flat_coefficient_stays_at_start(self):
+        """A covariate that is zero everywhere leaves a zero row in the information."""
+        g = build_grid(REGION, 10, 10)
+        env = CovariateBlock(
+            ["zero", "x"],
+            [constant_raster(g, 0.0), raster_from_function(g, lambda X, Y: X / 100.0)],
+        )
+        m = IntensityModel(grid=g, env=env)
+        pts = np.random.default_rng(10).uniform(0, 100, size=(40, 2))
+        fit = fit_mle(m, LikelihoodData.from_points(g, pts))
+        assert fit.converged
+        assert fit.coefficient("env:zero") == 0.0
         assert fit.singular_information
 
     def test_nonconvergence_flagged(self):
@@ -359,6 +411,55 @@ class TestFitMle:
         d = fit2.theta - fit1.theta
         assert d[0] == pytest.approx(-np.log(c), abs=1e-8)
         assert np.abs(d[1:]).max() < 1e-8
+
+
+    def test_matches_bfgs_reference(self):
+        """Damped Newton and scipy BFGS find the same quadratic-env optimum."""
+        g = build_grid(REGION, 30, 30)
+        rng = np.random.default_rng(17)
+        off = Raster(g, np.log(rng.uniform(0.2, 3.0, size=(30, 30))))
+        m = IntensityModel(grid=g, env=QuadraticDesign(g).block(), log_effort_offset=off)
+        pts = np.clip(rng.normal([40.0, 60.0], [15.0, 20.0], size=(200, 2)), 0.0, 100.0)
+        data = LikelihoodData.from_points(g, pts)
+        fit = fit_mle(m, data)
+        assert fit.converged
+
+        def negll_grad(theta):
+            return -riemann_loglik(m, theta, data), -loglik_gradient(m, theta, data)
+
+        ref = minimize(
+            negll_grad, np.zeros(m.n_parameters), jac=True, method="BFGS",
+            options={"gtol": 1e-9, "maxiter": 2000, "norm": np.inf},
+        )
+        assert np.max(np.abs(ref.jac)) < 1e-7
+        assert np.allclose(fit.theta, ref.x, rtol=0.0, atol=1e-6)
+        assert fit.loglik == pytest.approx(-ref.fun, abs=1e-9)
+
+    def test_damping_recovers_from_indefinite_information(self):
+        """Presence with detection: a start where the information is indefinite."""
+        g = build_grid(REGION, 20, 20)
+        env = CovariateBlock(["u"], [raster_from_function(g, lambda X, Y: (X - 50.0) / 50.0)])
+        det = CovariateBlock(["w"], [raster_from_function(g, lambda X, Y: (Y - 30.0) / 50.0)])
+        m = IntensityModel(grid=g, env=env, detection=det)
+        mu = eta(m, np.array([np.log(0.02), 0.6, 1.5])).flat * g.cell_area
+        occ = (np.random.default_rng(9).poisson(mu) > 0).astype(float)
+        data = LikelihoodData.from_presence(g, occ)
+        start = np.array([0.0, 0.0, 4.0])
+        _, _, info = _Design(m, data).loglik_grad(start)
+        assert np.linalg.eigvalsh(info).min() < 0.0
+        fit = fit_mle(m, data, start=start)
+        assert fit.converged and fit.gradient_max_norm < 1e-8
+        assert np.allclose(fit.theta, fit_mle(m, data).theta, atol=1e-6)
+        assert np.all(np.linalg.eigvalsh(np.linalg.inv(fit.covariance)) > 0.0)
+
+    def test_non_finite_start_reported_not_raised(self):
+        g = build_grid(REGION, 10, 10)
+        m = IntensityModel(grid=g)
+        pts = np.random.default_rng(5).uniform(0, 100, size=(20, 2))
+        fit = fit_mle(m, LikelihoodData.from_points(g, pts), start=np.array([800.0]))
+        assert not fit.converged
+        assert fit.loglik == -np.inf
+        assert np.isnan(fit.gradient_max_norm)
 
 
 class TestJoint:

@@ -179,11 +179,38 @@ class TestReadModelSpec:
             read_model_spec(write_spec(tmp_path, doc))
 
     def test_raster_on_wrong_grid_rejected(self, tmp_path):
-        g = build_grid(REGION, 4, 4)
-        write_raster_csv(constant_raster(g, 1.0), tmp_path / "z.csv")
-        doc = {**small_grid_doc(), "env": [{"name": "z", "path": "z.csv"}]}
-        with pytest.raises(GridMismatchError):
-            read_model_spec(write_spec(tmp_path, doc))
+        shifted = build_grid(StudyRegion(0.5, 100.5, 0.0, 100.0), 5, 5)  # same shape
+        for g in (build_grid(REGION, 4, 4), shifted):
+            write_raster_csv(constant_raster(g, 1.0), tmp_path / "z.csv")
+            doc = {**small_grid_doc(), "env": [{"name": "z", "path": "z.csv"}]}
+            with pytest.raises(GridMismatchError):
+                read_model_spec(write_spec(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "region, nx, ny",
+        [
+            (StudyRegion(0.1, 7.3, -3.3, 5.9), 7, 9),
+            (StudyRegion(0.3, 1.7, 0.0, 1.4), 7, 7),
+            (StudyRegion(10.0, 20.0, 0.0, 4.0), 1, 4),
+        ],
+    )
+    def test_csv_rasters_land_on_the_spec_grid(self, tmp_path, region, nx, ny):
+        g = build_grid(region, nx, ny)
+        z = raster_from_function(g, lambda X, Y: X - 2.0 * Y)
+        write_raster_csv(z, tmp_path / "z.csv")
+        write_raster_csv(constant_raster(g, 2.0), tmp_path / "eff.csv")
+        doc = {
+            "region": {"xmin": region.xmin, "xmax": region.xmax,
+                       "ymin": region.ymin, "ymax": region.ymax},
+            "grid": {"nx": nx, "ny": ny},
+            "env": [{"name": "z", "path": "z.csv"}],
+            "offset": {"path": "eff.csv"},
+        }
+        ms = read_model_spec(write_spec(tmp_path, doc))
+        assert ms.model.grid == g
+        assert ms.model.env.rasters[0].grid == g
+        assert np.array_equal(ms.model.env.rasters[0].values, z.values)
+        assert np.allclose(ms.model.log_effort_offset.values, np.log(2.0))
 
 
 class TestFitJson:
