@@ -82,15 +82,12 @@ from .inference import (
     IntensityModel,
     JointComponent,
     LikelihoodData,
-    count_loglik,
     eta,
     fit_joint,
     fit_mle,
     joint_loglik,
-    loglik_gradient,
+    loglik,
     predict_intensity,
-    presence_loglik,
-    riemann_loglik,
 )
 from .model_io import ModelSpec, read_fit_json, read_model_spec, write_fit_json
 from .movement import (

@@ -27,12 +27,8 @@ from .errors import (
     ConfigError,
     DataInconsistencyError,
     DegenerateSpecError,
-    GridMismatchError,
-    MissingDataError,
     NonConcaveFitError,
-    OutOfDomainError,
     SingularCovarianceError,
-    UndefinedProbabilityError,
 )
 from .experiment import (
     config_to_dict,
@@ -51,14 +47,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_DATA_ERRORS = (
-    OutOfDomainError,
-    MissingDataError,
-    DataInconsistencyError,
-    GridMismatchError,
-    UndefinedProbabilityError,
-    FileNotFoundError,
-)
 _NUMERIC_ERRORS = (
     DegenerateSpecError,
     NonConcaveFitError,
@@ -282,16 +270,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    # before ValueError: np.linalg.LinAlgError subclasses it
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -24,7 +24,14 @@ from typing import Any
 
 import numpy as np
 
-from .analysis import QuadraticDesign, RobustInterval, mspe, normalize_ud, robust_interval
+from .analysis import (
+    QuadraticDesign,
+    RobustInterval,
+    mspe,
+    normalize_ud,
+    robust_interval,
+    ud_center_bias,
+)
 from .encounters import EncounterDataset, ObserverSpec, run_study
 from .errors import ConfigError, NonConcaveFitError
 from .geometry import Grid, StudyRegion, build_grid
@@ -70,18 +77,28 @@ class ExperimentConfig:
     replicates: int
     base_seed: int
     workers: int | None = None
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.n_mobile + self.n_static < 1:
             raise ConfigError("need at least one observer")
+        if self.n_trips < 1:
+            raise ConfigError(f"n_trips must be >= 1, got {self.n_trips}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         for name in ("true_range", "assumed_range"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.effort_floor < 0:
             raise ConfigError("effort_floor must be nonnegative")
+        # the grid and the movement and observer specs check their own values
+        try:
+            build_grid(self.region, self.nx, self.ny)
+            self.animal_spec()
+            self.observer_specs()
+        except ValueError as exc:
+            raise ConfigError(f"bad experiment config: {exc}") from exc
 
     @property
     def grid(self) -> Grid:
@@ -91,14 +108,12 @@ class ExperimentConfig:
         return MovementSpec(
             BivariateNormalPotential(self.animal_center, self.animal_potential_variance),
             self.animal_bm_variance,
-            dt=self.dt,
         )
 
     def observer_specs(self) -> list[ObserverSpec]:
         move = MovementSpec(
             HalfNormalYPotential(self.observer_center_y, self.observer_potential_variance),
             self.observer_bm_variance,
-            dt=self.dt,
         )
         mobile = [
             ObserverSpec("mobile", move, self.true_range, self.true_mode)
@@ -254,7 +269,7 @@ def run_replicate(cfg: ExperimentConfig, replicate: int) -> dict[str, Any]:
         ud = normalize_ud(predict_intensity(model, fit.theta))
         record[f"mspe_{tag}"] = mspe(ud, truth)
         try:
-            record[f"bias_{tag}"] = float(qd.center_from(fit).y - true_cy)
+            record[f"bias_{tag}"] = ud_center_bias(fit, qd, true_cy)
         except NonConcaveFitError:
             record[f"bias_{tag}"] = None
         record[f"converged_{tag}"] = bool(fit.converged)

@@ -20,15 +20,20 @@ Two derived data resolutions share the same eta:
 
     counts:   N_i ~ Poisson(alpha_i eta_i)
     presence: O_i ~ Bernoulli(1 - exp(-alpha_i eta_i))
+
+``loglik(model, theta, data)`` is the one evaluation: the data's kind
+picks the likelihood, and it returns the log likelihood, its gradient
+and the observed information. ``joint_loglik`` and ``fit_joint`` sum the
+same three over components that share coefficients by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .errors import (
     DataInconsistencyError,
@@ -77,12 +82,8 @@ class IntensityModel:
     effort: CovariateBlock | None = None
     log_effort_offset: Raster | None = None
     intercept: bool = True
-    link: str = "logistic"
-    mark: str | None = None
 
     def __post_init__(self) -> None:
-        if self.link != "logistic":
-            raise ValueError(f"unsupported detection link {self.link!r}")
         for blk in (self.env, self.detection, self.effort):
             if blk is not None and blk.grid != self.grid:
                 raise GridMismatchError("covariate block grid differs from model grid")
@@ -142,10 +143,7 @@ class LikelihoodData:
 
     @classmethod
     def from_counts(cls, grid: Grid, counts, weights: np.ndarray | None = None):
-        c = counts.flat if isinstance(counts, Raster) else np.asarray(counts, dtype=float).reshape(-1)
-        c = np.asarray(c, dtype=float)
-        if c.shape != (grid.ncells,):
-            raise ValueError(f"counts must have {grid.ncells} entries")
+        c = _cell_values(grid, counts, "counts")
         if np.any(c < 0):
             raise ValueError("negative counts")
         if np.any(c != np.floor(c)):
@@ -154,13 +152,22 @@ class LikelihoodData:
 
     @classmethod
     def from_presence(cls, grid: Grid, presence, weights: np.ndarray | None = None):
-        o = presence.flat if isinstance(presence, Raster) else np.asarray(presence).reshape(-1)
-        o = np.asarray(o, dtype=float)
-        if o.shape != (grid.ncells,):
-            raise ValueError(f"presence must have {grid.ncells} entries")
+        o = _cell_values(grid, presence, "presence")
         if not np.all((o == 0) | (o == 1)):
             raise ValueError("presence must be 0/1")
         return cls(kind="presence", grid=grid, weights=_default_weights(grid, weights), presence=o.astype(bool))
+
+
+def _cell_values(grid: Grid, values, what: str) -> np.ndarray:
+    """Per-cell values from a raster on ``grid`` or an array of ``grid.ncells`` entries."""
+    if isinstance(values, Raster):
+        if values.grid != grid:
+            raise GridMismatchError(f"{what} raster on {values.grid} is not on the data grid {grid}")
+        values = values.values
+    v = np.asarray(values, dtype=float).reshape(-1)
+    if v.shape != (grid.ncells,):
+        raise ValueError(f"{what} must have {grid.ncells} entries")
+    return v
 
 
 def _default_weights(grid: Grid, weights: np.ndarray | None) -> np.ndarray:
@@ -251,7 +258,7 @@ def _assemble(blocks, t, c: np.ndarray, d: np.ndarray):
     p_env, p_det = A.shape[1], W1.shape[1]
     parts = [A]
     if p_det:
-        q = expit(-t)  # 1 - g(t)
+        q = np.exp(-np.logaddexp(0.0, t))  # 1 - g(t)
         parts.append(q[:, None] * W1)
     parts.append(W2)
     U = np.column_stack(parts)
@@ -310,6 +317,9 @@ class _Design:
                     f"{int(bad.sum())} cells have positive counts but zero effort/weight"
                 )
             self.N_act = data.counts[active]
+            # sum of log N! over the active cells, fixed for the dataset
+            vals, n_each = np.unique(self.N_act, return_counts=True)
+            self.log_n_factorial = sum(int(k) * math.lgamma(v + 1.0) for v, k in zip(vals, n_each))
         else:
             bad = data.presence & ~active
             if np.any(bad):
@@ -341,8 +351,8 @@ class _Design:
         if self.kind == "counts":
             N = self.N_act
             logw = np.log(self.w_act)
-            terms = np.where(N > 0, N * (logw + le), 0.0) - mu - gammaln(N + 1.0)
-            ll = float(terms.sum())
+            terms = np.where(N > 0, N * (logw + le), 0.0) - mu
+            ll = float(terms.sum()) - self.log_n_factorial
             c, d = N - mu, -mu
         else:
             O = self.O_act
@@ -371,34 +381,21 @@ def eta(model: IntensityModel, theta: np.ndarray) -> Raster:
     return Raster(grid, vals.reshape(grid.ny, grid.nx))
 
 
-def _checked_design(model: IntensityModel, data: LikelihoodData, kind: str) -> _Design:
-    if data.kind != kind:
-        raise ValueError(f"expected {kind} data, got {data.kind}")
-    return _Design(model, data)
+def loglik(model: IntensityModel, theta: np.ndarray, data: LikelihoodData):
+    """Log likelihood, gradient and observed information of the data at theta.
+
+    The data's kind (points, counts or presence) picks the likelihood.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.n_parameters,):
+        raise ValueError(f"theta must have {model.n_parameters} entries, got {theta.shape}")
+    return _Design(model, data).loglik_grad(theta)
 
 
-def riemann_loglik(model: IntensityModel, theta: np.ndarray, data: LikelihoodData) -> float:
-    """Point-pattern log likelihood under the Riemann approximation."""
-    d = _checked_design(model, data, "points")
-    return d.loglik_grad(np.asarray(theta, dtype=float))[0]
-
-
-def count_loglik(model: IntensityModel, theta: np.ndarray, data: LikelihoodData) -> float:
-    """Per-cell Poisson count log likelihood."""
-    d = _checked_design(model, data, "counts")
-    return d.loglik_grad(np.asarray(theta, dtype=float))[0]
-
-
-def presence_loglik(model: IntensityModel, theta: np.ndarray, data: LikelihoodData) -> float:
-    """Per-cell Bernoulli presence log likelihood."""
-    d = _checked_design(model, data, "presence")
-    return d.loglik_grad(np.asarray(theta, dtype=float))[0]
-
-
-def loglik_gradient(model: IntensityModel, theta: np.ndarray, data: LikelihoodData) -> np.ndarray:
-    """Analytic gradient of the data's log likelihood in theta."""
-    d = _Design(model, data)
-    return d.loglik_grad(np.asarray(theta, dtype=float))[1]
+def renamed_names(model: IntensityModel, rename: dict[str, str] | None = None) -> list[str]:
+    """The model's coefficient names, each replaced by its alias in ``rename``."""
+    rename = rename or {}
+    return [rename.get(n, n) for n in model.parameter_names()]
 
 
 @dataclass
@@ -415,10 +412,13 @@ class JointComponent:
     rename: dict[str, str] = field(default_factory=dict)
 
     def qualified_names(self) -> list[str]:
-        return [self.rename.get(n, n) for n in self.model.parameter_names()]
+        return renamed_names(self.model, self.rename)
 
 
-def _joint_maps(components: Sequence[JointComponent]):
+def _joint_designs(components: Sequence[JointComponent]):
+    """Shared coefficient names, each component's index map into them, and its design."""
+    if not components:
+        raise ValueError("no components")
     names: list[str] = []
     maps = []
     for comp in components:
@@ -431,22 +431,34 @@ def _joint_maps(components: Sequence[JointComponent]):
                 names.append(nm)
             idx.append(names.index(nm))
         maps.append(np.asarray(idx, dtype=int))
-    return names, maps
+    return names, maps, [_Design(c.model, c.data) for c in components]
+
+
+def _joint_evaluate(designs: Sequence[_Design], maps, theta: np.ndarray):
+    """Summed (ll, grad, info) of the components over the shared theta.
+
+    A component whose likelihood is not finite makes the sum ``-inf``,
+    with no gradient or information.
+    """
+    p = len(theta)
+    ll, grad, info = 0.0, np.zeros(p), np.zeros((p, p))
+    for d, m in zip(designs, maps):
+        li, gi, ii = d.loglik_grad(theta[m])
+        if not np.isfinite(li):
+            return -np.inf, None, None
+        ll += li
+        grad[m] += gi
+        info[np.ix_(m, m)] += ii
+    return ll, grad, info
 
 
 def joint_loglik(components: Sequence[JointComponent], theta: np.ndarray) -> float:
     """Sum of component log likelihoods under shared coefficients."""
-    if not components:
-        raise ValueError("no components")
-    names, maps = _joint_maps(components)
+    names, maps, designs = _joint_designs(components)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (len(names),):
         raise ValueError(f"theta must have {len(names)} entries ({names})")
-    total = 0.0
-    for comp, m in zip(components, maps):
-        d = _Design(comp.model, comp.data)
-        total += d.loglik_grad(theta[m])[0]
-    return float(total)
+    return float(_joint_evaluate(designs, maps, theta)[0])
 
 
 def _covariance_from_info(info: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -485,27 +497,12 @@ def fit_joint(
     estimate. A start where the likelihood is not finite is returned
     unfitted, with a NaN gradient norm and no covariance.
     """
-    if not components:
-        raise ValueError("no components")
-    names, maps = _joint_maps(components)
-    designs = [_Design(c.model, c.data) for c in components]
+    names, maps, designs = _joint_designs(components)
     p = len(names)
-
-    def evaluate(theta: np.ndarray):
-        ll, grad, info = 0.0, np.zeros(p), np.zeros((p, p))
-        for d, m in zip(designs, maps):
-            li, gi, ii = d.loglik_grad(theta[m])
-            if not np.isfinite(li):
-                return -np.inf, None, None
-            ll += li
-            grad[m] += gi
-            info[np.ix_(m, m)] += ii
-        return ll, grad, info
-
     theta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
     if theta.shape != (p,):
         raise ValueError(f"start must have {p} entries")
-    ll, grad, info = evaluate(theta)
+    ll, grad, info = _joint_evaluate(designs, maps, theta)
     if not np.isfinite(ll):
         return FitResult(names=names, theta=theta, loglik=ll, converged=False, iterations=0)
     gmax = float(np.max(np.abs(grad))) if p else 0.0
@@ -521,7 +518,7 @@ def fit_joint(
             lam *= 10.0
             continue
         step = np.linalg.solve(L.T, np.linalg.solve(L, grad))
-        ll_new, grad_new, info_new = evaluate(theta + step)
+        ll_new, grad_new, info_new = _joint_evaluate(designs, maps, theta + step)
         # a loss within 1e-12 of |ll| is rounding in the sums, not a worse fit
         if not ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
             lam *= 10.0

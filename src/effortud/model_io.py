@@ -42,8 +42,14 @@ from .analysis import QuadraticDesign
 from .effort import floored_log_offset
 from .errors import ConfigError, GridMismatchError
 from .geometry import Grid, Raster, StudyRegion, build_grid
-from .inference import CovariateBlock, FitResult, IntensityModel
-from .raster_io import read_ascii_grid, read_raster_csv, write_ascii_grid, write_raster_csv
+from .inference import CovariateBlock, FitResult, IntensityModel, renamed_names
+from .raster_io import (
+    read_ascii_grid,
+    read_raster_csv,
+    same_cell_centers,
+    write_ascii_grid,
+    write_raster_csv,
+)
 
 
 @dataclass
@@ -57,25 +63,20 @@ class ModelSpec:
 
     def parameter_names(self) -> list[str]:
         """The model's qualified coefficient names after ``rename``."""
-        rename = self.rename or {}
-        return [rename.get(n, n) for n in self.model.parameter_names()]
+        return renamed_names(self.model, self.rename)
 
 
 def read_raster(path: str | Path, grid: Grid) -> Raster:
     """Read an ASCII grid (".asc") or, for any other suffix, a raster CSV on ``grid``.
 
-    The file's shape must equal the grid's and its cell centers must lie
-    within 1e-9 of a cell width of the grid's; the values are then
-    returned on ``grid`` itself, so rounding in the file's coordinates
-    (or a single column, which carries no spacing) does not change it.
+    The file's shape and cell centers must match the grid's up to rounding
+    (``raster_io.same_cell_centers``); the values are then returned on
+    ``grid`` itself, so rounding in the file's coordinates (or a single
+    column, which carries no spacing) does not change it.
     """
     raster = read_ascii_grid(path) if Path(path).suffix.lower() == ".asc" else read_raster_csv(path)
-    got = raster.grid
-    if (got.nx, got.ny) != (grid.nx, grid.ny) or not (
-        np.allclose(got.x_centers(), grid.x_centers(), rtol=0.0, atol=1e-9 * grid.dx)
-        and np.allclose(got.y_centers(), grid.y_centers(), rtol=0.0, atol=1e-9 * grid.dy)
-    ):
-        raise GridMismatchError(f"{path}: raster on {got} does not lie on the model grid {grid}")
+    if not same_cell_centers(raster.grid, grid):
+        raise GridMismatchError(f"{path}: raster on {raster.grid} does not lie on the model grid {grid}")
     return Raster(grid, raster.values)
 
 
@@ -149,12 +150,12 @@ def read_model_spec(path: str | Path) -> ModelSpec:
                 env = _covariate_block(cov, base, grid, "env covariates")
 
         detection = None
-        link = "logistic"
         det_doc = doc.get("detection")
         if det_doc is not None:
             if not isinstance(det_doc, dict):
                 raise ConfigError("detection must be an object")
-            link = str(det_doc.get("link", "logistic"))
+            if det_doc.get("link", "logistic") != "logistic":
+                raise ConfigError(f"unsupported detection link {det_doc['link']!r}; only 'logistic'")
             detection = _covariate_block(
                 det_doc.get("covariates"), base, grid, "detection covariates"
             )
@@ -184,7 +185,6 @@ def read_model_spec(path: str | Path) -> ModelSpec:
             effort=effort,
             log_effort_offset=offset,
             intercept=bool(doc.get("intercept", True)),
-            link=link,
         )
         return ModelSpec(
             model=model,

@@ -9,13 +9,14 @@ grid from the center coordinates; it refuses a row it cannot parse, a
 center listed twice and spacing that is not uniform, naming the file
 and line. The reconstructed region is exact only up to rounding of the
 centers (a single column or row has no spacing at all), so callers that
-know the intended grid should compare centers against it;
-``model_io.read_raster`` does.
+know the intended grid should compare centers against it with
+``same_cell_centers``; ``model_io.read_raster`` does.
 
 ASCII grid layout follows the ESRI convention: six header lines
 (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value) and data
 rows written from the north edge downward. ``cellsize`` is a single
-number, so writing requires square cells.
+number, so writing requires cells square up to rounding: the grid read
+back must have the same cell centers.
 """
 
 from __future__ import annotations
@@ -48,19 +49,38 @@ def write_raster_csv(raster: Raster, path: str | Path) -> None:
                 w.writerow([_fmt(xc[ix]), _fmt(yc[iy]), _fmt(row[ix])])
 
 
+def _center_tolerance(centers: np.ndarray, width: float) -> float:
+    """How far a cell center read from a file may lie from where it belongs.
+
+    1e-9 of a cell width, or 4 ulps of the largest coordinate when that is
+    more: far from the origin, rounding alone moves centers that far.
+    """
+    return max(1e-9 * width, 4.0 * float(np.spacing(np.max(np.abs(centers)))))
+
+
+def same_cell_centers(got: Grid, grid: Grid) -> bool:
+    """Whether ``got`` has the shape of ``grid`` and its cell centers up to rounding."""
+    return (got.nx, got.ny) == (grid.nx, grid.ny) and all(
+        np.allclose(a, b, rtol=0.0, atol=_center_tolerance(b, width))
+        for a, b, width in (
+            (got.x_centers(), grid.x_centers(), grid.dx),
+            (got.y_centers(), grid.y_centers(), grid.dy),
+        )
+    )
+
+
 def _axis(u: np.ndarray, path, name: str) -> tuple[np.ndarray, float]:
     """Sorted distinct centers of one axis and their spacing.
 
-    The spacing must be uniform: every center lies within 1e-9 of a cell
-    width (or a few ulps of the coordinate) of its evenly spaced place.
+    The spacing must be uniform: every center lies within
+    ``_center_tolerance`` of its evenly spaced place.
     """
     c = np.unique(u)
     if len(c) == 1:
         return c, 2.0 * c[0] if c[0] > 0 else 1.0
     d = c[1] - c[0]
     even = c[0] + np.arange(len(c)) * ((c[-1] - c[0]) / (len(c) - 1))
-    tol = max(1e-9 * d, 4.0 * float(np.spacing(np.max(np.abs(c)))))
-    bad = np.abs(c - even) > tol
+    bad = np.abs(c - even) > _center_tolerance(c, d)
     if np.any(bad):
         raise ValueError(
             f"{path}: {name} centers are not evenly spaced "
@@ -121,17 +141,26 @@ def read_raster_csv(path: str | Path) -> Raster:
 
 def write_ascii_grid(raster: Raster, path: str | Path, nodata: float = _DEFAULT_NODATA) -> None:
     grid = raster.grid
-    if not np.isclose(grid.dx, grid.dy, rtol=1e-12, atol=0.0):
+    r = grid.region
+    # CELLSIZE is one number: dx or dy, whichever reads back onto this grid's
+    # cell centers (far from the origin, rounding of the region makes them differ)
+    for cell in (grid.dx, grid.dy):
+        back = StudyRegion(r.xmin, r.xmin + grid.nx * cell, r.ymin, r.ymin + grid.ny * cell)
+        if same_cell_centers(Grid(back, grid.nx, grid.ny), grid):
+            break
+    else:
         raise ValueError(
             f"ASCII grid needs square cells; dx={grid.dx!r} dy={grid.dy!r}"
         )
+    if np.any(raster.values == nodata):
+        raise ValueError(f"a cell holds the NODATA value {nodata!r} and would read back as missing")
     vals = np.where(np.isnan(raster.values), nodata, raster.values)
     with open(path, "w") as fh:
         fh.write(f"NCOLS {grid.nx}\n")
         fh.write(f"NROWS {grid.ny}\n")
         fh.write(f"XLLCORNER {_fmt(grid.region.xmin)}\n")
         fh.write(f"YLLCORNER {_fmt(grid.region.ymin)}\n")
-        fh.write(f"CELLSIZE {_fmt(grid.dx)}\n")
+        fh.write(f"CELLSIZE {_fmt(cell)}\n")
         fh.write(f"NODATA_VALUE {_fmt(nodata)}\n")
         for iy in range(grid.ny - 1, -1, -1):
             fh.write(" ".join(_fmt(v) for v in vals[iy]))

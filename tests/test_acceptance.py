@@ -21,11 +21,8 @@ from effortud.inference import (
     FitResult,
     IntensityModel,
     LikelihoodData,
-    count_loglik,
     fit_mle,
-    loglik_gradient,
-    presence_loglik,
-    riemann_loglik,
+    loglik,
 )
 from effortud.movement import (
     BivariateNormalPotential,
@@ -252,21 +249,21 @@ def test_c8_numerical_core():
     lam = np.exp(rng.normal(np.log(0.01), 0.2)) * np.ones(g.ncells)
     counts = rng.poisson(lam * g.cell_area).astype(float)
     datasets = [
-        ("points", riemann_loglik, LikelihoodData.from_points(g, pts)),
-        ("counts", count_loglik, LikelihoodData.from_counts(g, counts)),
-        ("presence", presence_loglik, LikelihoodData.from_presence(g, (counts > 0) * 1.0)),
+        ("points", LikelihoodData.from_points(g, pts)),
+        ("counts", LikelihoodData.from_counts(g, counts)),
+        ("presence", LikelihoodData.from_presence(g, (counts > 0) * 1.0)),
     ]
     worst = 0.0
     for k in range(50):
         theta = rng.normal(scale=0.4, size=5)
         theta[0] = rng.normal(np.log(0.01), 0.3)
-        for kind, fn, data in datasets:
-            got = loglik_gradient(model, theta, data)
+        for kind, data in datasets:
+            got = loglik(model, theta, data)[1]
             fd = np.zeros_like(theta)
             for j in range(len(theta)):
                 e = np.zeros_like(theta)
                 e[j] = 1e-6
-                fd[j] = (fn(model, theta + e, data) - fn(model, theta - e, data)) / 2e-6
+                fd[j] = (loglik(model, theta + e, data)[0] - loglik(model, theta - e, data)[0]) / 2e-6
             scale = max(1.0, float(np.max(np.abs(fd))))
             rel = float(np.max(np.abs(got - fd))) / scale
             worst = max(worst, rel)
@@ -298,8 +295,8 @@ def test_c8_numerical_core():
     eq_err = 0.0
     for _ in range(5):
         th = rng.normal(scale=0.3, size=2)
-        lr = riemann_loglik(m8, th, d_pts)
-        lc = count_loglik(m8, th, d_cnt)
+        lr = loglik(m8, th, d_pts)[0]
+        lc = loglik(m8, th, d_cnt)[0]
         eq_err = max(eq_err, abs(lr - (lc + const)))
     if eq_err > 1e-10:
         problems.append(f"riemann vs count off by {eq_err:.2e}")

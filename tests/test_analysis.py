@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from effortud.analysis import (
     QuadraticDesign,
@@ -49,6 +52,22 @@ class TestNormalizeUd:
         rng = np.random.default_rng(9)
         ud = normalize_ud(Raster(g, rng.uniform(0.1, 5.0, size=(25, 25))))
         assert ud.values.sum() * g.cell_area == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nx=st.integers(1, 40),
+        ny=st.integers(1, 40),
+        x0=st.floats(-1e4, 1e4),
+        y0=st.floats(-1e4, 1e4),
+        dx=st.floats(1e-3, 1e3),
+        dy=st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    def test_mass_is_one_on_random_positive_surfaces(self, nx, ny, x0, y0, dx, dy, data):
+        g = build_grid(StudyRegion(x0, x0 + nx * dx, y0, y0 + ny * dy), nx, ny)
+        v = data.draw(arrays(float, (ny, nx), elements=st.floats(1e-6, 1e6)))
+        ud = normalize_ud(Raster(g, v))
+        assert abs(ud.values.sum() * g.cell_area - 1.0) <= 1e-12
 
     def test_scale_invariant(self):
         g = build_grid(REGION, 10, 10)

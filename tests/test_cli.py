@@ -77,6 +77,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("detection", {"mode": "bogus"}),
+        ("study", {"n_trips": 0}),
+        ("grid", {"nx": 0}),
+        ("animal", {"potential_variance": -1}),
+    ],
+    ids=["detection-mode", "no-trips", "no-columns", "negative-variance"],
+)
+def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, section: {**CONFIG.get(section, {}), **entry}}))
+    out = ["--out", str(tmp_path / "sim")] if command == "simulate" else [
+        "--out-metrics", str(tmp_path / "m.json")]
+    assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestEffort:
     def test_matches_library_accumulation(self, sim, tmp_path):
         tracks_csv = sim["out"] / "tracks_r000.csv"
@@ -378,6 +398,12 @@ class TestMalformedFiles:
         code = main(["fit", "--model", str(model), "--counts", str(tmp_path / "n.csv"),
                      "--out", str(tmp_path / "fit.json")])
         assert code == EXIT_DATA
+
+    def test_non_logistic_link_exit_2(self, tmp_path):
+        g = build_grid(StudyRegion(0.0, 100.0, 0.0, 100.0), 2, 2)
+        write_raster_csv(raster_from_function(g, lambda X, Y: X / 100.0), tmp_path / "vis.csv")
+        spec = {"detection": {"link": "probit", "covariates": [{"name": "vis", "path": "vis.csv"}]}}
+        assert self._fit(tmp_path, spec) == EXIT_CONFIG
 
     def test_presence_on_an_off_origin_grid(self, tmp_path):
         g = build_grid(StudyRegion(0.1, 7.3, -3.3, 5.9), 7, 9)

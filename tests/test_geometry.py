@@ -171,6 +171,13 @@ class TestRasterFiles:
         with pytest.raises(ValueError):
             write_ascii_grid(constant_raster(g2, 1.0), tmp_path / "bad.asc")
 
+    def test_ascii_accepts_cells_square_up_to_rounding(self, tmp_path):
+        # dy is 0.010000000000218279 here: the region's float rounding, not a second size
+        g = build_grid(StudyRegion(0.0, 0.01, 2048.0, 2048.01), 1, 1)
+        write_ascii_grid(constant_raster(g, 1.0), tmp_path / "r.asc")
+        back = read_ascii_grid(tmp_path / "r.asc")
+        assert np.allclose(back.grid.y_centers(), g.y_centers(), rtol=0.0, atol=1e-9 * g.dy)
+
     def test_csv_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")

@@ -15,15 +15,12 @@ from effortud.inference import (
     IntensityModel,
     JointComponent,
     LikelihoodData,
-    count_loglik,
     eta,
     fit_joint,
     fit_mle,
     joint_loglik,
-    loglik_gradient,
+    loglik,
     predict_intensity,
-    presence_loglik,
-    riemann_loglik,
     _Design,
 )
 
@@ -97,14 +94,14 @@ class TestRiemannLoglik:
     def test_single_cell_oracle(self):
         m, theta, g = unit_cell_model()
         data = LikelihoodData.from_points(g, np.array([[0.5, 0.5]]))
-        assert riemann_loglik(m, theta, data) == pytest.approx(LOG2_MINUS_2, abs=1e-12)
+        assert loglik(m, theta, data)[0] == pytest.approx(LOG2_MINUS_2, abs=1e-12)
 
     def test_void_term(self):
         g = build_grid(REGION, 10, 10)
         m = IntensityModel(grid=g)
         data = LikelihoodData.from_points(g, np.empty((0, 2)))
         c = 0.07
-        ll = riemann_loglik(m, np.array([np.log(c)]), data)
+        ll = loglik(m, np.array([np.log(c)]), data)[0]
         assert ll == pytest.approx(-c * REGION.area, rel=1e-12)
 
     def test_homogeneous_maximum_at_closed_form(self):
@@ -114,9 +111,9 @@ class TestRiemannLoglik:
         m = IntensityModel(grid=g)
         data = LikelihoodData.from_points(g, pts)
         b_hat = np.log(40.0 / REGION.area)
-        ll_hat = riemann_loglik(m, np.array([b_hat]), data)
+        ll_hat = loglik(m, np.array([b_hat]), data)[0]
         for db in (-0.1, -0.01, 0.01, 0.1):
-            assert riemann_loglik(m, np.array([b_hat + db]), data) < ll_hat
+            assert loglik(m, np.array([b_hat + db]), data)[0] < ll_hat
 
     def test_point_in_zero_effort_cell_rejected(self):
         g = build_grid(REGION, 2, 2)
@@ -124,14 +121,14 @@ class TestRiemannLoglik:
         m = IntensityModel(grid=g, log_effort_offset=off)
         data = LikelihoodData.from_points(g, np.array([[75.0, 75.0]]))
         with pytest.raises(DataInconsistencyError):
-            riemann_loglik(m, np.array([0.0]), data)
+            loglik(m, np.array([0.0]), data)
 
     def test_zero_effort_cells_excluded_from_integral(self):
         g = build_grid(REGION, 2, 2)
         off = Raster(g, np.array([[0.0, 0.0], [0.0, -np.inf]]))
         m = IntensityModel(grid=g, log_effort_offset=off)
         data = LikelihoodData.from_points(g, np.empty((0, 2)))
-        ll = riemann_loglik(m, np.array([0.0]), data)
+        ll = loglik(m, np.array([0.0]), data)[0]
         # only three active cells of area 2500 contribute
         assert ll == pytest.approx(-3 * 2500.0, rel=1e-12)
 
@@ -142,7 +139,7 @@ class TestRiemannLoglik:
         m = IntensityModel(grid=g, env=env)
         data = LikelihoodData.from_points(g, np.array([[75.0, 25.0]]))
         with pytest.raises(MissingDataError):
-            riemann_loglik(m, np.zeros(2), data)
+            loglik(m, np.zeros(2), data)
 
 
 class TestCountLoglik:
@@ -151,14 +148,14 @@ class TestCountLoglik:
         m = IntensityModel(grid=g)
         c = 0.07
         counts = LikelihoodData.from_counts(g, np.zeros(100))
-        assert count_loglik(m, np.array([np.log(c)]), counts) == pytest.approx(
+        assert loglik(m, np.array([np.log(c)]), counts)[0] == pytest.approx(
             -c * REGION.area, rel=1e-12
         )
 
     def test_single_cell_oracle(self):
         m, theta, g = unit_cell_model()
         data = LikelihoodData.from_counts(g, np.array([1.0]))
-        assert count_loglik(m, theta, data) == pytest.approx(LOG2_MINUS_2, abs=1e-12)
+        assert loglik(m, theta, data)[0] == pytest.approx(LOG2_MINUS_2, abs=1e-12)
 
     def test_poisson_recovery_within_three_se(self):
         g = build_grid(REGION, 20, 20)
@@ -179,6 +176,16 @@ class TestCountLoglik:
         with pytest.raises(ValueError):
             LikelihoodData.from_counts(g, np.array([1.0, -1.0, 0.0, 2.0]))
 
+    def test_raster_off_the_data_grid_rejected(self):
+        g = build_grid(REGION, 2, 2)
+        shifted = build_grid(StudyRegion(1.0, 101.0, 0.0, 100.0), 2, 2)
+        cells = Raster(shifted, np.ones((2, 2)))
+        with pytest.raises(GridMismatchError):
+            LikelihoodData.from_counts(g, cells)
+        with pytest.raises(GridMismatchError):
+            LikelihoodData.from_presence(g, cells)
+        assert LikelihoodData.from_counts(g, Raster(g, np.ones((2, 2)))).counts.sum() == 4.0
+
     def test_fractional_counts_rejected(self):
         g = build_grid(REGION, 2, 2)
         with pytest.raises(ValueError):
@@ -191,14 +198,14 @@ class TestPresenceLoglik:
         m = IntensityModel(grid=g)
         c = 0.002
         data = LikelihoodData.from_presence(g, np.zeros(100))
-        assert presence_loglik(m, np.array([np.log(c)]), data) == pytest.approx(
+        assert loglik(m, np.array([np.log(c)]), data)[0] == pytest.approx(
             -c * REGION.area, rel=1e-12
         )
 
     def test_certain_presence_contributes_nothing(self):
         m, _, g = unit_cell_model()
         data = LikelihoodData.from_presence(g, np.array([1.0]))
-        assert presence_loglik(m, np.array([30.0]), data) == pytest.approx(0.0, abs=1e-10)
+        assert loglik(m, np.array([30.0]), data)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_presence_consistent_with_count_mle(self):
         # occupancy of Poisson draws carries the same signal, more noisily
@@ -239,8 +246,8 @@ class TestRiemannCountEquivalence:
         d_pts = LikelihoodData.from_points(g, pts, weights=w)
         d_cnt = LikelihoodData.from_counts(g, counts, weights=w)
         theta = np.array([-0.3, 0.2])
-        lr = riemann_loglik(m, theta, d_pts)
-        lc = count_loglik(m, theta, d_cnt)
+        lr = loglik(m, theta, d_pts)[0]
+        lc = loglik(m, theta, d_cnt)[0]
         assert lr == pytest.approx(lc + gammaln(counts + 1.0).sum(), abs=1e-10)
 
 
@@ -257,14 +264,12 @@ class TestGradients:
             "counts": LikelihoodData.from_counts(g, counts),
             "presence": LikelihoodData.from_presence(g, (counts > 0).astype(float)),
         }
-        funcs = {"points": riemann_loglik, "counts": count_loglik, "presence": presence_loglik}
         for kind, data in datasets.items():
-            fn = funcs[kind]
             for _ in range(10):
                 theta = rng.normal(scale=0.4, size=5)
                 theta[0] = rng.normal(np.log(0.01), 0.3)
-                got = loglik_gradient(m, theta, data)
-                want = finite_diff_gradient(lambda t: fn(m, t, data), theta)
+                got = loglik(m, theta, data)[1]
+                want = finite_diff_gradient(lambda t: loglik(m, t, data)[0], theta)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.allclose(got, want, rtol=1e-6, atol=1e-6 * scale), kind
 
@@ -274,7 +279,7 @@ class TestGradients:
         pts = rng.uniform(0, 100, size=(25, 2))
         m = IntensityModel(grid=g)
         data = LikelihoodData.from_points(g, pts)
-        grad = loglik_gradient(m, np.array([np.log(25.0 / REGION.area)]), data)
+        grad = loglik(m, np.array([np.log(25.0 / REGION.area)]), data)[1]
         assert np.abs(grad).max() < 1e-8
 
     def test_intercept_component_identity(self):
@@ -284,7 +289,7 @@ class TestGradients:
         pts = rng.uniform(0, 100, size=(12, 2))
         data = LikelihoodData.from_points(g, pts)
         theta = rng.normal(scale=0.3, size=5)
-        grad = loglik_gradient(m, theta, data)
+        grad = loglik(m, theta, data)[1]
         expected = 12 - float((eta(m, theta).flat * g.cell_area).sum())
         assert grad[0] == pytest.approx(expected, rel=1e-10)
 
@@ -425,7 +430,7 @@ class TestFitMle:
         assert fit.converged
 
         def negll_grad(theta):
-            return -riemann_loglik(m, theta, data), -loglik_gradient(m, theta, data)
+            return -loglik(m, theta, data)[0], -loglik(m, theta, data)[1]
 
         ref = minimize(
             negll_grad, np.zeros(m.n_parameters), jac=True, method="BFGS",
@@ -474,7 +479,7 @@ class TestJoint:
         a = self._component(3)
         b = self._component(3)
         theta = np.array([-3.0, 0.4, -0.2])
-        single = riemann_loglik(a.model, theta, a.data)
+        single = loglik(a.model, theta, a.data)[0]
         assert joint_loglik([a, b], theta) == pytest.approx(2 * single, rel=1e-12)
 
     def test_zero_weight_component_drops_out(self):
@@ -486,7 +491,7 @@ class TestJoint:
         )
         theta = np.array([-3.0, 0.1, 0.2])
         assert joint_loglik([a, empty], theta) == pytest.approx(
-            riemann_loglik(a.model, theta, a.data), rel=1e-12
+            loglik(a.model, theta, a.data)[0], rel=1e-12
         )
 
     def test_shared_slopes_separate_intercepts(self):
@@ -563,7 +568,7 @@ class TestModelValidation:
         m = IntensityModel(grid=g)
         data = LikelihoodData.from_points(g2, np.array([[50.0, 50.0]]))
         with pytest.raises(GridMismatchError):
-            riemann_loglik(m, np.array([0.0]), data)
+            loglik(m, np.array([0.0]), data)
 
     def test_reserved_intercept_name(self):
         g = build_grid(REGION, 3, 3)

@@ -4,11 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from effortud.errors import ConfigError, GridMismatchError
-from effortud.geometry import StudyRegion, build_grid, constant_raster, raster_from_function
+from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
 from effortud.inference import FitResult, IntensityModel, LikelihoodData, fit_mle
-from effortud.model_io import ModelSpec, read_fit_json, read_model_spec, write_fit_json
+from effortud.model_io import (
+    ModelSpec,
+    read_fit_json,
+    read_model_spec,
+    read_raster,
+    write_fit_json,
+    write_raster,
+)
 from effortud.raster_io import write_ascii_grid, write_raster_csv
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
@@ -84,11 +94,20 @@ class TestReadModelSpec:
         write_raster_csv(constant_raster(g, 0.5), tmp_path / "vis.csv")
         doc = {
             **small_grid_doc(),
-            "detection": {"covariates": [{"name": "vis", "path": "vis.csv"}]},
+            "detection": {"link": "logistic", "covariates": [{"name": "vis", "path": "vis.csv"}]},
         }
         ms = read_model_spec(write_spec(tmp_path, doc))
         assert "det:vis" in ms.model.parameter_names()
-        assert ms.model.link == "logistic"
+
+    def test_non_logistic_link_rejected(self, tmp_path):
+        g = build_grid(REGION, 5, 5)
+        write_raster_csv(constant_raster(g, 0.5), tmp_path / "vis.csv")
+        doc = {
+            **small_grid_doc(),
+            "detection": {"link": "probit", "covariates": [{"name": "vis", "path": "vis.csv"}]},
+        }
+        with pytest.raises(ConfigError, match="probit"):
+            read_model_spec(write_spec(tmp_path, doc))
 
     def test_detection_needs_covariates(self, tmp_path):
         doc = {**small_grid_doc(), "detection": {"link": "logistic"}}
@@ -211,6 +230,45 @@ class TestReadModelSpec:
         assert ms.model.env.rasters[0].grid == g
         assert np.array_equal(ms.model.env.rasters[0].values, z.values)
         assert np.allclose(ms.model.log_effort_offset.values, np.log(2.0))
+
+
+@st.composite
+def off_origin_rasters(draw, square: bool):
+    """A raster on a random grid away from the origin, with some NaN cells."""
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    # up to 1e7 covers projected coordinates such as UTM northings
+    x0, y0 = draw(st.floats(-1e7, 1e7)), draw(st.floats(-1e7, 1e7))
+    dx = draw(st.floats(1e-2, 1e2))
+    dy = dx if square else draw(st.floats(1e-2, 1e2))
+    grid = build_grid(StudyRegion(x0, x0 + nx * dx, y0, y0 + ny * dy), nx, ny)
+    values = draw(arrays(float, (ny, nx), elements=st.floats(-1e300, 1e300) | st.just(np.nan)))
+    return Raster(grid, values)
+
+
+class TestRasterRoundTrip:
+    """``write_raster`` then ``read_raster(path, grid)`` gives back the grid and values exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(raster=off_origin_rasters(square=False))
+    def test_csv(self, tmp_path_factory, raster):
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        write_raster(raster, path)
+        back = read_raster(path, raster.grid)
+        assert back.grid == raster.grid
+        assert np.array_equal(back.values, raster.values, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raster=off_origin_rasters(square=True))
+    def test_ascii_keeps_nan(self, tmp_path_factory, raster):
+        path = tmp_path_factory.mktemp("asc") / "r.asc"
+        if np.any(raster.values == -9999.0):  # the NODATA value would read back as NaN
+            with pytest.raises(ValueError, match="NODATA"):
+                write_raster(raster, path)
+            return
+        write_raster(raster, path)
+        back = read_raster(path, raster.grid)
+        assert back.grid == raster.grid
+        assert np.array_equal(back.values, raster.values, equal_nan=True)
 
 
 class TestFitJson:
