@@ -98,10 +98,8 @@ from .movement import (
     Trajectory,
     analytic_ud,
     drift,
-    potential_log_density,
     sample_initial,
     simulate_trajectory,
-    step,
 )
 from .raster_io import read_ascii_grid, read_raster_csv, write_ascii_grid, write_raster_csv
 

@@ -29,11 +29,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .encounters import detection_kernel
 from .errors import GridMismatchError, OutOfDomainError
-from .geometry import Grid, Raster, _axis_index, cells_of
-from .movement import Trajectory
+from .geometry import Grid, Raster, cells_of, cells_xy
+from .movement import Trajectory, common_dt
 
 _POSITION_CHUNK = 65536
+# each effort mode weighs a cell center by a detection kernel of its distance
+_EFFORT_KERNELS = {"indicator": "uniform", "detection": "linear-decay"}
 
 
 @dataclass
@@ -44,28 +47,6 @@ class EffortField(Raster):
 
     def copy(self) -> "EffortField":
         return EffortField(self.grid, self.values.copy(), self.units)
-
-
-def _cells_and_fractions(grid: Grid, xs: np.ndarray, ys: np.ndarray):
-    r = grid.region
-    bad = (xs < r.xmin) | (xs > r.xmax) | (ys < r.ymin) | (ys > r.ymax)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise OutOfDomainError(f"track position ({xs[i]}, {ys[i]}) outside region")
-    ix = _axis_index(xs, r.xmin, grid.dx, grid.nx)
-    iy = _axis_index(ys, r.ymin, grid.dy, grid.ny)
-    # offset of the position from its cell center, in cell units
-    fx = (xs - r.xmin) / grid.dx - ix - 0.5
-    fy = (ys - r.ymin) / grid.dy - iy - 0.5
-    return ix, iy, fx, fy
-
-
-def _window_weights(d2: np.ndarray, radius: float, mode: str) -> np.ndarray:
-    if mode == "indicator":
-        return (d2 <= radius * radius).astype(float)
-    if mode == "detection":
-        return np.clip(1.0 - np.sqrt(d2) / radius, 0.0, 1.0)
-    raise ValueError(f"unknown effort mode {mode!r}")
 
 
 def _stencil(
@@ -80,7 +61,13 @@ def _stencil(
     Every weight is positive. A cell appears once per position covering
     it, so callers reduce the chunks with ``np.bincount``.
     """
-    ix, iy, fx, fy = _cells_and_fractions(grid, xs, ys)
+    if mode not in _EFFORT_KERNELS:
+        raise ValueError(f"unknown effort mode {mode!r}")
+    kernel = _EFFORT_KERNELS[mode]
+    ix, iy = cells_xy(grid, xs, ys)
+    # offset of the position from its cell center, in cell units
+    fx = (xs - grid.region.xmin) / grid.dx - ix - 0.5
+    fy = (ys - grid.region.ymin) / grid.dy - iy - 0.5
     nx, ny = grid.nx, grid.ny
     iw = int(np.floor(radius / grid.dx + 0.5))
     jw = int(np.floor(radius / grid.dy + 0.5))
@@ -102,17 +89,10 @@ def _stencil(
             e = s + step
             offx = (di[None, :] - kfx[s:e, None]) * grid.dx
             d2 = kd2y[s:e, None] + offx * offx
-            w = _window_weights(d2, radius, mode)
+            w = detection_kernel(np.sqrt(d2), radius, kernel)
             tx = kix[s:e, None] + di[None, :]
             valid = (tx >= 0) & (tx < nx) & (w > 0)
             yield (krow[s:e, None] * nx + tx)[valid], w[valid]
-
-
-def _check_shared_dt(tracks: Sequence[Trajectory]) -> float:
-    dts = {t.dt for t in tracks}
-    if len(dts) != 1:
-        raise ValueError(f"tracks must share dt, got {sorted(dts)}")
-    return dts.pop()
 
 
 def path_integral_effort(
@@ -132,7 +112,7 @@ def path_integral_effort(
         raise ValueError(f"detection_range must be positive, got {detection_range}")
     if not tracks:
         return EffortField(grid, np.zeros((grid.ny, grid.nx)))
-    dt = _check_shared_dt(tracks)
+    dt = common_dt((t.dt for t in tracks), "tracks")
     acc = np.zeros(grid.ncells)
     xs = np.concatenate([t.positions[:, 0] for t in tracks])
     ys = np.concatenate([t.positions[:, 1] for t in tracks])
@@ -157,7 +137,7 @@ def overlap_corrected_effort(
         raise ValueError(f"detection_range must be positive, got {detection_range}")
     if not tracks:
         return EffortField(grid, np.zeros((grid.ny, grid.nx)))
-    dt = _check_shared_dt(tracks)
+    dt = common_dt((t.dt for t in tracks), "tracks")
     n_steps = max(len(t) for t in tracks)
     acc = np.zeros(grid.ncells)
     for s in range(n_steps):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Grid, Point, StudyRegion
-from .movement import MovementSpec, Trajectory, sample_initial, step_positions
+from .movement import MovementSpec, Trajectory, common_dt, sample_initial, step_positions
 
 DETECTION_MODES = ("linear-decay", "uniform")
 
@@ -87,33 +87,29 @@ class EncounterDataset:
         return len(self.encounters()) / len(self.trips)
 
 
-def detection_prob(distance, detection_range: float, mode: str = "linear-decay"):
-    """Detection probability at a given observer-animal distance.
+def detection_kernel(d: np.ndarray, detection_range, mode: str) -> np.ndarray:
+    """Detection probability at distances ``d``, without argument checks.
 
     linear-decay: 1 at distance 0 falling linearly to 0 at the range.
     uniform: 1 within the range (inclusive), 0 beyond.
+    ``detection_range`` may be an array broadcasting against ``d``.
     """
+    if mode == "linear-decay":
+        return np.clip(1.0 - d / detection_range, 0.0, 1.0)
+    return (d <= detection_range).astype(float)
+
+
+def detection_prob(distance, detection_range: float, mode: str = "linear-decay"):
+    """Detection probability at a given observer-animal distance (see ``detection_kernel``)."""
     if detection_range <= 0:
         raise ValueError(f"detection_range must be positive, got {detection_range}")
+    if mode not in DETECTION_MODES:
+        raise ValueError(f"unknown detection mode {mode!r}")
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0):
         raise ValueError("distance must be nonnegative")
-    if mode == "linear-decay":
-        p = np.clip(1.0 - d / detection_range, 0.0, 1.0)
-    elif mode == "uniform":
-        p = (d <= detection_range).astype(float)
-    else:
-        raise ValueError(f"unknown detection mode {mode!r}")
-    if np.isscalar(distance):
-        return float(p)
-    return p
-
-
-def _check_common_dt(animal: MovementSpec, observers: list[ObserverSpec]) -> float:
-    dts = {animal.dt} | {o.movement.dt for o in observers}
-    if len(dts) != 1:
-        raise ValueError(f"animal and observers must share dt, got {sorted(dts)}")
-    return dts.pop()
+    p = detection_kernel(d, detection_range, mode)
+    return float(p) if np.isscalar(distance) else p
 
 
 def run_trip(
@@ -130,27 +126,22 @@ def run_trip(
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if not observers:
         raise ValueError("at least one observer is required")
-    dt = _check_common_dt(animal, observers)
+    dt = common_dt([animal.dt] + [o.movement.dt for o in observers], "animal and observers")
 
     animal_pos = np.array([sample_initial(animal.potential, region, rng)], dtype=float)
     obs_pos = np.array(
         [sample_initial(o.movement.potential, region, rng) for o in observers], dtype=float
     )
 
-    mobile_groups: list[tuple[MovementSpec, np.ndarray]] = []
-    seen: list[MovementSpec] = []
-    mobile_idx = [i for i, o in enumerate(observers) if o.kind == "mobile"]
-    for i in mobile_idx:
-        spec = observers[i].movement
-        if spec not in seen:
-            seen.append(spec)
-    for spec in seen:
-        members = np.array([i for i in mobile_idx if observers[i].movement == spec])
-        mobile_groups.append((spec, members))
+    # mobile observers sharing a movement spec step together, in first-appearance order
+    groups: dict[MovementSpec, list[int]] = {}
+    for i, o in enumerate(observers):
+        if o.kind == "mobile":
+            groups.setdefault(o.movement, []).append(i)
+    mobile_groups = [(spec, np.array(members)) for spec, members in groups.items()]
 
     ranges = np.array([o.detection_range for o in observers])
-    modes = [o.detection_mode for o in observers]
-    linear = np.array([m == "linear-decay" for m in modes])
+    linear = np.array([o.detection_mode == "linear-decay" for o in observers])
 
     history = [obs_pos.copy()]
     encounter: Encounter | None = None
@@ -163,7 +154,11 @@ def run_trip(
         history.append(obs_pos.copy())
 
         d = np.hypot(obs_pos[:, 0] - animal_pos[0, 0], obs_pos[:, 1] - animal_pos[0, 1])
-        p = np.where(linear, np.clip(1.0 - d / ranges, 0.0, 1.0), (d <= ranges).astype(float))
+        p = np.where(
+            linear,
+            detection_kernel(d, ranges, "linear-decay"),
+            detection_kernel(d, ranges, "uniform"),
+        )
         hits = rng.random(len(observers)) < p
         if np.any(hits):
             first = int(np.argmax(hits))

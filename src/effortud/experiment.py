@@ -9,8 +9,9 @@ scores both against the animal's true stationary density:
     bias_*  northward displacement of the fitted UD center
 
 Replicates are independent (seed = base_seed XOR replicate index) and
-run in a process pool; the worker count comes from the config, the
-EFFORTUD_WORKERS environment variable, or the CPU count, in that order.
+run in a process pool; the worker count comes from the ``workers``
+argument, the EFFORTUD_WORKERS environment variable, or the CPU count,
+in that order. It is not part of the config: it changes no result.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .analysis import (
 )
 from .encounters import EncounterDataset, ObserverSpec, run_study
 from .errors import ConfigError, NonConcaveFitError
-from .geometry import Grid, StudyRegion, build_grid
+from .geometry import Grid, StudyRegion, build_grid, grid_from_doc
 from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
 from .movement import BivariateNormalPotential, HalfNormalYPotential, MovementSpec, analytic_ud
@@ -76,11 +77,12 @@ class ExperimentConfig:
     effort_floor: float
     replicates: int
     base_seed: int
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        if self.n_mobile < 0 or self.n_static < 0:
+            raise ConfigError(f"observer counts must be >= 0, got {self.n_mobile}, {self.n_static}")
         if self.n_mobile + self.n_static < 1:
             raise ConfigError("need at least one observer")
         if self.n_trips < 1:
@@ -132,8 +134,7 @@ class ExperimentConfig:
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     try:
-        region = doc.get("region", {})
-        grid = doc.get("grid", {})
+        grid = grid_from_doc(doc)
         animal = doc.get("animal", {})
         obs = doc.get("observers", {})
         det = doc.get("detection", {})
@@ -150,14 +151,9 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
             pot = preset_pot if pot is None else pot
         return ExperimentConfig(
             label=str(doc.get("label", "experiment")),
-            region=StudyRegion(
-                float(region.get("xmin", 0.0)),
-                float(region.get("xmax", 100.0)),
-                float(region.get("ymin", 0.0)),
-                float(region.get("ymax", 100.0)),
-            ),
-            nx=int(grid.get("nx", 100)),
-            ny=int(grid.get("ny", 100)),
+            region=grid.region,
+            nx=grid.nx,
+            ny=grid.ny,
             animal_center=tuple(animal.get("center", (50.0, 50.0))),
             animal_potential_variance=float(animal.get("potential_variance", 200.0)),
             animal_bm_variance=float(animal.get("bm_variance", 2.0)),
@@ -176,7 +172,6 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
             effort_floor=float(analyst.get("effort_floor", 1e-6)),
             replicates=int(doc.get("replicates", 1)),
             base_seed=int(doc.get("base_seed", 0)),
-            workers=None if doc.get("workers") is None else int(doc["workers"]),
         )
     except ConfigError:
         raise
@@ -212,7 +207,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
         },
         "replicates": cfg.replicates,
         "base_seed": cfg.base_seed,
-        "workers": cfg.workers,
     }
 
 
@@ -300,11 +294,9 @@ class ExperimentResult:
         return np.array([v for v in vals if v is not None], dtype=float)
 
 
-def _resolve_workers(cfg: ExperimentConfig, override: int | None = None) -> int:
-    if override is not None:
-        return max(1, override)
-    if cfg.workers is not None:
-        return max(1, cfg.workers)
+def _resolve_workers(workers: int | None) -> int:
+    if workers is not None:
+        return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -329,7 +321,7 @@ def summarize(records: list[dict[str, Any]], overlap: bool) -> dict[str, RobustI
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run all replicates of one setting, in parallel where possible."""
-    n_workers = _resolve_workers(cfg, workers)
+    n_workers = _resolve_workers(workers)
     reps = list(range(cfg.replicates))
     if n_workers == 1 or cfg.replicates == 1:
         records = [run_replicate(cfg, r) for r in reps]

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import MissingDataError, OutOfDomainError
+from .errors import ConfigError, MissingDataError, OutOfDomainError
 
 
 class Point(NamedTuple):
@@ -52,9 +52,9 @@ class StudyRegion:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, x: float, y: float) -> bool:
-        """Closed-rectangle membership (boundary counts as inside)."""
-        return (self.xmin <= x <= self.xmax) and (self.ymin <= y <= self.ymax)
+    def contains(self, x: float | np.ndarray, y: float | np.ndarray):
+        """Closed-rectangle membership (boundary counts as inside), elementwise on arrays."""
+        return (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,26 @@ def build_grid(region: StudyRegion, nx: int, ny: int) -> Grid:
     return Grid(region=region, nx=nx, ny=ny)
 
 
+def grid_from_doc(doc: dict) -> Grid:
+    """The grid of a config document's "region" and "grid" sections.
+
+    Missing entries default to [0, 100] x [0, 100] and 100 x 100 cells; a
+    malformed section raises ConfigError.
+    """
+    try:
+        region = doc.get("region", {})
+        grid = doc.get("grid", {})
+        r = StudyRegion(
+            float(region.get("xmin", 0.0)),
+            float(region.get("xmax", 100.0)),
+            float(region.get("ymin", 0.0)),
+            float(region.get("ymax", 100.0)),
+        )
+        return build_grid(r, int(grid.get("nx", 100)), int(grid.get("ny", 100)))
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad region or grid: {exc}") from exc
+
+
 def _axis_index(coord: np.ndarray, lo: float, step: float, n: int) -> np.ndarray:
     # ceil(t/step) - 1 sends interior boundary points to the lower-index cell;
     # clipping keeps the region's own edges in the first/last cell.
@@ -120,20 +140,24 @@ def _axis_index(coord: np.ndarray, lo: float, step: float, n: int) -> np.ndarray
     return np.clip(idx, 0, n - 1)
 
 
-def cells_of(grid: Grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized flat cell indices for points inside the region.
+def cells_xy(grid: Grid, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row of the cell holding each point.
 
     Points outside the closed region raise OutOfDomainError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     r = grid.region
-    bad = (xs < r.xmin) | (xs > r.xmax) | (ys < r.ymin) | (ys > r.ymax)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    inside = r.contains(xs, ys)
+    if not np.all(inside):
+        i = int(np.argmin(inside))
         raise OutOfDomainError(f"point ({xs.flat[i]}, {ys.flat[i]}) outside region")
-    ix = _axis_index(xs, r.xmin, grid.dx, grid.nx)
-    iy = _axis_index(ys, r.ymin, grid.dy, grid.ny)
+    return _axis_index(xs, r.xmin, grid.dx, grid.nx), _axis_index(ys, r.ymin, grid.dy, grid.ny)
+
+
+def cells_of(grid: Grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Vectorized flat cell indices; points outside the region raise OutOfDomainError."""
+    ix, iy = cells_xy(grid, xs, ys)
     return iy * grid.nx + ix
 
 

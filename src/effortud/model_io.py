@@ -41,7 +41,7 @@ import numpy as np
 from .analysis import QuadraticDesign
 from .effort import floored_log_offset
 from .errors import ConfigError, GridMismatchError
-from .geometry import Grid, Raster, StudyRegion, build_grid
+from .geometry import Grid, Raster, grid_from_doc
 from .inference import CovariateBlock, FitResult, IntensityModel, renamed_names
 from .raster_io import (
     read_ascii_grid,
@@ -100,18 +100,6 @@ def _covariate_block(entries: Any, base: Path, grid: Grid, what: str) -> Covaria
     return CovariateBlock(names, rasters)
 
 
-def _grid_from(doc: dict[str, Any]) -> Grid:
-    region = doc.get("region", {})
-    grid = doc.get("grid", {})
-    r = StudyRegion(
-        float(region.get("xmin", 0.0)),
-        float(region.get("xmax", 100.0)),
-        float(region.get("ymin", 0.0)),
-        float(region.get("ymax", 100.0)),
-    )
-    return build_grid(r, int(grid.get("nx", 100)), int(grid.get("ny", 100)))
-
-
 def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
     if not isinstance(doc, dict) or "path" not in doc:
         raise ConfigError("offset needs a 'path'")
@@ -136,7 +124,7 @@ def read_model_spec(path: str | Path) -> ModelSpec:
         raise ConfigError(f"{path}: model spec must be a JSON object")
     base = path.parent
     try:
-        grid = _grid_from(doc)
+        grid = grid_from_doc(doc)
 
         env = None
         env_doc = doc.get("env")

@@ -14,7 +14,7 @@ followed by coordinate-wise reflection back into the rectangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,6 +35,7 @@ class BivariateNormalPotential:
     def __post_init__(self) -> None:
         if self.variance <= 0:
             raise ValueError(f"variance must be positive, got {self.variance}")
+        object.__setattr__(self, "center", tuple(self.center))  # hashable: specs key dicts
 
     def log_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cx, cy = self.center
@@ -130,21 +131,30 @@ class Trajectory:
         return len(self.positions)
 
 
-def potential_log_density(potential: Potential, p: Point | tuple[float, float]) -> float:
-    x, y = p
-    return float(potential.log_density(np.float64(x), np.float64(y)))
+def common_dt(dts: Iterable[float], what: str) -> float:
+    """The one time step shared by ``what``; ValueError if they differ."""
+    distinct = set(dts)
+    if len(distinct) != 1:
+        raise ValueError(f"{what} must share dt, got {sorted(distinct)}")
+    return distinct.pop()
 
 
-def drift(spec: MovementSpec, p: Point | tuple[float, float]) -> np.ndarray:
-    """Langevin drift vector (bm_variance / 2) * grad log pi at ``p``."""
-    x, y = p
-    gx, gy = spec.potential.grad_log_density(np.float64(x), np.float64(y))
-    return 0.5 * spec.bm_variance * np.array([float(gx), float(gy)])
+def drift(spec: MovementSpec, p: np.ndarray | tuple[float, float]) -> np.ndarray:
+    """Langevin drift (bm_variance / 2) * grad log pi at a point or each row of an (n, 2) array."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    out[..., 0], out[..., 1] = spec.potential.grad_log_density(p[..., 0], p[..., 1])
+    out *= 0.5 * spec.bm_variance
+    return out
 
 
-def reflect_into(coords: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Fold coordinates into [lo, hi] by repeated boundary reflection."""
-    w = hi - lo
+def reflect_into(coords: np.ndarray, lo: float | tuple, hi: float | tuple) -> np.ndarray:
+    """Fold coordinates into [lo, hi] by repeated boundary reflection.
+
+    ``lo`` and ``hi`` broadcast against ``coords``: per-axis bounds fold
+    each column of an (n, 2) array into its own interval.
+    """
+    w = np.subtract(hi, lo)
     t = np.mod(coords - lo, 2.0 * w)
     return lo + np.where(t > w, 2.0 * w - t, t)
 
@@ -160,30 +170,9 @@ def step_positions(
     ``noise`` must be (n, 2) standard normal draws; scaling by
     sqrt(bm_variance * dt) happens here.
     """
-    gx, gy = spec.potential.grad_log_density(positions[:, 0], positions[:, 1])
-    scale = 0.5 * spec.bm_variance * spec.dt
     sd = np.sqrt(spec.bm_variance * spec.dt)
-    nx = positions[:, 0] + scale * gx + sd * noise[:, 0]
-    ny = positions[:, 1] + scale * gy + sd * noise[:, 1]
-    return np.column_stack(
-        (
-            reflect_into(nx, region.xmin, region.xmax),
-            reflect_into(ny, region.ymin, region.ymax),
-        )
-    )
-
-
-def step(
-    spec: MovementSpec,
-    p: Point | tuple[float, float],
-    region: StudyRegion,
-    rng: np.random.Generator,
-) -> Point:
-    """Single-entity Euler-Maruyama step with reflection."""
-    pos = np.array([[p[0], p[1]]], dtype=float)
-    noise = rng.standard_normal((1, 2))
-    out = step_positions(spec, pos, region, noise)
-    return Point(float(out[0, 0]), float(out[0, 1]))
+    moved = positions + spec.dt * drift(spec, positions) + sd * noise
+    return reflect_into(moved, (region.xmin, region.ymin), (region.xmax, region.ymax))
 
 
 def simulate_trajectory(
@@ -242,6 +231,10 @@ def sample_initial(
     custom potential falls back to uniform proposals under a grid-based
     envelope (adequate for densities smooth at the 1/256 region scale).
     """
+
+    def inside(c: np.ndarray) -> np.ndarray:
+        return region.contains(c[:, 0], c[:, 1])
+
     if isinstance(potential, BivariateNormalPotential):
         sd = np.sqrt(potential.variance)
         cx, cy = potential.center
@@ -249,15 +242,7 @@ def sample_initial(
         def propose(n: int) -> np.ndarray:
             return rng.normal((cx, cy), sd, size=(n, 2))
 
-        def accept(c: np.ndarray) -> np.ndarray:
-            return (
-                (c[:, 0] >= region.xmin)
-                & (c[:, 0] <= region.xmax)
-                & (c[:, 1] >= region.ymin)
-                & (c[:, 1] <= region.ymax)
-            )
-
-        p = _rejection_sample(propose, accept, cap)
+        p = _rejection_sample(propose, inside, cap)
         return Point(float(p[0]), float(p[1]))
 
     if isinstance(potential, HalfNormalYPotential):
@@ -266,12 +251,10 @@ def sample_initial(
         def propose(n: int) -> np.ndarray:
             xs = rng.uniform(region.xmin, region.xmax, size=n)
             ys = rng.normal(potential.center_y, sd, size=n)
-            return np.column_stack((xs, ys))
+            return np.array((xs, ys)).T  # (n, 2) with contiguous columns for the region test
 
-        def accept(c: np.ndarray) -> np.ndarray:
-            return (c[:, 1] >= region.ymin) & (c[:, 1] <= region.ymax)
-
-        p = _rejection_sample(propose, accept, cap)
+        # x is drawn inside the region, so only y can fall outside
+        p = _rejection_sample(propose, inside, cap)
         return Point(float(p[0]), float(p[1]))
 
     # custom: uniform proposals against an empirical envelope

@@ -85,8 +85,14 @@ class TestSimulate:
         ("study", {"n_trips": 0}),
         ("grid", {"nx": 0}),
         ("animal", {"potential_variance": -1}),
+        ("observers", {"mobile": -1, "static": 2}),
+        ("grid", {"nx": "abc"}),
+        ("region", {"xmin": 100.0, "xmax": 0.0}),
     ],
-    ids=["detection-mode", "no-trips", "no-columns", "negative-variance"],
+    ids=[
+        "detection-mode", "no-trips", "no-columns", "negative-variance", "negative-observers",
+        "non-integer-columns", "reversed-region",
+    ],
 )
 def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry):
     cfg = tmp_path / "config.json"
@@ -404,6 +410,21 @@ class TestMalformedFiles:
         write_raster_csv(raster_from_function(g, lambda X, Y: X / 100.0), tmp_path / "vis.csv")
         spec = {"detection": {"link": "probit", "covariates": [{"name": "vis", "path": "vis.csv"}]}}
         assert self._fit(tmp_path, spec) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"grid": {"nx": 0}},
+            {"grid": {"nx": "abc"}},
+            {"region": {"xmin": 100.0, "xmax": 0.0}},
+            {"region": [0, 100, 0, 100]},
+        ],
+        ids=["no-columns", "non-integer-columns", "reversed-region", "region-not-an-object"],
+    )
+    def test_bad_model_grid_exit_2(self, tmp_path, capsys, spec):
+        # the model spec's region and grid sections are read as a study config's are
+        assert self._fit(tmp_path, spec) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_presence_on_an_off_origin_grid(self, tmp_path):
         g = build_grid(StudyRegion(0.1, 7.3, -3.3, 5.9), 7, 9)

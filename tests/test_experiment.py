@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effortud.errors import ConfigError
 from effortud.experiment import (
@@ -68,7 +70,7 @@ class TestConfigParsing:
         assert cfg.detection_modeled is True
         assert cfg.overlap is False
         assert cfg.effort_floor == 1e-6
-        assert (cfg.replicates, cfg.base_seed, cfg.workers) == (1, 0, None)
+        assert (cfg.replicates, cfg.base_seed) == (1, 0)
 
     def test_high_bias_preset(self):
         cfg = config_from_dict({"observers": {"bias": "high"}})
@@ -103,7 +105,7 @@ class TestConfigParsing:
         assert cfg.assumed_range == 2.0
 
     def test_round_trip(self):
-        cfg = toy_config(overlap=True, workers=3)
+        cfg = toy_config(overlap=True)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -135,6 +137,15 @@ class TestConfigParsing:
             toy_config(assumed_range=-1.0)
         with pytest.raises(ConfigError):
             toy_config(effort_floor=-1e-9)
+        with pytest.raises(ConfigError):
+            toy_config(n_mobile=-1, n_static=2)
+        with pytest.raises(ConfigError):
+            toy_config(n_mobile=3, n_static=-1)
+
+    def test_worker_count_is_not_configured(self):
+        # the worker count changes no result, so a config neither holds nor writes one
+        assert config_from_dict({"workers": 3}) == config_from_dict({})
+        assert "workers" not in config_to_dict(config_from_dict({}))
 
     def test_bad_types_become_config_errors(self):
         with pytest.raises(ConfigError):
@@ -229,3 +240,23 @@ class TestRunExperiment:
         res.records[0]["mspe_corrected"] = None
         assert len(res.metric_values("mspe_corrected")) == 1
         assert len(res.metric_values("mspe_uncorrected")) == 2
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    replicates=st.integers(1, 3),
+    overlap=st.booleans(),
+)
+def test_metrics_bytes_do_not_depend_on_worker_count(tmp_path_factory, seed, replicates, overlap):
+    cfg = toy_config(
+        nx=10, ny=10, n_mobile=2, n_trips=6, max_steps=40,
+        base_seed=seed, replicates=replicates, overlap=overlap,
+    )
+    out = tmp_path_factory.mktemp("workers")
+    written = []
+    for workers in (1, 2, 3):
+        path = out / f"metrics_{workers}.json"
+        write_metrics_json(run_experiment(cfg, workers=workers), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]

@@ -96,6 +96,20 @@ class TestCellOf:
             assert np.hypot(c.x - xs[i], c.y - ys[i]) <= half_diag + 1e-12
 
 
+class TestRegionContains:
+    def test_elementwise_on_arrays(self):
+        xs = np.array([0.0, 100.0, -1e-9, 50.0, np.nan])
+        ys = np.array([50.0, 100.0, 50.0, 100.0 + 1e-9, 50.0])
+        want = [True, True, False, False, False]
+        assert BIG_SQUARE.contains(xs, ys).tolist() == want
+        assert [bool(BIG_SQUARE.contains(x, y)) for x, y in zip(xs, ys)] == want
+
+    def test_cells_of_refuses_what_contains_refuses(self):
+        g = build_grid(BIG_SQUARE, 10, 10)
+        with pytest.raises(OutOfDomainError):
+            cells_of(g, np.array([50.0, np.nan]), np.array([50.0, 50.0]))
+
+
 class TestRasterLookup:
     def test_constant(self):
         g = build_grid(BIG_SQUARE, 10, 10)

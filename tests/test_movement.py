@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effortud.geometry import Point, StudyRegion, build_grid, cells_of, raster_lookup
 from effortud.movement import (
@@ -11,10 +13,9 @@ from effortud.movement import (
     MovementSpec,
     analytic_ud,
     drift,
-    potential_log_density,
+    reflect_into,
     sample_initial,
     simulate_trajectory,
-    step,
     step_positions,
 )
 
@@ -32,21 +33,21 @@ def flat_potential():
 
 class TestPotentialLogDensity:
     def test_maximum_at_center(self):
-        at_center = potential_log_density(ANIMAL_POT, Point(50, 50))
+        at_center = ANIMAL_POT.log_density(50, 50)
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = Point(rng.uniform(0, 100), rng.uniform(0, 100))
             if p != (50.0, 50.0):
-                assert potential_log_density(ANIMAL_POT, p) < at_center
+                assert ANIMAL_POT.log_density(*p) < at_center
 
     def test_radial_symmetry(self):
-        a = potential_log_density(ANIMAL_POT, Point(50, 60))
-        b = potential_log_density(ANIMAL_POT, Point(60, 50))
+        a = ANIMAL_POT.log_density(50, 60)
+        b = ANIMAL_POT.log_density(60, 50)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_half_normal_ignores_x(self):
-        a = potential_log_density(OBSERVER_POT, Point(10, 40))
-        b = potential_log_density(OBSERVER_POT, Point(90, 40))
+        a = OBSERVER_POT.log_density(10, 40)
+        b = OBSERVER_POT.log_density(90, 40)
         assert a == b
 
     def test_nonpositive_variance_rejected(self):
@@ -80,12 +81,12 @@ class TestDrift:
             for _ in range(100):
                 x, y = rng.uniform(5, 95, size=2)
                 gx = (
-                    potential_log_density(pot, Point(x + h, y))
-                    - potential_log_density(pot, Point(x - h, y))
+                    pot.log_density(x + h, y)
+                    - pot.log_density(x - h, y)
                 ) / (2 * h)
                 gy = (
-                    potential_log_density(pot, Point(x, y + h))
-                    - potential_log_density(pot, Point(x, y - h))
+                    pot.log_density(x, y + h)
+                    - pot.log_density(x, y - h)
                 ) / (2 * h)
                 expect = np.array([gx, gy])
                 got = drift(spec, Point(x, y))
@@ -123,8 +124,65 @@ class TestStep:
         rng = np.random.default_rng(9)
         p = Point(1.0, 99.0)
         for _ in range(200):
-            p = step(spec, p, REGION, rng)
-            assert REGION.contains(p.x, p.y)
+            p = simulate_trajectory(spec, p, 1, REGION, rng).positions[-1]
+            assert REGION.contains(*p)
+
+
+def _quartic(x, y):
+    # products only (no power), so evaluation is bit-exact whatever the array shape
+    u, v = x - 30.0, y - 60.0
+    return -u * u / 50.0 - v * v * v * v / 1e4
+
+
+def _quartic_gradient(x, y):
+    u, v = x - 30.0, y - 60.0
+    return -u / 25.0, -4.0 * v * v * v / 1e4
+
+
+POTENTIAL_KINDS = {
+    "bivariate-normal": lambda c: BivariateNormalPotential((c[0], c[1]), c[2]),
+    "half-normal-y": lambda c: HalfNormalYPotential(c[1], c[2]),
+    "custom-with-gradient": lambda c: CustomPotential(_quartic, grad_fn=_quartic_gradient),
+    "custom-finite-differences": lambda c: CustomPotential(_quartic),
+}
+
+
+@st.composite
+def step_cases(draw):
+    """A movement spec of one potential kind and interior rows of an off-origin region."""
+    x0, y0 = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    region = StudyRegion(x0, x0 + draw(st.floats(1.0, 200.0)), y0, y0 + draw(st.floats(1.0, 200.0)))
+    coef = (draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)), draw(st.floats(1.0, 1e3)))
+    kind = draw(st.sampled_from(sorted(POTENTIAL_KINDS)))
+    spec = MovementSpec(
+        POTENTIAL_KINDS[kind](coef), draw(st.floats(0.1, 500.0)), draw(st.floats(0.1, 3.0))
+    )
+    fx = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    rows = draw(st.lists(st.tuples(fx, fx), min_size=1, max_size=8))
+    f = np.array(rows)
+    P = np.column_stack((x0 + f[:, 0] * region.width, y0 + f[:, 1] * region.height))
+    return spec, region, P
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_cases())
+def test_step_runs_the_tested_drift(case):
+    spec, region, P = case
+    # drift on an (n, 2) array is drift on each row
+    D = drift(spec, P)
+    for row, d in zip(P, D):
+        assert np.array_equal(drift(spec, row), d)
+        assert np.array_equal(drift(spec, Point(*row)), d)
+    # with zero noise a step is the drift step folded back into the region, axis by axis
+    moved = P + spec.dt * D
+    want = np.column_stack(
+        (
+            reflect_into(moved[:, 0], region.xmin, region.xmax),
+            reflect_into(moved[:, 1], region.ymin, region.ymax),
+        )
+    )
+    got = step_positions(spec, P, region, np.zeros_like(P))
+    assert np.array_equal(got, want)
 
 
 class TestSimulateTrajectory:
