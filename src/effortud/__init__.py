@@ -18,17 +18,9 @@ from .analysis import (
     ud_center_bias,
 )
 from .effort import (
-    DailyEffortCDF,
-    EffortEnsemble,
     EffortField,
-    bin_track_effort,
-    combine_effort,
-    daily_fraction,
-    mc_effort_ensemble,
     overlap_corrected_effort,
     path_integral_effort,
-    regularize_track,
-    scale_effort,
     trip_grouped_effort,
 )
 from .encounters import (

@@ -38,7 +38,7 @@ from .experiment import (
     summary_table,
     write_metrics_json,
 )
-from .geometry import StudyRegion, build_grid
+from .geometry import grid_from_doc
 from .inference import LikelihoodData, fit_mle, predict_intensity
 from .model_io import read_fit_json, read_model_spec, read_raster, write_fit_json, write_raster
 
@@ -96,8 +96,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_effort(args: argparse.Namespace) -> int:
-    region = StudyRegion(args.xmin, args.xmax, args.ymin, args.ymax)
-    grid = build_grid(region, args.nx, args.ny)
+    region = {"xmin": args.xmin, "xmax": args.xmax, "ymin": args.ymin, "ymax": args.ymax}
+    grid = grid_from_doc({"region": region, "grid": {"nx": args.nx, "ny": args.ny}})
     tracks = read_tracks_csv(args.tracks, dt=args.dt)
     field = trip_grouped_effort(
         tracks, grid, args.range, mode=args.mode, overlap=args.overlap

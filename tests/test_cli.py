@@ -103,6 +103,21 @@ def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--xmin", "100", "--xmax", "0"], ["--nx", "0"]],
+    ids=["reversed-region", "no-columns"],
+)
+def test_malformed_effort_grid_exit_2(tmp_path, capsys, flags):
+    # the effort command's region and grid flags are read as a study config's are
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("trip,observer,step,x,y\n0,0,0,50.0,50.0\n")
+    code = main(["effort", "--tracks", str(tracks), "--out", str(tmp_path / "e.csv"),
+                 "--range", "5", *flags])
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestEffort:
     def test_matches_library_accumulation(self, sim, tmp_path):
         tracks_csv = sim["out"] / "tracks_r000.csv"

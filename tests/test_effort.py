@@ -1,27 +1,18 @@
-"""Effort accumulation, overlap correction, track utilities, ensembles."""
+"""Effort accumulation and overlap correction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effortud import effort
 from effortud.effort import (
-    DailyEffortCDF,
-    EffortEnsemble,
-    EffortField,
-    bin_track_effort,
-    combine_effort,
-    daily_fraction,
-    mc_effort_ensemble,
+    _stencil,
     overlap_corrected_effort,
     path_integral_effort,
-    read_daily_cdf_json,
-    regularize_track,
-    scale_effort,
     trip_grouped_effort,
-    write_daily_cdf_json,
 )
-from effortud.errors import GridMismatchError, OutOfDomainError
+from effortud.errors import OutOfDomainError
 from effortud.geometry import StudyRegion, build_grid
 from effortud.movement import Trajectory
 
@@ -70,14 +61,21 @@ def _coordinate(lo, hi, n):
 
 
 @st.composite
-def effort_cases(draw):
-    """Off-origin region, non-square cells, several radii, ragged step-aligned tracks."""
+def small_grids(draw):
+    """Off-origin region, non-square cells, several radii."""
     x0 = draw(st.floats(-50.0, 50.0))
     y0 = draw(st.floats(-50.0, 50.0))
     region = StudyRegion(x0, x0 + draw(st.floats(0.5, 40.0)), y0, y0 + draw(st.floats(0.5, 40.0)))
     g = build_grid(region, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     cells = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 3.0)))
-    radius = cells * draw(st.sampled_from([g.dx, g.dy]))
+    return g, cells * draw(st.sampled_from([g.dx, g.dy]))
+
+
+@st.composite
+def effort_cases(draw):
+    """A small grid with ragged step-aligned tracks."""
+    g, radius = draw(small_grids())
+    region = g.region
     xs = _coordinate(region.xmin, region.xmax, g.nx)
     ys = _coordinate(region.ymin, region.ymax, g.ny)
     n_obs = draw(st.integers(1, 3))
@@ -99,6 +97,62 @@ def _decided_cells(tracks, grid, radius, mode):
         for x, y in t.positions:
             rim |= np.abs(np.hypot(X - x, Y - y) - radius) <= 1e-9 * (1.0 + radius)
     return ~rim
+
+
+def per_step_overlap(tracks, grid, radius, mode):
+    """The overlap correction one synchronized step at a time: the reference summation order."""
+    n_steps = max(len(t) for t in tracks)
+    acc = np.zeros(grid.ncells)
+    for s in range(n_steps):
+        xs = np.array([t.positions[s, 0] for t in tracks if len(t) > s])
+        ys = np.array([t.positions[s, 1] for t in tracks if len(t) > s])
+        # log(1 - p) per cell, summed over the observers covering it
+        step_acc = np.zeros(grid.ncells)
+        for flat, w in _stencil(grid, xs, ys, radius, mode):
+            with np.errstate(divide="ignore"):
+                logmiss = np.log1p(-w)
+            step_acc += np.bincount(flat, weights=logmiss, minlength=step_acc.size)
+        touched = np.nonzero(step_acc)[0]
+        acc[touched] += -np.expm1(step_acc[touched])
+    return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
+
+
+@st.composite
+def synchronized_trips(draw):
+    """One trip's ragged step-aligned tracks, some observers sharing a cell row each step.
+
+    Half the cases use the 100 x 100 grid with 7 to 20 steps. Tracks 0 and 1
+    start in the bottom and top rows, so the trip's fields of view reach
+    every row and its steps run in blocks of 6. The other half use small
+    off-origin grids. A smaller chunk size splits blocks and stencil rows
+    further.
+    """
+    big = draw(st.booleans())
+    if big:
+        g = build_grid(REGION, 100, 100)
+        radius = draw(st.sampled_from([2.5, 10.0, 10.5, 25.0]))
+        n_steps = draw(st.integers(7, 20))
+    else:
+        g, radius = draw(small_grids())
+        n_steps = draw(st.integers(1, 8))
+    n_obs = draw(st.integers(2 if big else 1, 6))
+    lengths = [n_steps] + [draw(st.integers(1, n_steps)) for _ in range(n_obs - 1)]
+    xs = _coordinate(g.region.xmin, g.region.xmax, g.nx)
+    ys = _coordinate(g.region.ymin, g.region.ymax, g.ny)
+    paths = [draw(st.lists(st.tuples(xs, ys), min_size=n, max_size=n)) for n in lengths]
+    if big:
+        paths[0][0] = (paths[0][0][0], 0.5)
+        paths[1][0] = (paths[1][0][0], 99.5)
+    for path in paths[1:]:
+        if draw(st.booleans()):  # on track 0's cell row, or on its very position
+            same = draw(st.booleans())
+            for s in range(len(path)):
+                x0, y0 = paths[0][s]
+                path[s] = (x0 if same else path[s][0], y0)
+    tracks = [Trajectory(positions=path, dt=1.0) for path in paths]
+    mode = draw(st.sampled_from(["indicator", "detection"]))
+    chunk = draw(st.sampled_from([effort._POSITION_CHUNK, 1000, 64]))
+    return g, tracks, radius, mode, chunk
 
 
 class TestPathIntegralEffort:
@@ -217,6 +271,36 @@ def test_overlap_matches_brute_force(case):
     assert np.allclose(fast[keep], slow[keep], rtol=1e-10, atol=1e-12)
 
 
+@settings(max_examples=120, deadline=None)
+@given(synchronized_trips())
+def test_overlap_bytes_match_the_per_step_loop(case):
+    g, tracks, radius, mode, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(effort, "_POSITION_CHUNK", chunk)
+        got = overlap_corrected_effort(tracks, g, radius, mode=mode).values
+        want = per_step_overlap(tracks, g, radius, mode)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_overlap_bytes_when_chunks_end_inside_a_step(monkeypatch):
+    # grids one or two rows high hold several steps per block; a 64-entry
+    # chunk then holds fewer positions than a block, and a row's chunk may
+    # end between two observers of one step unless blocks shrink to fit
+    monkeypatch.setattr(effort, "_POSITION_CHUNK", 64)
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        nx, ny = int(rng.integers(3, 10)), int(rng.integers(1, 3))
+        g = build_grid(StudyRegion(0.0, nx, 0.0, ny), nx, ny)
+        n_steps = int(rng.integers(2, 9))
+        tracks = [
+            Trajectory(positions=rng.uniform((0, 0), (nx, ny), size=(n_steps, 2)), dt=1.0)
+            for _ in range(int(rng.integers(2, 7)))
+        ]
+        radius = rng.uniform(1.5, 3.5)
+        got = overlap_corrected_effort(tracks, g, radius, mode="detection").values
+        assert got.tobytes() == per_step_overlap(tracks, g, radius, "detection").tobytes()
+
+
 class TestTripGroupedEffort:
     def test_sums_over_trips(self):
         g = build_grid(REGION, 30, 30)
@@ -237,170 +321,3 @@ class TestTripGroupedEffort:
         trips = {0: [static_track(45.5, 50.5, 1), static_track(45.5, 50.5, 1)]}
         f = trip_grouped_effort(trips, g, 10.0, mode="detection", overlap=True)
         assert f.values[50, 50] == pytest.approx(0.75, rel=1e-12)
-
-
-class TestRegularizeTrack:
-    def test_linear_interpolation(self):
-        tr = regularize_track([0.0, 60.0], [[0.0, 0.0], [60.0, 0.0]], 30.0)
-        assert np.allclose(tr.positions, [[0, 0], [30, 0], [60, 0]])
-
-    def test_single_fix_rejected(self):
-        with pytest.raises(ValueError):
-            regularize_track([0.0], [[0.0, 0.0]], 30.0)
-
-    def test_irregular_fix_count(self):
-        # ~15 s cadence over 10 minutes resampled at 30 s -> 21 points
-        rng = np.random.default_rng(3)
-        times = np.cumsum(rng.uniform(10.0, 20.0, size=60))
-        times = (times - times[0]) * (600.0 / (times[-1] - times[0]))
-        pos = np.column_stack((np.linspace(0, 50, 60), np.linspace(0, 20, 60)))
-        tr = regularize_track(times, pos, 30.0)
-        assert len(tr) == 21
-
-    def test_endpoints_preserved(self):
-        times = [0.0, 45.0, 90.0]
-        pos = [[0.0, 0.0], [10.0, 5.0], [30.0, 10.0]]
-        tr = regularize_track(times, pos, 30.0)
-        assert tr.positions[0] == pytest.approx([0.0, 0.0])
-        assert tr.positions[-1] == pytest.approx([30.0, 10.0])
-
-    def test_nonincreasing_times_rejected(self):
-        with pytest.raises(ValueError):
-            regularize_track([0.0, 0.0], [[0, 0], [1, 1]], 30.0)
-
-
-class TestBinTrackEffort:
-    def test_counts_times_dt(self):
-        g = build_grid(REGION, 10, 10)
-        tr = static_track(15.0, 15.0, 10, dt=1.0 / 120.0)
-        f = bin_track_effort(tr, g, units="boat-hours")
-        assert f.values[1, 1] == pytest.approx(1.0 / 12.0)
-        assert f.units == "boat-hours"
-
-    def test_empty_track(self):
-        g = build_grid(REGION, 10, 10)
-        f = bin_track_effort(Trajectory(positions=np.empty((0, 2)), dt=1.0), g)
-        assert np.all(f.values == 0.0)
-
-    def test_uniform_scatter_poisson_bounds(self):
-        g = build_grid(REGION, 10, 10)
-        rng = np.random.default_rng(17)
-        tr = Trajectory(positions=rng.uniform(0, 100, size=(10000, 2)), dt=1.0)
-        f = bin_track_effort(tr, g)
-        expect = 100.0  # 1e4 points over 100 cells
-        sigma = np.sqrt(expect)
-        assert np.all(np.abs(f.values - expect) <= 5 * sigma)
-
-
-class TestDailyEffort:
-    def _uniform_cdf(self):
-        return DailyEffortCDF((0.0, 9.0), (0.0, 1.0))
-
-    def test_anchors(self):
-        cdf = self._uniform_cdf()
-        assert daily_fraction(cdf, 0.0) == 0.0
-        assert daily_fraction(cdf, 9.0) == 1.0
-        assert daily_fraction(cdf, 3.0) == pytest.approx(1.0 / 3.0)
-
-    def test_monotone(self):
-        cdf = DailyEffortCDF((0.0, 2.0, 5.0, 9.0), (0.0, 0.1, 0.8, 1.0))
-        taus = np.linspace(0, 9, 50)
-        vals = daily_fraction(cdf, taus)
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_domain_checked(self):
-        with pytest.raises(OutOfDomainError):
-            daily_fraction(self._uniform_cdf(), 9.5)
-        with pytest.raises(OutOfDomainError):
-            daily_fraction(self._uniform_cdf(), -0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DailyEffortCDF((0.0, 9.0), (0.0, 0.9))  # does not reach 1
-        with pytest.raises(ValueError):
-            DailyEffortCDF((1.0, 9.0), (0.0, 1.0))  # first knot not (0, 0)
-        with pytest.raises(ValueError):
-            DailyEffortCDF((0.0, 4.0, 9.0), (0.0, 0.8, 0.5))  # decreasing
-
-    def test_json_round_trip(self, tmp_path):
-        cdf = DailyEffortCDF((0.0, 2.0, 9.0), (0.0, 0.25, 1.0))
-        p = tmp_path / "cdf.json"
-        write_daily_cdf_json(cdf, p)
-        back = read_daily_cdf_json(p)
-        assert back == cdf
-
-
-class TestScaleCombine:
-    def _field(self, value=1.0):
-        g = build_grid(REGION, 5, 5)
-        return EffortField(g, np.full((5, 5), value))
-
-    def test_scale_zero_and_identity(self):
-        f = self._field(2.0)
-        assert np.all(scale_effort(f, 0.0).values == 0.0)
-        assert np.array_equal(scale_effort(f, 1.0).values, f.values)
-
-    def test_scale_integral(self):
-        g = build_grid(REGION, 5, 5)
-        base = EffortField(g, np.full((5, 5), 100.0 / (25 * g.cell_area)))
-        scaled = scale_effort(base, 15.5)
-        assert scaled.values.sum() * g.cell_area == pytest.approx(1550.0)
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            scale_effort(self._field(), -1.0)
-
-    def test_combine(self):
-        f = self._field(3.0)
-        z = self._field(0.0)
-        assert np.array_equal(combine_effort([f, z]).values, f.values)
-        assert np.array_equal(combine_effort([f, f]).values, 2 * f.values)
-
-    def test_combine_elementwise(self):
-        g = build_grid(REGION, 4, 4)
-        rng = np.random.default_rng(5)
-        fields = [EffortField(g, rng.uniform(size=(4, 4))) for _ in range(3)]
-        out = combine_effort(fields)
-        expect = fields[0].values + fields[1].values + fields[2].values
-        assert np.allclose(out.values, expect, rtol=1e-15)
-
-    def test_combine_grid_mismatch(self):
-        a = self._field()
-        g2 = build_grid(REGION, 6, 6)
-        b = EffortField(g2, np.zeros((6, 6)))
-        with pytest.raises(GridMismatchError):
-            combine_effort([a, b])
-
-
-class TestEnsembles:
-    def _sampler(self, rng):
-        g = build_grid(REGION, 3, 3)
-        return EffortField(g, rng.uniform(size=(3, 3)))
-
-    def test_single_member(self):
-        ens = mc_effort_ensemble(self._sampler, 1, np.random.default_rng(0))
-        assert ens.n_members == 1
-
-    def test_thousand_members(self):
-        ens = mc_effort_ensemble(self._sampler, 1000, np.random.default_rng(1))
-        assert ens.n_members == 1000
-
-    def test_deterministic_under_seed(self):
-        a = mc_effort_ensemble(self._sampler, 5, np.random.default_rng(3))
-        b = mc_effort_ensemble(self._sampler, 5, np.random.default_rng(3))
-        for ma, mb in zip(a.members, b.members):
-            assert np.array_equal(ma.values, mb.values)
-
-    def test_degenerate_sampler(self):
-        g = build_grid(REGION, 3, 3)
-        fixed = EffortField(g, np.ones((3, 3)))
-        ens = mc_effort_ensemble(lambda rng: fixed.copy(), 4, np.random.default_rng(0))
-        assert all(np.array_equal(m.values, fixed.values) for m in ens.members)
-        assert np.all(ens.sd_field().values == 0.0)
-
-    def test_mean_field(self):
-        g = build_grid(REGION, 2, 2)
-        a = EffortField(g, np.zeros((2, 2)))
-        b = EffortField(g, np.full((2, 2), 2.0))
-        ens = EffortEnsemble([a, b])
-        assert np.all(ens.mean_field().values == 1.0)
