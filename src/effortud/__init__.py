@@ -19,8 +19,12 @@ from .analysis import (
 )
 from .effort import (
     EffortField,
+    bin_track_effort,
+    combine_effort,
     overlap_corrected_effort,
     path_integral_effort,
+    regularize_track,
+    scale_effort,
     trip_grouped_effort,
 )
 from .encounters import (

@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .encounters import detection_kernel
-from .geometry import Grid, Raster, cells_xy
+from .errors import GridMismatchError
+from .geometry import Grid, Raster, cells_of, cells_xy
 from .movement import Trajectory, common_dt
 
 _POSITION_CHUNK = 65536
@@ -235,3 +236,69 @@ def floored_log_offset(effort: Raster, floor: float) -> Raster:
     """
     with np.errstate(divide="ignore"):
         return Raster(effort.grid, np.log(np.maximum(effort.values, floor)))
+
+
+def bin_track_effort(track: Trajectory, grid: Grid, units: str = "boat-hours") -> EffortField:
+    """Presence-count effort: (positions falling in cell) * dt."""
+    idx = cells_of(grid, track.positions[:, 0], track.positions[:, 1])
+    counts = np.bincount(idx, minlength=grid.ncells).astype(float)
+    return EffortField(grid, (counts * track.dt).reshape(grid.ny, grid.nx), units=units)
+
+
+def regularize_track(
+    times: np.ndarray,
+    positions: np.ndarray,
+    interval: float,
+    dt_hours: float | None = None,
+    entity: str = "",
+) -> Trajectory:
+    """Resample an irregular track to fixed intervals by linear interpolation.
+
+    ``times`` are numeric (e.g. seconds), strictly increasing; fixes are
+    taken at times[0] + k * interval for k = 0 .. floor(span / interval).
+    The output dt is ``dt_hours`` when given (effort in boat-hours),
+    otherwise the raw interval.
+    """
+    times = np.asarray(times, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    if times.ndim != 1 or len(times) != len(positions):
+        raise ValueError("times and positions must have matching length")
+    if len(times) < 2:
+        raise ValueError("need at least two fixes to interpolate")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("timestamps must be strictly increasing")
+    if interval <= 0:
+        raise ValueError(f"interval must be positive, got {interval}")
+    span = times[-1] - times[0]
+    n = int(np.floor(span / interval + 1e-9)) + 1
+    grid_t = times[0] + interval * np.arange(n)
+    xs = np.interp(grid_t, times, positions[:, 0])
+    ys = np.interp(grid_t, times, positions[:, 1])
+    return Trajectory(
+        positions=np.column_stack((xs, ys)),
+        dt=float(dt_hours) if dt_hours is not None else float(interval),
+        entity=entity,
+    )
+
+
+def scale_effort(field: EffortField, factor: float) -> EffortField:
+    """Scale a field, e.g. by the summed daily fractions at sighting times."""
+    if factor < 0:
+        raise ValueError(f"scale factor must be nonnegative, got {factor}")
+    return EffortField(field.grid, field.values * factor, units=field.units)
+
+
+def combine_effort(fields: Sequence[EffortField]) -> EffortField:
+    """Cellwise sum of fields sharing one grid and one units tag."""
+    if not fields:
+        raise ValueError("no fields to combine")
+    grid = fields[0].grid
+    units = fields[0].units
+    total = np.zeros_like(fields[0].values)
+    for f in fields:
+        if f.grid != grid:
+            raise GridMismatchError("effort fields on different grids")
+        if f.units != units:
+            raise ValueError(f"mixed effort units: {units!r} vs {f.units!r}")
+        total += f.values
+    return EffortField(grid, total, units=units)

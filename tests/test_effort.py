@@ -1,4 +1,4 @@
-"""Effort accumulation and overlap correction."""
+"""Effort accumulation, overlap correction and track utilities."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from effortud import effort
 from effortud.effort import (
+    EffortField,
     _stencil,
+    bin_track_effort,
+    combine_effort,
     overlap_corrected_effort,
     path_integral_effort,
+    regularize_track,
+    scale_effort,
     trip_grouped_effort,
 )
-from effortud.errors import OutOfDomainError
+from effortud.errors import GridMismatchError, OutOfDomainError
 from effortud.geometry import StudyRegion, build_grid
 from effortud.movement import Trajectory
 
@@ -321,3 +326,98 @@ class TestTripGroupedEffort:
         trips = {0: [static_track(45.5, 50.5, 1), static_track(45.5, 50.5, 1)]}
         f = trip_grouped_effort(trips, g, 10.0, mode="detection", overlap=True)
         assert f.values[50, 50] == pytest.approx(0.75, rel=1e-12)
+
+
+class TestRegularizeTrack:
+    def test_linear_interpolation(self):
+        tr = regularize_track([0.0, 60.0], [[0.0, 0.0], [60.0, 0.0]], 30.0)
+        assert np.allclose(tr.positions, [[0, 0], [30, 0], [60, 0]])
+
+    def test_single_fix_rejected(self):
+        with pytest.raises(ValueError):
+            regularize_track([0.0], [[0.0, 0.0]], 30.0)
+
+    def test_irregular_fix_count(self):
+        # ~15 s cadence over 10 minutes resampled at 30 s -> 21 points
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.uniform(10.0, 20.0, size=60))
+        times = (times - times[0]) * (600.0 / (times[-1] - times[0]))
+        pos = np.column_stack((np.linspace(0, 50, 60), np.linspace(0, 20, 60)))
+        tr = regularize_track(times, pos, 30.0)
+        assert len(tr) == 21
+
+    def test_endpoints_preserved(self):
+        times = [0.0, 45.0, 90.0]
+        pos = [[0.0, 0.0], [10.0, 5.0], [30.0, 10.0]]
+        tr = regularize_track(times, pos, 30.0)
+        assert tr.positions[0] == pytest.approx([0.0, 0.0])
+        assert tr.positions[-1] == pytest.approx([30.0, 10.0])
+
+    def test_nonincreasing_times_rejected(self):
+        with pytest.raises(ValueError):
+            regularize_track([0.0, 0.0], [[0, 0], [1, 1]], 30.0)
+
+
+class TestBinTrackEffort:
+    def test_counts_times_dt(self):
+        g = build_grid(REGION, 10, 10)
+        tr = static_track(15.0, 15.0, 10, dt=1.0 / 120.0)
+        f = bin_track_effort(tr, g, units="boat-hours")
+        assert f.values[1, 1] == pytest.approx(1.0 / 12.0)
+        assert f.units == "boat-hours"
+
+    def test_empty_track(self):
+        g = build_grid(REGION, 10, 10)
+        f = bin_track_effort(Trajectory(positions=np.empty((0, 2)), dt=1.0), g)
+        assert np.all(f.values == 0.0)
+
+    def test_uniform_scatter_poisson_bounds(self):
+        g = build_grid(REGION, 10, 10)
+        rng = np.random.default_rng(17)
+        tr = Trajectory(positions=rng.uniform(0, 100, size=(10000, 2)), dt=1.0)
+        f = bin_track_effort(tr, g)
+        expect = 100.0  # 1e4 points over 100 cells
+        sigma = np.sqrt(expect)
+        assert np.all(np.abs(f.values - expect) <= 5 * sigma)
+
+
+class TestScaleCombine:
+    def _field(self, value=1.0):
+        g = build_grid(REGION, 5, 5)
+        return EffortField(g, np.full((5, 5), value))
+
+    def test_scale_zero_and_identity(self):
+        f = self._field(2.0)
+        assert np.all(scale_effort(f, 0.0).values == 0.0)
+        assert np.array_equal(scale_effort(f, 1.0).values, f.values)
+
+    def test_scale_integral(self):
+        g = build_grid(REGION, 5, 5)
+        base = EffortField(g, np.full((5, 5), 100.0 / (25 * g.cell_area)))
+        scaled = scale_effort(base, 15.5)
+        assert scaled.values.sum() * g.cell_area == pytest.approx(1550.0)
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError):
+            scale_effort(self._field(), -1.0)
+
+    def test_combine(self):
+        f = self._field(3.0)
+        z = self._field(0.0)
+        assert np.array_equal(combine_effort([f, z]).values, f.values)
+        assert np.array_equal(combine_effort([f, f]).values, 2 * f.values)
+
+    def test_combine_elementwise(self):
+        g = build_grid(REGION, 4, 4)
+        rng = np.random.default_rng(5)
+        fields = [EffortField(g, rng.uniform(size=(4, 4))) for _ in range(3)]
+        out = combine_effort(fields)
+        expect = fields[0].values + fields[1].values + fields[2].values
+        assert np.allclose(out.values, expect, rtol=1e-15)
+
+    def test_combine_grid_mismatch(self):
+        a = self._field()
+        g2 = build_grid(REGION, 6, 6)
+        b = EffortField(g2, np.zeros((6, 6)))
+        with pytest.raises(GridMismatchError):
+            combine_effort([a, b])
