@@ -18,13 +18,9 @@ from .analysis import (
     ud_center_bias,
 )
 from .effort import (
-    EffortField,
-    bin_track_effort,
-    combine_effort,
     overlap_corrected_effort,
     path_integral_effort,
     regularize_track,
-    scale_effort,
     trip_grouped_effort,
 )
 from .encounters import (

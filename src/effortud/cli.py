@@ -29,6 +29,7 @@ from .errors import (
     DegenerateSpecError,
     NonConcaveFitError,
     SingularCovarianceError,
+    check_positive,
 )
 from .experiment import (
     config_to_dict,
@@ -98,10 +99,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_effort(args: argparse.Namespace) -> int:
     region = {"xmin": args.xmin, "xmax": args.xmax, "ymin": args.ymin, "ymax": args.ymax}
     grid = grid_from_doc({"region": region, "grid": {"nx": args.nx, "ny": args.ny}})
+    check_positive(args.range, "--range", ConfigError)
+    check_positive(args.dt, "--dt", ConfigError)
     tracks = read_tracks_csv(args.tracks, dt=args.dt)
-    field = trip_grouped_effort(
-        tracks, grid, args.range, mode=args.mode, overlap=args.overlap
-    )
+    field = trip_grouped_effort(tracks, grid, args.range, mode=args.mode, overlap=args.overlap)
     write_raster(field, args.out)
     print(f"effort raster written to {args.out} (total {field.values.sum():.6g})")
     return EXIT_OK

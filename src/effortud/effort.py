@@ -21,33 +21,26 @@ an animal at that cell center during the step. Its output bytes depend
 on one accumulation order: per step, log(1 - p) is summed over the
 observers one stencil row at a time, rows in order; then the steps'
 1 - prod terms are added to the field in step order.
+
+Over many trips, summed effort is one pass over every trip's tracks, so
+all trips must share one dt; only the overlap correction runs per trip.
+Every field is a plain ``Raster``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .encounters import detection_kernel
-from .errors import GridMismatchError
-from .geometry import Grid, Raster, cells_of, cells_xy
+from .errors import check_positive
+from .geometry import Grid, Raster, cells_xy, constant_raster
 from .movement import Trajectory, common_dt
 
 _POSITION_CHUNK = 65536
 # each effort mode weighs a cell center by a detection kernel of its distance
 _EFFORT_KERNELS = {"indicator": "uniform", "detection": "linear-decay"}
-
-
-@dataclass
-class EffortField(Raster):
-    """Per-cell accumulated effort with a units tag."""
-
-    units: str = "step-time"
-
-    def copy(self) -> "EffortField":
-        return EffortField(self.grid, self.values.copy(), self.units)
 
 
 def _half_widths(grid: Grid, radius: float) -> tuple[int, int]:
@@ -61,84 +54,79 @@ def _stencil(
     ys: np.ndarray,
     radius: float,
     mode: str,
-    base: np.ndarray | None = None,
+    base: np.ndarray | int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(key, weight)`` chunks of the positions' fields of view.
 
-    A key is the flat cell index plus the position's ``base`` (0 when not
-    given). Chunks come one stencil row after another, rows in order, and
-    a row's chunks hold at most ``_POSITION_CHUNK`` entries. Every weight
-    is positive. A cell appears once per position covering it, so
-    callers reduce the chunks with ``np.bincount``.
+    A key is the flat cell index plus the position's ``base``. The
+    positions run in groups that fill at most ``_POSITION_CHUNK`` entries
+    per stencil row, so memory does not grow with the number of
+    positions. A group yields one chunk per stencil row, rows in order.
+    Every weight is positive. A cell appears once per position covering
+    it, so callers reduce the chunks with ``np.bincount``.
     """
     if mode not in _EFFORT_KERNELS:
         raise ValueError(f"unknown effort mode {mode!r}")
     kernel = _EFFORT_KERNELS[mode]
-    ix, iy = cells_xy(grid, xs, ys)
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    # offset of the position from its cell center, in cell units
-    fx = (xs - grid.region.xmin) / dx - ix - 0.5
-    fy = (ys - grid.region.ymin) / dy - iy - 0.5
-    origin = iy * nx + ix if base is None else base + iy * nx + ix
     iw, jw = _half_widths(grid, radius)
     di = np.arange(-iw, iw + 1)
+    djs = np.arange(-jw, jw + 1)
     r2 = radius * radius
     step = max(1, _POSITION_CHUNK // len(di))
-    # the rows' reach tests run a group of rows at a time, one chunk in size
-    djs = np.arange(-jw, jw + 1)
-    group = max(1, _POSITION_CHUNK // max(len(xs), 1))
-    for g in range(0, len(djs), group):
-        offy = (djs[g : g + group, None] - fy) * dy
-        d2ys = offy * offy
-        rows = iy + djs[g : g + group, None]
+    bases = np.broadcast_to(base, np.shape(xs))
+    for p in range(0, len(xs), step):
+        gx, gy = xs[p : p + step], ys[p : p + step]
+        ix, iy = cells_xy(grid, gx, gy)
+        # offset of the position from its cell center, in cell units
+        fx = (gx - grid.region.xmin) / dx - ix - 0.5
+        fy = (gy - grid.region.ymin) / dy - iy - 0.5
+        origin = bases[p : p + step] + iy * nx + ix
+        d2ys = (djs[:, None] - fy) * dy
+        d2ys *= d2ys
         # a negative index reads as a huge unsigned one
-        keeps = (d2ys <= r2) & (rows.view(np.uint64) < ny)
-        for dj, keep, d2y in zip(djs[g : g + group].tolist(), keeps, d2ys):
+        keeps = (d2ys <= r2) & ((iy + djs[:, None]).view(np.uint64) < ny)
+        for dj, keep, d2y in zip(djs.tolist(), keeps, d2ys):
             if not keep.any():
                 continue
-            kix = ix[keep]
-            kfx = fx[keep]
-            korigin = origin[keep]
             kd2y = d2y[keep]
             # columns a cell or more past the row's widest chord have weight 0
             h = min(iw, int(np.sqrt(max(r2 - kd2y.min(), 0.0)) / dx + 1.5))
             dr = di[iw - h : iw + h + 1]
-            shift = dj * nx + dr
-            for s in range(0, len(kix), step):
-                e = s + step
-                offx = (dr[None, :] - kfx[s:e, None]) * dx
-                d2 = kd2y[s:e, None] + offx * offx
-                w = detection_kernel(np.sqrt(d2), radius, kernel)
-                tx = kix[s:e, None] + dr[None, :]
-                valid = np.flatnonzero((tx.view(np.uint64) < nx) & (w > 0))
-                keys = (korigin[s:e, None] + shift[None, :]).ravel()
-                yield keys.take(valid), w.ravel().take(valid)
+            # distances and keys are built in place: a chunk's arrays bound the memory
+            d = dr[None, :] - fx[keep][:, None]
+            d *= dx
+            d *= d
+            d += kd2y[:, None]
+            w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
+            tx = ix[keep][:, None] + dr[None, :]
+            valid = np.flatnonzero((tx.view(np.uint64) < nx) & (w > 0))
+            keys = np.add(origin[keep][:, None], (dj * nx + dr)[None, :], out=tx).ravel()
+            yield keys.take(valid), w.ravel().take(valid)
 
 
 def path_integral_effort(
-    tracks: Sequence[Trajectory] | Trajectory,
+    tracks: Sequence[Trajectory],
     grid: Grid,
     detection_range: float,
     mode: str = "indicator",
-) -> EffortField:
+) -> Raster:
     """Accumulate per-cell effort over all positions of all tracks.
 
     ``mode`` is "indicator" (unit weight for cell centers within the
     range) or "detection" (linear-decay probability weight).
     """
-    if isinstance(tracks, Trajectory):
-        tracks = [tracks]
-    if detection_range <= 0:
-        raise ValueError(f"detection_range must be positive, got {detection_range}")
+    check_positive(detection_range, "detection_range")
     if not tracks:
-        return EffortField(grid, np.zeros((grid.ny, grid.nx)))
+        return constant_raster(grid, 0.0)
     dt = common_dt((t.dt for t in tracks), "tracks")
     acc = np.zeros(grid.ncells)
     xs = np.concatenate([t.positions[:, 0] for t in tracks])
     ys = np.concatenate([t.positions[:, 1] for t in tracks])
     for flat, w in _stencil(grid, xs, ys, detection_range, mode):
         acc += np.bincount(flat, weights=w, minlength=acc.size)
-    return EffortField(grid, (acc * dt).reshape(grid.ny, grid.nx))
+        del flat, w  # freed before the next chunk is built
+    return Raster(grid, acc * dt)
 
 
 def overlap_corrected_effort(
@@ -146,7 +134,7 @@ def overlap_corrected_effort(
     grid: Grid,
     detection_range: float,
     mode: str = "detection",
-) -> EffortField:
+) -> Raster:
     """Joint coverage effort for tracks recorded simultaneously.
 
     The given tracks must be step-aligned (observers of one trip). Per
@@ -160,15 +148,12 @@ def overlap_corrected_effort(
     the order of a loop over single steps, so the output bytes are the
     same as one step at a time.
     """
-    if detection_range <= 0:
-        raise ValueError(f"detection_range must be positive, got {detection_range}")
-    if not tracks:
-        return EffortField(grid, np.zeros((grid.ny, grid.nx)))
-    dt = common_dt((t.dt for t in tracks), "tracks")
-    lengths = np.array([len(t) for t in tracks])
-    n_steps = int(lengths.max())
+    check_positive(detection_range, "detection_range")
+    lengths = np.array([len(t) for t in tracks], dtype=int)
+    n_steps = int(lengths.max(initial=0))
     if n_steps == 0:
-        return EffortField(grid, np.zeros((grid.ny, grid.nx)))
+        return constant_raster(grid, 0.0)
+    dt = common_dt((t.dt for t in tracks), "tracks")
     # positions step-major, observer-minor
     alive = np.arange(n_steps)[:, None] < lengths[None, :]
     stacked = np.zeros((n_steps, len(tracks), 2))
@@ -206,26 +191,28 @@ def overlap_corrected_effort(
             np.expm1(block, out=block)
             for minus_cover in block.reshape(b1 - b0, span):
                 acc[lo_cell:hi_cell] -= minus_cover
-    return EffortField(grid, (acc * dt).reshape(grid.ny, grid.nx), units="step-time")
+    return Raster(grid, acc * dt)
 
 
 def trip_grouped_effort(
-    tracks_by_trip: dict[int, list[Trajectory]] | Iterable[list[Trajectory]],
+    tracks_by_trip: dict[int, list[Trajectory]],
     grid: Grid,
     detection_range: float,
     mode: str = "detection",
     overlap: bool = False,
-) -> EffortField:
-    """Total effort over many trips; overlap correction applies per trip."""
-    groups = tracks_by_trip.values() if isinstance(tracks_by_trip, dict) else tracks_by_trip
+) -> Raster:
+    """Total effort over many trips.
+
+    Summed effort is one pass over every trip's tracks, which must share
+    dt; the overlap correction applies per trip.
+    """
+    if not overlap:
+        tracks = [t for trip in tracks_by_trip.values() for t in trip]
+        return path_integral_effort(tracks, grid, detection_range, mode)
     total = np.zeros((grid.ny, grid.nx))
-    for tracks in groups:
-        if overlap:
-            f = overlap_corrected_effort(tracks, grid, detection_range, mode)
-        else:
-            f = path_integral_effort(tracks, grid, detection_range, mode)
-        total += f.values
-    return EffortField(grid, total, units="step-time")
+    for trip in tracks_by_trip.values():
+        total += overlap_corrected_effort(trip, grid, detection_range, mode).values
+    return Raster(grid, total)
 
 
 def floored_log_offset(effort: Raster, floor: float) -> Raster:
@@ -236,13 +223,6 @@ def floored_log_offset(effort: Raster, floor: float) -> Raster:
     """
     with np.errstate(divide="ignore"):
         return Raster(effort.grid, np.log(np.maximum(effort.values, floor)))
-
-
-def bin_track_effort(track: Trajectory, grid: Grid, units: str = "boat-hours") -> EffortField:
-    """Presence-count effort: (positions falling in cell) * dt."""
-    idx = cells_of(grid, track.positions[:, 0], track.positions[:, 1])
-    counts = np.bincount(idx, minlength=grid.ncells).astype(float)
-    return EffortField(grid, (counts * track.dt).reshape(grid.ny, grid.nx), units=units)
 
 
 def regularize_track(
@@ -267,8 +247,7 @@ def regularize_track(
         raise ValueError("need at least two fixes to interpolate")
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
+    check_positive(interval, "interval")
     span = times[-1] - times[0]
     n = int(np.floor(span / interval + 1e-9)) + 1
     grid_t = times[0] + interval * np.arange(n)
@@ -279,26 +258,3 @@ def regularize_track(
         dt=float(dt_hours) if dt_hours is not None else float(interval),
         entity=entity,
     )
-
-
-def scale_effort(field: EffortField, factor: float) -> EffortField:
-    """Scale a field, e.g. by the summed daily fractions at sighting times."""
-    if factor < 0:
-        raise ValueError(f"scale factor must be nonnegative, got {factor}")
-    return EffortField(field.grid, field.values * factor, units=field.units)
-
-
-def combine_effort(fields: Sequence[EffortField]) -> EffortField:
-    """Cellwise sum of fields sharing one grid and one units tag."""
-    if not fields:
-        raise ValueError("no fields to combine")
-    grid = fields[0].grid
-    units = fields[0].units
-    total = np.zeros_like(fields[0].values)
-    for f in fields:
-        if f.grid != grid:
-            raise GridMismatchError("effort fields on different grids")
-        if f.units != units:
-            raise ValueError(f"mixed effort units: {units!r} vs {f.units!r}")
-        total += f.values
-    return EffortField(grid, total, units=units)

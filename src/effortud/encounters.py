@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check_positive
 from .geometry import Grid, Point, StudyRegion
 from .movement import MovementSpec, Trajectory, common_dt, sample_initial, step_positions
 
@@ -37,8 +38,7 @@ class ObserverSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("mobile", "static"):
             raise ValueError(f"observer kind must be mobile or static, got {self.kind!r}")
-        if self.detection_range <= 0:
-            raise ValueError(f"detection_range must be positive, got {self.detection_range}")
+        check_positive(self.detection_range, "detection_range")
         if self.detection_mode not in DETECTION_MODES:
             raise ValueError(f"unknown detection mode {self.detection_mode!r}")
 
@@ -101,8 +101,7 @@ def detection_kernel(d: np.ndarray, detection_range, mode: str) -> np.ndarray:
 
 def detection_prob(distance, detection_range: float, mode: str = "linear-decay"):
     """Detection probability at a given observer-animal distance (see ``detection_kernel``)."""
-    if detection_range <= 0:
-        raise ValueError(f"detection_range must be positive, got {detection_range}")
+    check_positive(detection_range, "detection_range")
     if mode not in DETECTION_MODES:
         raise ValueError(f"unknown detection mode {mode!r}")
     d = np.asarray(distance, dtype=float)

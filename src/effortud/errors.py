@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one positivity check.
 
 All data-shaped failures derive from ValueError so generic callers can catch
 broadly, while the CLI can still map specific classes to exit codes.
@@ -43,3 +43,9 @@ class NonConcaveFitError(RuntimeError):
 
 class SingularCovarianceError(RuntimeError):
     """A coefficient covariance is unusable for sampling."""
+
+
+def check_positive(value: float, what: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is finite and > 0 (NaN and inf are refused)."""
+    if not 0 < value < float("inf"):
+        raise error(f"{what} must be finite and positive, got {value}")

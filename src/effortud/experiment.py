@@ -34,7 +34,7 @@ from .analysis import (
     ud_center_bias,
 )
 from .encounters import EncounterDataset, ObserverSpec, run_study
-from .errors import ConfigError, NonConcaveFitError
+from .errors import ConfigError, NonConcaveFitError, check_positive
 from .geometry import Grid, StudyRegion, build_grid, grid_from_doc
 from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
@@ -89,13 +89,16 @@ class ExperimentConfig:
             raise ConfigError(f"n_trips must be >= 1, got {self.n_trips}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
-        for name in ("true_range", "assumed_range"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        bad = [k for k, v in vars(self).items() if isinstance(v, float) and not np.isfinite(v)]
+        if not np.all(np.isfinite(self.animal_center)):
+            bad.append("animal_center")
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.effort_floor < 0:
             raise ConfigError("effort_floor must be nonnegative")
         # the grid and the movement and observer specs check their own values
         try:
+            check_positive(self.assumed_range, "assumed_range")
             build_grid(self.region, self.nx, self.ny)
             self.animal_spec()
             self.observer_specs()
@@ -175,7 +178,7 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 

@@ -34,9 +34,9 @@ class StudyRegion:
     ymax: float
 
     def __post_init__(self) -> None:
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
+        if not (0 < self.width < np.inf and 0 < self.height < np.inf):
             raise ValueError(
-                f"degenerate region: x [{self.xmin}, {self.xmax}], "
+                f"degenerate or unbounded region: x [{self.xmin}, {self.xmax}], "
                 f"y [{self.ymin}, {self.ymax}]"
             )
 

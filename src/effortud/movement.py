@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DegenerateSpecError
+from .errors import DegenerateSpecError, check_positive
 from .geometry import Grid, Point, Raster, StudyRegion
 
 _REJECTION_CAP = 10**6
@@ -33,8 +33,7 @@ class BivariateNormalPotential:
     kind: str = field(default="bivariate-normal", init=False)
 
     def __post_init__(self) -> None:
-        if self.variance <= 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        check_positive(self.variance, "variance")
         object.__setattr__(self, "center", tuple(self.center))  # hashable: specs key dicts
 
     def log_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -58,8 +57,7 @@ class HalfNormalYPotential:
     kind: str = field(default="half-normal-y", init=False)
 
     def __post_init__(self) -> None:
-        if self.variance <= 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        check_positive(self.variance, "variance")
 
     def log_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = -((np.asarray(y) - self.center_y) ** 2) / (2.0 * self.variance)
@@ -107,10 +105,8 @@ class MovementSpec:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bm_variance <= 0:
-            raise ValueError(f"bm_variance must be positive, got {self.bm_variance}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_positive(self.bm_variance, "bm_variance")
+        check_positive(self.dt, "dt")
 
 
 @dataclass
@@ -125,6 +121,7 @@ class Trajectory:
         p = np.asarray(self.positions, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"positions must be (n, 2), got {p.shape}")
+        check_positive(self.dt, "dt")
         self.positions = p
 
     def __len__(self) -> int:

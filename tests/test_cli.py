@@ -88,10 +88,20 @@ class TestSimulate:
         ("observers", {"mobile": -1, "static": 2}),
         ("grid", {"nx": "abc"}),
         ("region", {"xmin": 100.0, "xmax": 0.0}),
+        ("region", {"xmax": float("inf")}),
+        ("detection", {"range": float("inf")}),
+        ("animal", {"bm_variance": float("nan")}),
+        ("analyst", {"effort_floor": float("nan")}),
+        ("analyst", {"assumed_range": float("nan")}),
+        ("observers", {"potential_center_y": float("nan")}),
+        ("animal", {"center": [50.0, float("nan")]}),
+        ("study", {"n_trips": float("inf")}),
     ],
     ids=[
         "detection-mode", "no-trips", "no-columns", "negative-variance", "negative-observers",
-        "non-integer-columns", "reversed-region",
+        "non-integer-columns", "reversed-region", "infinite-xmax", "infinite-range",
+        "nan-animal-variance", "nan-effort-floor", "nan-assumed-range", "nan-observer-center",
+        "nan-animal-center", "infinite-trips",
     ],
 )
 def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry):
@@ -105,17 +115,24 @@ def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry
 
 @pytest.mark.parametrize(
     "flags",
-    [["--xmin", "100", "--xmax", "0"], ["--nx", "0"]],
-    ids=["reversed-region", "no-columns"],
+    [["--xmin", "100", "--xmax", "0"], ["--nx", "0"], ["--xmax", "inf"]]
+    + [["--dt", v] for v in ("0", "-1", "nan", "inf")]
+    + [["--range", v] for v in ("inf", "nan")],
+    ids=[
+        "reversed-region", "no-columns", "infinite-xmax", "dt-zero", "dt-negative", "dt-nan",
+        "dt-inf", "range-inf", "range-nan",
+    ],
 )
 def test_malformed_effort_grid_exit_2(tmp_path, capsys, flags):
-    # the effort command's region and grid flags are read as a study config's are
+    # the effort command's region and grid flags are read as a study config's
+    # are; a range or dt that is not finite and positive is a config error too
     tracks = tmp_path / "tracks.csv"
     tracks.write_text("trip,observer,step,x,y\n0,0,0,50.0,50.0\n")
-    code = main(["effort", "--tracks", str(tracks), "--out", str(tmp_path / "e.csv"),
-                 "--range", "5", *flags])
+    out = tmp_path / "e.csv"
+    code = main(["effort", "--tracks", str(tracks), "--out", str(out), "--range", "5", *flags])
     assert code == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEffort:

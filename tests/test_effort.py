@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from effortud import effort
 from effortud.effort import (
-    EffortField,
     _stencil,
-    bin_track_effort,
-    combine_effort,
     overlap_corrected_effort,
     path_integral_effort,
     regularize_track,
-    scale_effort,
     trip_grouped_effort,
 )
-from effortud.errors import GridMismatchError, OutOfDomainError
+from effortud.errors import OutOfDomainError
 from effortud.geometry import StudyRegion, build_grid
 from effortud.movement import Trajectory
 
@@ -206,6 +202,13 @@ class TestPathIntegralEffort:
         with pytest.raises(ValueError):
             path_integral_effort([static_track(5, 5, 1)], g, 0.0)
 
+    @pytest.mark.parametrize("kernel", [path_integral_effort, overlap_corrected_effort])
+    @pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
+    def test_non_finite_or_negative_range(self, kernel, radius):
+        g = build_grid(REGION, 10, 10)
+        with pytest.raises(ValueError, match="detection_range must be finite and positive"):
+            kernel([static_track(5, 5, 1)], g, radius)
+
     def test_position_outside_region(self):
         g = build_grid(REGION, 10, 10)
         tr = Trajectory(positions=np.array([[50.0, 101.0]]), dt=1.0)
@@ -311,8 +314,11 @@ class TestTripGroupedEffort:
         g = build_grid(REGION, 30, 30)
         rng = np.random.default_rng(31)
         trips = {
-            k: [Trajectory(positions=rng.uniform(10, 90, size=(10, 2)), dt=1.0)]
-            for k in range(3)
+            k: [
+                Trajectory(positions=rng.uniform(10, 90, size=(n, 2)), dt=0.5)
+                for n in rng.integers(1, 15, size=k + 1)
+            ]
+            for k in range(4)
         }
         total = trip_grouped_effort(trips, g, 10.0, mode="detection")
         parts = [
@@ -320,6 +326,26 @@ class TestTripGroupedEffort:
             for tracks in trips.values()
         ]
         assert np.allclose(total.values, sum(p.values for p in parts), rtol=1e-12)
+
+    def test_summed_effort_is_one_pass(self, monkeypatch):
+        g = build_grid(REGION, 10, 10)
+        trips = {k: [static_track(10.0 * k, 50.0, k + 1)] for k in range(5)}
+        calls = []
+        kernel = effort.path_integral_effort
+
+        def counted(tracks, *args, **kwargs):
+            calls.append(len(tracks))
+            return kernel(tracks, *args, **kwargs)
+
+        monkeypatch.setattr(effort, "path_integral_effort", counted)
+        trip_grouped_effort(trips, g, 10.0, mode="detection")
+        assert calls == [5]
+
+    def test_trips_must_share_dt(self):
+        g = build_grid(REGION, 10, 10)
+        trips = {0: [static_track(50.0, 50.0, 3, dt=1.0)], 1: [static_track(50.0, 50.0, 3, dt=0.5)]}
+        with pytest.raises(ValueError, match="share dt"):
+            trip_grouped_effort(trips, g, 10.0, mode="detection", overlap=False)
 
     def test_overlap_applied_within_trip(self):
         g = build_grid(REGION, 100, 100)
@@ -356,68 +382,3 @@ class TestRegularizeTrack:
     def test_nonincreasing_times_rejected(self):
         with pytest.raises(ValueError):
             regularize_track([0.0, 0.0], [[0, 0], [1, 1]], 30.0)
-
-
-class TestBinTrackEffort:
-    def test_counts_times_dt(self):
-        g = build_grid(REGION, 10, 10)
-        tr = static_track(15.0, 15.0, 10, dt=1.0 / 120.0)
-        f = bin_track_effort(tr, g, units="boat-hours")
-        assert f.values[1, 1] == pytest.approx(1.0 / 12.0)
-        assert f.units == "boat-hours"
-
-    def test_empty_track(self):
-        g = build_grid(REGION, 10, 10)
-        f = bin_track_effort(Trajectory(positions=np.empty((0, 2)), dt=1.0), g)
-        assert np.all(f.values == 0.0)
-
-    def test_uniform_scatter_poisson_bounds(self):
-        g = build_grid(REGION, 10, 10)
-        rng = np.random.default_rng(17)
-        tr = Trajectory(positions=rng.uniform(0, 100, size=(10000, 2)), dt=1.0)
-        f = bin_track_effort(tr, g)
-        expect = 100.0  # 1e4 points over 100 cells
-        sigma = np.sqrt(expect)
-        assert np.all(np.abs(f.values - expect) <= 5 * sigma)
-
-
-class TestScaleCombine:
-    def _field(self, value=1.0):
-        g = build_grid(REGION, 5, 5)
-        return EffortField(g, np.full((5, 5), value))
-
-    def test_scale_zero_and_identity(self):
-        f = self._field(2.0)
-        assert np.all(scale_effort(f, 0.0).values == 0.0)
-        assert np.array_equal(scale_effort(f, 1.0).values, f.values)
-
-    def test_scale_integral(self):
-        g = build_grid(REGION, 5, 5)
-        base = EffortField(g, np.full((5, 5), 100.0 / (25 * g.cell_area)))
-        scaled = scale_effort(base, 15.5)
-        assert scaled.values.sum() * g.cell_area == pytest.approx(1550.0)
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            scale_effort(self._field(), -1.0)
-
-    def test_combine(self):
-        f = self._field(3.0)
-        z = self._field(0.0)
-        assert np.array_equal(combine_effort([f, z]).values, f.values)
-        assert np.array_equal(combine_effort([f, f]).values, 2 * f.values)
-
-    def test_combine_elementwise(self):
-        g = build_grid(REGION, 4, 4)
-        rng = np.random.default_rng(5)
-        fields = [EffortField(g, rng.uniform(size=(4, 4))) for _ in range(3)]
-        out = combine_effort(fields)
-        expect = fields[0].values + fields[1].values + fields[2].values
-        assert np.allclose(out.values, expect, rtol=1e-15)
-
-    def test_combine_grid_mismatch(self):
-        a = self._field()
-        g2 = build_grid(REGION, 6, 6)
-        b = EffortField(g2, np.zeros((6, 6)))
-        with pytest.raises(GridMismatchError):
-            combine_effort([a, b])

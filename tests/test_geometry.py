@@ -54,6 +54,12 @@ class TestBuildGrid:
             StudyRegion(0, 0, 0, 1)
         with pytest.raises(ValueError):
             StudyRegion(0, 1, 2, 1)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            for bounds in ([0, bad, 0, 1], [bad, 1, 0, 1], [0, 1, 0, bad], [0, 1, bad, 1]):
+                with pytest.raises(ValueError):
+                    StudyRegion(*bounds)
+        with pytest.raises(ValueError):  # finite bounds, infinite width
+            StudyRegion(-1e308, 1e308, 0, 1)
 
     def test_cell_areas_sum_to_region_area(self):
         g = build_grid(StudyRegion(-3.5, 12.25, 2.0, 9.75), 7, 13)
