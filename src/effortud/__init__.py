@@ -9,7 +9,6 @@ from .analysis import (
     ExceedanceMap,
     QuadraticDesign,
     RobustInterval,
-    UDRaster,
     exceedance_map,
     mark_probability,
     mspe,
@@ -20,7 +19,6 @@ from .analysis import (
 from .effort import (
     overlap_corrected_effort,
     path_integral_effort,
-    regularize_track,
     trip_grouped_effort,
 )
 from .encounters import (
@@ -49,11 +47,9 @@ from .geometry import (
     Raster,
     StudyRegion,
     build_grid,
-    cell_of,
     cells_of,
     constant_raster,
     raster_from_function,
-    raster_lookup,
 )
 from .experiment import (
     ExperimentConfig,

@@ -23,13 +23,12 @@ from .geometry import Grid, Point, Raster, raster_from_function
 from .inference import CovariateBlock, FitResult, IntensityModel, predict_intensity
 
 
-@dataclass
-class UDRaster(Raster):
-    """A raster normalized so sum(values) * cell_area = 1."""
+_MAD_C = 1.48  # makes the MAD estimate a normal standard deviation
+_BAND_K = 2.0  # robust_interval's half-width, in those standard deviations
 
 
-def normalize_ud(intensity: Raster) -> UDRaster:
-    """Rescale a nonnegative intensity surface into a density."""
+def normalize_ud(intensity: Raster) -> Raster:
+    """Rescale a nonnegative, finite intensity surface into a raster with sum * cell_area = 1."""
     v = intensity.values
     if not np.all(np.isfinite(v)):
         raise ValueError("intensity must be finite everywhere")
@@ -38,7 +37,7 @@ def normalize_ud(intensity: Raster) -> UDRaster:
     total = v.sum() * intensity.grid.cell_area
     if total <= 0:
         raise ValueError("cannot normalize an all-zero intensity")
-    return UDRaster(intensity.grid, v / total)
+    return Raster(intensity.grid, v / total)
 
 
 def mark_probability(intensities: list[Raster]) -> list[Raster]:
@@ -75,7 +74,6 @@ class ExceedanceMap:
     """
 
     probabilities: Raster
-    percentile: float
     cutoff: float | None = None
     n_samples: int = 0
 
@@ -144,7 +142,6 @@ def exceedance_map(
     probs[~finite_any] = np.nan
     return ExceedanceMap(
         probabilities=Raster(grid, probs.reshape(grid.ny, grid.nx)),
-        percentile=percentile,
         cutoff=cutoff,
         n_samples=n_samples,
     )
@@ -167,11 +164,11 @@ class RobustInterval:
     hi: float
 
 
-def robust_interval(values, c: float = 1.48, k: float = 2.0) -> RobustInterval:
-    """Median +- k * c * MAD summary of replicate statistics.
+def robust_interval(values) -> RobustInterval:
+    """Median +- 2 * 1.48 * MAD summary of replicate statistics.
 
-    With the consistency constant c = 1.48 the MAD estimates a normal
-    standard deviation, so k = 2 gives a rough 95% band.
+    With the consistency constant 1.48 the MAD estimates a normal
+    standard deviation, so two of them give a rough 95% band.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 2:
@@ -180,7 +177,7 @@ def robust_interval(values, c: float = 1.48, k: float = 2.0) -> RobustInterval:
         raise ValueError("values must be finite")
     med = float(np.median(v))
     mad = float(np.median(np.abs(v - med)))
-    half = k * c * mad
+    half = _BAND_K * _MAD_C * mad
     return RobustInterval(median=med, lo=med - half, hi=med + half)
 
 

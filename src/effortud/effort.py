@@ -223,38 +223,3 @@ def floored_log_offset(effort: Raster, floor: float) -> Raster:
     """
     with np.errstate(divide="ignore"):
         return Raster(effort.grid, np.log(np.maximum(effort.values, floor)))
-
-
-def regularize_track(
-    times: np.ndarray,
-    positions: np.ndarray,
-    interval: float,
-    dt_hours: float | None = None,
-    entity: str = "",
-) -> Trajectory:
-    """Resample an irregular track to fixed intervals by linear interpolation.
-
-    ``times`` are numeric (e.g. seconds), strictly increasing; fixes are
-    taken at times[0] + k * interval for k = 0 .. floor(span / interval).
-    The output dt is ``dt_hours`` when given (effort in boat-hours),
-    otherwise the raw interval.
-    """
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    if times.ndim != 1 or len(times) != len(positions):
-        raise ValueError("times and positions must have matching length")
-    if len(times) < 2:
-        raise ValueError("need at least two fixes to interpolate")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("timestamps must be strictly increasing")
-    check_positive(interval, "interval")
-    span = times[-1] - times[0]
-    n = int(np.floor(span / interval + 1e-9)) + 1
-    grid_t = times[0] + interval * np.arange(n)
-    xs = np.interp(grid_t, times, positions[:, 0])
-    ys = np.interp(grid_t, times, positions[:, 1])
-    return Trajectory(
-        positions=np.column_stack((xs, ys)),
-        dt=float(dt_hours) if dt_hours is not None else float(interval),
-        entity=entity,
-    )

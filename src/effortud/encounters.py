@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import check_positive
-from .geometry import Grid, Point, StudyRegion
+from .geometry import Point, StudyRegion
 from .movement import MovementSpec, Trajectory, common_dt, sample_initial, step_positions
 
 DETECTION_MODES = ("linear-decay", "uniform")
@@ -63,8 +63,6 @@ class EncounterDataset:
     """All trips of one simulated study."""
 
     trips: list[TripRecord]
-    region: StudyRegion
-    grid: Grid | None = None
 
     @property
     def n_trips(self) -> int:
@@ -79,12 +77,6 @@ class EncounterDataset:
         if not pts:
             return np.empty((0, 2))
         return np.asarray(pts, dtype=float)
-
-    @property
-    def encounter_fraction(self) -> float:
-        if not self.trips:
-            return 0.0
-        return len(self.encounters()) / len(self.trips)
 
 
 def detection_kernel(d: np.ndarray, detection_range, mode: str) -> np.ndarray:
@@ -171,7 +163,7 @@ def run_trip(
 
     arr = np.asarray(history)  # (steps+1, n_obs, 2)
     tracks = [
-        Trajectory(positions=arr[:, j, :].copy(), dt=dt, entity=f"observer{j}")
+        Trajectory(positions=arr[:, j, :].copy(), dt=dt)
         for j in range(len(observers))
     ]
     return TripRecord(trip=trip, tracks=tracks, encounter=encounter)
@@ -184,7 +176,6 @@ def run_study(
     n_trips: int,
     max_steps: int,
     seed: int,
-    grid: Grid | None = None,
     mark: str | None = None,
 ) -> EncounterDataset:
     """Simulate ``n_trips`` independent trips.
@@ -199,7 +190,7 @@ def run_study(
     for k in range(n_trips):
         rng = np.random.default_rng([seed, k])
         trips.append(run_trip(animal, observers, region, max_steps, rng, trip=k, mark=mark))
-    return EncounterDataset(trips=trips, region=region, grid=grid)
+    return EncounterDataset(trips=trips)
 
 
 _F = "%.17g"
@@ -287,7 +278,5 @@ def read_tracks_csv(path: str | Path, dt: float = 1.0) -> dict[int, list[Traject
         if steps != list(range(len(steps))):
             raise ValueError(f"trip {trip} observer {obs}: steps not contiguous from 0")
         arr = np.array([(x, y) for _, x, y in pts])
-        by_trip.setdefault(trip, []).append(
-            Trajectory(positions=arr, dt=dt, entity=f"trip{trip}/observer{obs}")
-        )
+        by_trip.setdefault(trip, []).append(Trajectory(positions=arr, dt=dt))
     return by_trip

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its one positivity check.
+"""Exception types shared across the package, and its shared input checks.
 
 All data-shaped failures derive from ValueError so generic callers can catch
 broadly, while the CLI can still map specific classes to exit codes.
 """
+
+from typing import Any
 
 
 class ConfigError(ValueError):
@@ -14,7 +16,7 @@ class OutOfDomainError(ValueError):
 
 
 class MissingDataError(ValueError):
-    """A lookup hit a cell flagged as missing (NaN)."""
+    """An observed point lies in a cell whose covariates are missing (NaN)."""
 
 
 class DataInconsistencyError(ValueError):
@@ -49,3 +51,32 @@ def check_positive(value: float, what: str, error: type[ValueError] = ValueError
     """Raise ``error`` unless ``value`` is finite and > 0 (NaN and inf are refused)."""
     if not 0 < value < float("inf"):
         raise error(f"{what} must be finite and positive, got {value}")
+
+
+def is_number(v: Any) -> bool:
+    """Whether ``v`` is a JSON number: an int or float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def config_entry(doc: dict, path: str, default: Any, kind: type) -> Any:
+    """The entry at ``path`` ("key" or "section.key") of a config document, or ``default``.
+
+    Sections must be objects and the entry of type ``kind``, where a bool is
+    no int and float takes any number; anything else raises ConfigError.
+    """
+    *sections, key = path.split(".")
+    for name in sections:
+        doc = doc.get(name, {})
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{name} must be an object, got {doc!r}")
+    if key not in doc:
+        return default
+    value = doc[key]
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} is too large for a number") from None
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+    return value

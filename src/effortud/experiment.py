@@ -34,7 +34,7 @@ from .analysis import (
     ud_center_bias,
 )
 from .encounters import EncounterDataset, ObserverSpec, run_study
-from .errors import ConfigError, NonConcaveFitError, check_positive
+from .errors import ConfigError, NonConcaveFitError, check_positive, config_entry, is_number
 from .geometry import Grid, StudyRegion, build_grid, grid_from_doc
 from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
@@ -135,50 +135,47 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig."""
+    """Validate a parsed JSON document into an ExperimentConfig; entries keep their JSON types."""
     try:
         grid = grid_from_doc(doc)
-        animal = doc.get("animal", {})
-        obs = doc.get("observers", {})
-        det = doc.get("detection", {})
-        study = doc.get("study", {})
-        analyst = doc.get("analyst", {})
-        bm = obs.get("bm_variance")
-        pot = obs.get("potential_variance")
+        center = config_entry(doc, "animal.center", [50.0, 50.0], list)
+        if len(center) != 2 or not all(is_number(c) for c in center):
+            raise ConfigError(f"animal.center must be a list of two numbers, got {center!r}")
+        bm = config_entry(doc, "observers.bm_variance", None, float)
+        pot = config_entry(doc, "observers.potential_variance", None, float)
         if bm is None or pot is None:
-            bias = obs.get("bias", "high")
+            bias = config_entry(doc, "observers.bias", "high", str)
             if bias not in _BIAS_PRESETS:
                 raise ConfigError(f"observers.bias must be high or low, got {bias!r}")
             preset_bm, preset_pot = _BIAS_PRESETS[bias]
             bm = preset_bm if bm is None else bm
             pot = preset_pot if pot is None else pot
+        true_range = config_entry(doc, "detection.range", 10.0, float)
         return ExperimentConfig(
-            label=str(doc.get("label", "experiment")),
+            label=config_entry(doc, "label", "experiment", str),
             region=grid.region,
             nx=grid.nx,
             ny=grid.ny,
-            animal_center=tuple(animal.get("center", (50.0, 50.0))),
-            animal_potential_variance=float(animal.get("potential_variance", 200.0)),
-            animal_bm_variance=float(animal.get("bm_variance", 2.0)),
-            n_mobile=int(obs.get("mobile", 1)),
-            n_static=int(obs.get("static", 0)),
-            observer_bm_variance=float(bm),
-            observer_center_y=float(obs.get("potential_center_y", 100.0)),
-            observer_potential_variance=float(pot),
-            true_range=float(det.get("range", 10.0)),
-            true_mode=str(det.get("mode", "linear-decay")),
-            n_trips=int(study.get("n_trips", 150)),
-            max_steps=int(study.get("max_steps", 500)),
-            assumed_range=float(analyst.get("assumed_range", det.get("range", 10.0))),
-            detection_modeled=bool(analyst.get("detection_modeled", True)),
-            overlap=bool(analyst.get("overlap", False)),
-            effort_floor=float(analyst.get("effort_floor", 1e-6)),
-            replicates=int(doc.get("replicates", 1)),
-            base_seed=int(doc.get("base_seed", 0)),
+            animal_center=(float(center[0]), float(center[1])),
+            animal_potential_variance=config_entry(doc, "animal.potential_variance", 200.0, float),
+            animal_bm_variance=config_entry(doc, "animal.bm_variance", 2.0, float),
+            n_mobile=config_entry(doc, "observers.mobile", 1, int),
+            n_static=config_entry(doc, "observers.static", 0, int),
+            observer_bm_variance=bm,
+            observer_center_y=config_entry(doc, "observers.potential_center_y", 100.0, float),
+            observer_potential_variance=pot,
+            true_range=true_range,
+            true_mode=config_entry(doc, "detection.mode", "linear-decay", str),
+            n_trips=config_entry(doc, "study.n_trips", 150, int),
+            max_steps=config_entry(doc, "study.max_steps", 500, int),
+            assumed_range=config_entry(doc, "analyst.assumed_range", true_range, float),
+            detection_modeled=config_entry(doc, "analyst.detection_modeled", True, bool),
+            overlap=config_entry(doc, "analyst.overlap", False, bool),
+            effort_floor=config_entry(doc, "analyst.effort_floor", 1e-6, float),
+            replicates=config_entry(doc, "replicates", 1, int),
+            base_seed=config_entry(doc, "base_seed", 0, int),
         )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
@@ -232,7 +229,6 @@ def simulate_replicate(cfg: ExperimentConfig, replicate: int) -> EncounterDatase
         cfg.n_trips,
         cfg.max_steps,
         seed=cfg.replicate_seed(replicate),
-        grid=cfg.grid,
     )
 
 
@@ -291,10 +287,6 @@ class ExperimentResult:
     config: ExperimentConfig
     records: list[dict[str, Any]]
     summaries: dict[str, RobustInterval] = field(default_factory=dict)
-
-    def metric_values(self, key: str) -> np.ndarray:
-        vals = [r.get(key) for r in self.records]
-        return np.array([v for v in vals if v is not None], dtype=float)
 
 
 def _resolve_workers(workers: int | None) -> int:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, MissingDataError, OutOfDomainError
+from .errors import ConfigError, OutOfDomainError, config_entry
 
 
 class Point(NamedTuple):
@@ -95,18 +95,6 @@ class Grid:
         """Cell-center coordinates as (ny, nx) arrays (X, Y)."""
         return np.meshgrid(self.x_centers(), self.y_centers())
 
-    def cell_center(self, index: int) -> Point:
-        ix, iy = self.cell_xy(index)
-        return Point(
-            self.region.xmin + (ix + 0.5) * self.dx,
-            self.region.ymin + (iy + 0.5) * self.dy,
-        )
-
-    def cell_xy(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.ncells:
-            raise OutOfDomainError(f"cell index {index} outside [0, {self.ncells})")
-        return index % self.nx, index // self.nx
-
 
 def build_grid(region: StudyRegion, nx: int, ny: int) -> Grid:
     """Construct a regular grid over ``region``."""
@@ -117,19 +105,18 @@ def grid_from_doc(doc: dict) -> Grid:
     """The grid of a config document's "region" and "grid" sections.
 
     Missing entries default to [0, 100] x [0, 100] and 100 x 100 cells; a
-    malformed section raises ConfigError.
+    malformed section, or a cell count that is not an integer, raises ConfigError.
     """
     try:
-        region = doc.get("region", {})
-        grid = doc.get("grid", {})
         r = StudyRegion(
-            float(region.get("xmin", 0.0)),
-            float(region.get("xmax", 100.0)),
-            float(region.get("ymin", 0.0)),
-            float(region.get("ymax", 100.0)),
+            config_entry(doc, "region.xmin", 0.0, float),
+            config_entry(doc, "region.xmax", 100.0, float),
+            config_entry(doc, "region.ymin", 0.0, float),
+            config_entry(doc, "region.ymax", 100.0, float),
         )
-        return build_grid(r, int(grid.get("nx", 100)), int(grid.get("ny", 100)))
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        nx = config_entry(doc, "grid.nx", 100, int)
+        return build_grid(r, nx, config_entry(doc, "grid.ny", 100, int))
+    except ValueError as exc:
         raise ConfigError(f"bad region or grid: {exc}") from exc
 
 
@@ -156,19 +143,15 @@ def cells_xy(grid: Grid, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np
 
 
 def cells_of(grid: Grid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized flat cell indices; points outside the region raise OutOfDomainError."""
+    """Flat index of the cell holding each point.
+
+    Interior cell edges belong to the lower-index cell, so the cells
+    partition the region with no point claimed twice; the region's own
+    edges stay in its first and last cells. Points outside the closed
+    region raise OutOfDomainError.
+    """
     ix, iy = cells_xy(grid, xs, ys)
     return iy * grid.nx + ix
-
-
-def cell_of(grid: Grid, p: Point | tuple[float, float]) -> int:
-    """Flat index of the cell containing ``p``.
-
-    Interior boundary points belong to the lower-index adjacent cell, so
-    the cells partition the region with no point claimed twice.
-    """
-    x, y = p
-    return int(cells_of(grid, np.array([x]), np.array([y]))[0])
 
 
 @dataclass
@@ -206,16 +189,3 @@ def raster_from_function(grid: Grid, fn: Callable[[np.ndarray, np.ndarray], np.n
     """Evaluate ``fn(X, Y)`` at all cell centers."""
     X, Y = grid.center_arrays()
     return Raster(grid, np.asarray(fn(X, Y), dtype=float))
-
-
-def raster_lookup(raster: Raster, p: Point | tuple[float, float]) -> float:
-    """Piecewise-constant lookup: the value of the cell containing ``p``.
-
-    Raises OutOfDomainError outside the region and MissingDataError on
-    cells flagged missing (NaN).
-    """
-    idx = cell_of(raster.grid, p)
-    v = float(raster.flat[idx])
-    if np.isnan(v):
-        raise MissingDataError(f"missing value at cell {idx} (point {tuple(p)})")
-    return v

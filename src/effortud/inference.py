@@ -16,7 +16,9 @@ intensity integral with per-cell weights alpha (cell areas by default):
 
 Cells with zero weight or zero effort (offset -inf) drop out of the sum;
 an observed point in such a cell contradicts the model and raises.
-Two derived data resolutions share the same eta:
+As eta is constant on a cell, points enter as per-cell counts N_i: their
+ll is the count likelihood on the same cells less a constant. Two derived
+data resolutions share the same eta:
 
     counts:   N_i ~ Poisson(alpha_i eta_i)
     presence: O_i ~ Bernoulli(1 - exp(-alpha_i eta_i))
@@ -271,7 +273,7 @@ def _assemble(blocks, t, c: np.ndarray, d: np.ndarray):
 
 
 class _Design:
-    """Design rows of one model on the cells and points of one dataset."""
+    """Design rows of one model on the active cells of one dataset; points binned to counts."""
 
     def __init__(self, model: IntensityModel, data: LikelihoodData):
         if model.grid != data.grid:
@@ -293,6 +295,14 @@ class _Design:
         self.cells = tuple(blk[active] for blk in blocks)
         self.w_act = data.weights[active]
 
+        if data.kind == "presence":
+            bad = data.presence & ~active
+            if np.any(bad):
+                raise DataInconsistencyError(
+                    f"{int(bad.sum())} cells are occupied but have zero effort/weight"
+                )
+            self.O_act = data.presence[active]
+            return
         if data.kind == "points":
             pts = data.points
             idx = cells_of(model.grid, pts[:, 0], pts[:, 1])
@@ -309,30 +319,28 @@ class _Design:
                     f"observed point {tuple(pts[i])} lies in a cell with zero "
                     "effort or zero integration weight"
                 )
-            self.points = tuple(blk[idx] for blk in blocks)
-        elif data.kind == "counts":
+            N = np.bincount(idx, minlength=model.grid.ncells)[active]
+            self.const = 0.0
+        else:
             bad = (data.counts > 0) & ~active
             if np.any(bad):
                 raise DataInconsistencyError(
                     f"{int(bad.sum())} cells have positive counts but zero effort/weight"
                 )
-            self.N_act = data.counts[active]
-            # sum of log N! over the active cells, fixed for the dataset
-            vals, n_each = np.unique(self.N_act, return_counts=True)
-            self.log_n_factorial = sum(int(k) * math.lgamma(v + 1.0) for v, k in zip(vals, n_each))
-        else:
-            bad = data.presence & ~active
-            if np.any(bad):
-                raise DataInconsistencyError(
-                    f"{int(bad.sum())} cells are occupied but have zero effort/weight"
-                )
-            self.O_act = data.presence[active]
+            N = data.counts[active]
+            # sum N log alpha - sum log N!, which points' likelihood lacks
+            vals, n_each = np.unique(N, return_counts=True)
+            log_n_factorial = sum(int(k) * math.lgamma(v + 1.0) for v, k in zip(vals, n_each))
+            self.const = float(N @ np.log(self.w_act)) - log_n_factorial
+        # only the active cells holding points or counts, so memory follows the data
+        self.nz = np.flatnonzero(N)
+        self.N_nz = N[self.nz].astype(float)
 
     def loglik_grad(self, theta: np.ndarray):
         """Log likelihood, gradient and observed information at theta.
 
-        Each data kind supplies only c = d ll / d log eta and d = d c / d log eta
-        per row; ``_assemble`` turns them into the gradient and information.
+        Counts (binned points too) and presence supply only c = d ll / d log eta
+        and d = d c / d log eta per row; ``_assemble`` makes the rest.
         """
         le, t = _log_eta(self.cells, theta)
         with np.errstate(over="ignore"):
@@ -341,19 +349,10 @@ class _Design:
             p = len(theta)
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
 
-        if self.kind == "points":
-            le_p, t_p = _log_eta(self.points, theta)
-            ll = float(le_p.sum() - mu.sum())
-            ones = np.ones(len(le_p))
-            grad_p, info_p = _assemble(self.points, t_p, ones, np.zeros_like(ones))
-            grad, info = _assemble(self.cells, t, -mu, -mu)
-            return ll, grad + grad_p, info + info_p
-        if self.kind == "counts":
-            N = self.N_act
-            logw = np.log(self.w_act)
-            terms = np.where(N > 0, N * (logw + le), 0.0) - mu
-            ll = float(terms.sum()) - self.log_n_factorial
-            c, d = N - mu, -mu
+        if self.kind != "presence":
+            ll = float(self.N_nz @ le[self.nz] - mu.sum()) + self.const
+            c, d = -mu, -mu  # two arrays: c becomes N - mu
+            c[self.nz] += self.N_nz
         else:
             O = self.O_act
             with np.errstate(over="ignore"):

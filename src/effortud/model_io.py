@@ -24,6 +24,8 @@ list like the detection block. When "log" is true the offset raster is
 floored then logged; with a floor of 0 empty cells become -inf and drop
 out of the fitted integral. The optional "rename" map aliases qualified
 coefficient names so several components of a joint fit can share them.
+Entries keep their JSON types: "intercept" and "log" are true or false,
+"maxiter" is an integer and "gtol" and "floor" are numbers.
 
 Fit results serialize to JSON carrying the coefficient estimates,
 standard errors, covariance, log likelihood, and convergence record.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .analysis import QuadraticDesign
 from .effort import floored_log_offset
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, config_entry, is_number
 from .geometry import Grid, Raster, grid_from_doc
 from .inference import CovariateBlock, FitResult, IntensityModel, renamed_names
 from .raster_io import (
@@ -104,9 +106,9 @@ def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
     if not isinstance(doc, dict) or "path" not in doc:
         raise ConfigError("offset needs a 'path'")
     raster = read_raster(base / str(doc["path"]), grid)
-    if not bool(doc.get("log", True)):
+    if not config_entry(doc, "log", True, bool):
         return raster
-    floor = float(doc.get("floor", 0.0))
+    floor = config_entry(doc, "floor", 0.0, float)
     if floor < 0:
         raise ConfigError("offset floor must be nonnegative")
     return floored_log_offset(raster, floor)
@@ -156,9 +158,6 @@ def read_model_spec(path: str | Path) -> ModelSpec:
         if doc.get("offset") is not None:
             offset = _offset_raster(doc["offset"], base, grid)
 
-        opt = doc.get("optimizer", {})
-        if not isinstance(opt, dict):
-            raise ConfigError("optimizer must be an object")
         rename = doc.get("rename")
         if rename is not None and not (
             isinstance(rename, dict)
@@ -172,12 +171,12 @@ def read_model_spec(path: str | Path) -> ModelSpec:
             detection=detection,
             effort=effort,
             log_effort_offset=offset,
-            intercept=bool(doc.get("intercept", True)),
+            intercept=config_entry(doc, "intercept", True, bool),
         )
         return ModelSpec(
             model=model,
-            gtol=float(opt.get("gtol", 1e-8)),
-            maxiter=int(opt.get("maxiter", 500)),
+            gtol=config_entry(doc, "optimizer.gtol", 1e-8, float),
+            maxiter=config_entry(doc, "optimizer.maxiter", 500, int),
             rename=rename,
         )
     except ConfigError:
@@ -207,12 +206,8 @@ def write_fit_json(fit: FitResult, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_numbers(v: Any, n: int) -> bool:
-    return isinstance(v, list) and len(v) == n and all(_is_number(x) for x in v)
+    return isinstance(v, list) and len(v) == n and all(is_number(x) for x in v)
 
 
 _REQUIRED = object()
@@ -246,11 +241,11 @@ def read_fit_json(path: str | Path) -> FitResult:
         or (isinstance(v, list) and len(v) == p and all(_is_numbers(r, p) for r in v)),
         None,
     )
-    gmax = entry("gradient_max_norm", lambda v: v is None or _is_number(v), None)
+    gmax = entry("gradient_max_norm", lambda v: v is None or is_number(v), None)
     return FitResult(
         names=list(names),
         theta=np.asarray(theta, dtype=float),
-        loglik=float(entry("loglik", _is_number)),
+        loglik=float(entry("loglik", is_number)),
         converged=entry("converged", lambda v: isinstance(v, bool)),
         iterations=entry("iterations", lambda v: isinstance(v, int) and not isinstance(v, bool)),
         covariance=None if cov is None else np.asarray(cov, dtype=float),

@@ -13,7 +13,7 @@ followed by coordinate-wise reflection back into the rectangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -30,7 +30,6 @@ class BivariateNormalPotential:
 
     center: tuple[float, float]
     variance: float
-    kind: str = field(default="bivariate-normal", init=False)
 
     def __post_init__(self) -> None:
         check_positive(self.variance, "variance")
@@ -54,7 +53,6 @@ class HalfNormalYPotential:
 
     center_y: float
     variance: float
-    kind: str = field(default="half-normal-y", init=False)
 
     def __post_init__(self) -> None:
         check_positive(self.variance, "variance")
@@ -77,7 +75,6 @@ class CustomPotential:
 
     log_density_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    kind: str = field(default="custom-log-density", init=False)
 
     def log_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.log_density_fn(x, y), dtype=float)
@@ -115,7 +112,6 @@ class Trajectory:
 
     positions: np.ndarray
     dt: float
-    entity: str = ""
 
     def __post_init__(self) -> None:
         p = np.asarray(self.positions, dtype=float)
@@ -178,7 +174,6 @@ def simulate_trajectory(
     n_steps: int,
     region: StudyRegion,
     rng: np.random.Generator,
-    entity: str = "",
 ) -> Trajectory:
     """Simulate ``n_steps`` updates from ``start`` (n_steps + 1 positions).
 
@@ -196,22 +191,22 @@ def simulate_trajectory(
     for i in range(n_steps):
         pos = step_positions(spec, pos, region, noise[i])
         out[i + 1] = pos[0]
-    return Trajectory(positions=out, dt=spec.dt, entity=entity)
+    return Trajectory(positions=out, dt=spec.dt)
 
 
 def _rejection_sample(
-    propose: Callable[[int], np.ndarray],
-    accept: Callable[[np.ndarray], np.ndarray],
-    cap: int,
-) -> np.ndarray:
+    propose: Callable[[int], np.ndarray], region: StudyRegion, cap: int
+) -> Point:
+    """The first proposed (n, 2) row inside ``region``, proposing 4096 at a time."""
     attempts = 0
     chunk = 4096
     while attempts < cap:
         n = min(chunk, cap - attempts)
         cand = propose(n)
-        ok = accept(cand)
+        ok = region.contains(cand[:, 0], cand[:, 1])
         if np.any(ok):
-            return cand[np.argmax(ok)]
+            x, y = cand[np.argmax(ok)]
+            return Point(float(x), float(y))
         attempts += n
     raise DegenerateSpecError(f"rejection sampling failed after {cap} attempts")
 
@@ -224,14 +219,10 @@ def sample_initial(
 ) -> Point:
     """Draw one point from the potential density truncated to the region.
 
-    Built-in potentials use exact rejection from their own proposal; a
-    custom potential falls back to uniform proposals under a grid-based
-    envelope (adequate for densities smooth at the 1/256 region scale).
+    Each built-in potential is sampled exactly, by rejection from its own
+    proposal. A custom potential has no proposal and is rejected with
+    ValueError, as in ``analytic_ud``.
     """
-
-    def inside(c: np.ndarray) -> np.ndarray:
-        return region.contains(c[:, 0], c[:, 1])
-
     if isinstance(potential, BivariateNormalPotential):
         sd = np.sqrt(potential.variance)
         cx, cy = potential.center
@@ -239,8 +230,7 @@ def sample_initial(
         def propose(n: int) -> np.ndarray:
             return rng.normal((cx, cy), sd, size=(n, 2))
 
-        p = _rejection_sample(propose, inside, cap)
-        return Point(float(p[0]), float(p[1]))
+        return _rejection_sample(propose, region, cap)
 
     if isinstance(potential, HalfNormalYPotential):
         sd = np.sqrt(potential.variance)
@@ -251,27 +241,9 @@ def sample_initial(
             return np.array((xs, ys)).T  # (n, 2) with contiguous columns for the region test
 
         # x is drawn inside the region, so only y can fall outside
-        p = _rejection_sample(propose, inside, cap)
-        return Point(float(p[0]), float(p[1]))
+        return _rejection_sample(propose, region, cap)
 
-    # custom: uniform proposals against an empirical envelope
-    gx = np.linspace(region.xmin, region.xmax, 257)
-    gy = np.linspace(region.ymin, region.ymax, 257)
-    X, Y = np.meshgrid(gx, gy)
-    log_m = float(np.max(potential.log_density(X, Y))) + np.log(1.5)
-
-    def propose(n: int) -> np.ndarray:
-        xs = rng.uniform(region.xmin, region.xmax, size=n)
-        ys = rng.uniform(region.ymin, region.ymax, size=n)
-        us = rng.uniform(size=n)
-        return np.column_stack((xs, ys, us))
-
-    def accept(c: np.ndarray) -> np.ndarray:
-        logp = potential.log_density(c[:, 0], c[:, 1])
-        return np.log(c[:, 2]) < logp - log_m
-
-    p = _rejection_sample(propose, accept, cap)
-    return Point(float(p[0]), float(p[1]))
+    raise ValueError("sample_initial requires a built-in potential kind")
 
 
 def analytic_ud(potential: Potential, grid: Grid) -> Raster:

@@ -29,7 +29,7 @@ import numpy as np
 from .geometry import Grid, Raster, StudyRegion
 
 _FMT = "%.17g"
-_DEFAULT_NODATA = -9999.0
+_NODATA = -9999.0  # written for missing (NaN) cells
 
 
 def _fmt(v: float) -> str:
@@ -139,7 +139,7 @@ def read_raster_csv(path: str | Path) -> Raster:
     return Raster(Grid(region, nx, ny), values)
 
 
-def write_ascii_grid(raster: Raster, path: str | Path, nodata: float = _DEFAULT_NODATA) -> None:
+def write_ascii_grid(raster: Raster, path: str | Path) -> None:
     grid = raster.grid
     r = grid.region
     # CELLSIZE is one number: dx or dy, whichever reads back onto this grid's
@@ -152,16 +152,16 @@ def write_ascii_grid(raster: Raster, path: str | Path, nodata: float = _DEFAULT_
         raise ValueError(
             f"ASCII grid needs square cells; dx={grid.dx!r} dy={grid.dy!r}"
         )
-    if np.any(raster.values == nodata):
-        raise ValueError(f"a cell holds the NODATA value {nodata!r} and would read back as missing")
-    vals = np.where(np.isnan(raster.values), nodata, raster.values)
+    if np.any(raster.values == _NODATA):
+        raise ValueError(f"a cell holds the NODATA value {_NODATA!r}, which reads back as missing")
+    vals = np.where(np.isnan(raster.values), _NODATA, raster.values)
     with open(path, "w") as fh:
         fh.write(f"NCOLS {grid.nx}\n")
         fh.write(f"NROWS {grid.ny}\n")
         fh.write(f"XLLCORNER {_fmt(grid.region.xmin)}\n")
         fh.write(f"YLLCORNER {_fmt(grid.region.ymin)}\n")
         fh.write(f"CELLSIZE {_fmt(cell)}\n")
-        fh.write(f"NODATA_VALUE {_fmt(nodata)}\n")
+        fh.write(f"NODATA_VALUE {_fmt(_NODATA)}\n")
         for iy in range(grid.ny - 1, -1, -1):
             fh.write(" ".join(_fmt(v) for v in vals[iy]))
             fh.write("\n")

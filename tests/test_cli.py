@@ -96,17 +96,29 @@ class TestSimulate:
         ("observers", {"potential_center_y": float("nan")}),
         ("animal", {"center": [50.0, float("nan")]}),
         ("study", {"n_trips": float("inf")}),
+        ("analyst", {"overlap": "no"}),
+        ("analyst", {"detection_modeled": "false"}),
+        ("animal", {"center": [50.0]}),
+        ("animal", {"center": [50, 50, 1]}),
+        ("animal", [1, 2]),
+        ("observers", {"mobile": 1.7}),
+        ("base_seed", 1.5),
+        ("grid", {"nx": 10.9}),
     ],
     ids=[
         "detection-mode", "no-trips", "no-columns", "negative-variance", "negative-observers",
         "non-integer-columns", "reversed-region", "infinite-xmax", "infinite-range",
         "nan-animal-variance", "nan-effort-floor", "nan-assumed-range", "nan-observer-center",
-        "nan-animal-center", "infinite-trips",
+        "nan-animal-center", "infinite-trips", "string-overlap", "string-detection-modeled",
+        "one-number-center", "three-number-center", "section-not-an-object",
+        "fractional-observers", "fractional-seed", "fractional-columns",
     ],
 )
 def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry):
+    # a dict entry merges into its section; anything else replaces the section
+    value = {**CONFIG.get(section, {}), **entry} if isinstance(entry, dict) else entry
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**CONFIG, section: {**CONFIG.get(section, {}), **entry}}))
+    cfg.write_text(json.dumps({**CONFIG, section: value}))
     out = ["--out", str(tmp_path / "sim")] if command == "simulate" else [
         "--out-metrics", str(tmp_path / "m.json")]
     assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
@@ -455,6 +467,22 @@ class TestMalformedFiles:
     )
     def test_bad_model_grid_exit_2(self, tmp_path, capsys, spec):
         # the model spec's region and grid sections are read as a study config's are
+        assert self._fit(tmp_path, spec) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"intercept": "no"},
+            {"offset": {"path": "eff.csv", "log": "false"}},
+            {"offset": {"path": "eff.csv", "floor": "x"}},
+            {"optimizer": {"gtol": "abc"}},
+            {"optimizer": {"maxiter": 2.5}},
+        ],
+        ids=["string-intercept", "string-log", "string-floor", "string-gtol", "fractional-maxiter"],
+    )
+    def test_ill_typed_model_spec_exit_2(self, tmp_path, capsys, spec):
+        (tmp_path / "eff.csv").write_text(_raster_rows(GOOD_2X2))
         assert self._fit(tmp_path, spec) == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
 

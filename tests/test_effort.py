@@ -1,4 +1,4 @@
-"""Effort accumulation, overlap correction and track utilities."""
+"""Effort accumulation and overlap correction."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from effortud.effort import (
     _stencil,
     overlap_corrected_effort,
     path_integral_effort,
-    regularize_track,
     trip_grouped_effort,
 )
 from effortud.errors import OutOfDomainError
@@ -352,33 +351,3 @@ class TestTripGroupedEffort:
         trips = {0: [static_track(45.5, 50.5, 1), static_track(45.5, 50.5, 1)]}
         f = trip_grouped_effort(trips, g, 10.0, mode="detection", overlap=True)
         assert f.values[50, 50] == pytest.approx(0.75, rel=1e-12)
-
-
-class TestRegularizeTrack:
-    def test_linear_interpolation(self):
-        tr = regularize_track([0.0, 60.0], [[0.0, 0.0], [60.0, 0.0]], 30.0)
-        assert np.allclose(tr.positions, [[0, 0], [30, 0], [60, 0]])
-
-    def test_single_fix_rejected(self):
-        with pytest.raises(ValueError):
-            regularize_track([0.0], [[0.0, 0.0]], 30.0)
-
-    def test_irregular_fix_count(self):
-        # ~15 s cadence over 10 minutes resampled at 30 s -> 21 points
-        rng = np.random.default_rng(3)
-        times = np.cumsum(rng.uniform(10.0, 20.0, size=60))
-        times = (times - times[0]) * (600.0 / (times[-1] - times[0]))
-        pos = np.column_stack((np.linspace(0, 50, 60), np.linspace(0, 20, 60)))
-        tr = regularize_track(times, pos, 30.0)
-        assert len(tr) == 21
-
-    def test_endpoints_preserved(self):
-        times = [0.0, 45.0, 90.0]
-        pos = [[0.0, 0.0], [10.0, 5.0], [30.0, 10.0]]
-        tr = regularize_track(times, pos, 30.0)
-        assert tr.positions[0] == pytest.approx([0.0, 0.0])
-        assert tr.positions[-1] == pytest.approx([30.0, 10.0])
-
-    def test_nonincreasing_times_rejected(self):
-        with pytest.raises(ValueError):
-            regularize_track([0.0, 0.0], [[0, 0], [1, 1]], 30.0)

@@ -152,6 +152,67 @@ class TestConfigParsing:
             config_from_dict({"grid": {"nx": "many"}})
 
 
+def _entries(doc, path=()):
+    """(path, value) of every entry of a config document; sections are walked into."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _entries(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _same(got, want):
+    """JSON equality in which an int equals the float of the same value."""
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_same, got, want))
+    if type(got) in (int, float) and type(want) in (int, float):
+        return got == want
+    return type(got) is type(want) and got == want
+
+
+VALID_DOC = config_to_dict(toy_config())
+SWAPS = ["abc", True, False, [1.0, 2.0], {"a": 1}, None, 7, 2.5, 3.0, float("nan"), float("inf")]
+# an object in place of a section could hold keys no config has, which no config gives back
+NOT_OBJECTS = [v for v in SWAPS if not isinstance(v, dict)]
+
+
+@st.composite
+def mutated_docs(draw):
+    """VALID_DOC with a few entries swapped to other JSON types, dropped, or sections replaced."""
+    doc = json.loads(json.dumps(VALID_DOC))
+    paths = [path for path, _ in _entries(VALID_DOC)]
+    sections = sorted(k for k, v in VALID_DOC.items() if isinstance(v, dict))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["swap", "drop", "section"]))
+        if how == "section":
+            doc[draw(st.sampled_from(sections))] = draw(st.sampled_from(NOT_OBJECTS))
+            continue
+        *outer, key = draw(st.sampled_from(paths))
+        holder = doc[outer[0]] if outer else doc
+        if not isinstance(holder, dict):
+            continue
+        if how == "drop":
+            holder.pop(key, None)
+        else:
+            holder[key] = draw(st.sampled_from(SWAPS))
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutated_docs())
+def test_config_keeps_every_entry_or_raises_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    back = config_to_dict(cfg)
+    for path, want in _entries(doc):
+        got = back
+        for key in path:
+            got = got[key]
+        assert _same(got, want), (path, got, want)
+
+
 class TestSeeds:
     def test_replicate_seed_xor(self):
         cfg = toy_config(base_seed=47)
@@ -233,13 +294,6 @@ class TestRunExperiment:
 
         table = summary_table(serial)
         assert "toy" in table and "mspe_corrected" in table
-
-    def test_metric_values_filters_missing(self):
-        cfg = toy_config(replicates=2)
-        res = run_experiment(cfg, workers=1)
-        res.records[0]["mspe_corrected"] = None
-        assert len(res.metric_values("mspe_corrected")) == 1
-        assert len(res.metric_values("mspe_uncorrected")) == 2
 
 
 @settings(max_examples=4, deadline=None)

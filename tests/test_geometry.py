@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from effortud.errors import MissingDataError, OutOfDomainError
+from effortud.errors import OutOfDomainError
 from effortud.geometry import (
     Grid,
-    Point,
     Raster,
     StudyRegion,
     build_grid,
-    cell_of,
     cells_of,
     constant_raster,
     raster_from_function,
-    raster_lookup,
 )
 from effortud.raster_io import (
     read_ascii_grid,
@@ -66,29 +63,36 @@ class TestBuildGrid:
         assert g.cell_area * g.ncells == pytest.approx(g.region.area, rel=1e-12)
 
 
+def _cell(grid, x, y):
+    """The flat index of the one cell holding (x, y)."""
+    return int(cells_of(grid, np.array([x]), np.array([y]))[0])
+
+
 class TestCellOf:
     def setup_method(self):
         self.g = build_grid(BIG_SQUARE, 100, 100)
 
     def test_corner_cells(self):
-        assert self.g.cell_xy(cell_of(self.g, Point(0.5, 0.5))) == (0, 0)
-        assert self.g.cell_xy(cell_of(self.g, Point(99.9, 99.9))) == (99, 99)
+        nx = self.g.nx
+        i, j = _cell(self.g, 0.5, 0.5), _cell(self.g, 99.9, 99.9)
+        assert (i % nx, i // nx) == (0, 0)
+        assert (j % nx, j // nx) == (99, 99)
 
     def test_boundary_goes_to_lower_cell(self):
         # interior cell edges belong to the lower-index neighbor
         g2 = build_grid(BIG_SQUARE, 2, 2)
-        assert cell_of(g2, Point(50.0, 50.0)) == 0
-        assert cell_of(self.g, Point(50.0, 50.0)) == 4949
+        assert _cell(g2, 50.0, 50.0) == 0
+        assert _cell(self.g, 50.0, 50.0) == 4949
 
     def test_region_edges_stay_inside(self):
-        assert cell_of(self.g, Point(0.0, 0.0)) == 0
-        assert cell_of(self.g, Point(100.0, 100.0)) == 9999
+        assert _cell(self.g, 0.0, 0.0) == 0
+        assert _cell(self.g, 100.0, 100.0) == 9999
 
     def test_outside_raises(self):
         with pytest.raises(OutOfDomainError):
-            cell_of(self.g, Point(-0.01, 50.0))
+            _cell(self.g, -0.01, 50.0)
         with pytest.raises(OutOfDomainError):
-            cell_of(self.g, Point(3.0, 100.5))
+            _cell(self.g, 3.0, 100.5)
 
     def test_partition_property(self):
         # every uniform point lands in a cell whose center is nearby
@@ -97,9 +101,10 @@ class TestCellOf:
         ys = rng.uniform(0, 100, size=10000)
         idx = cells_of(self.g, xs, ys)
         half_diag = 0.5 * np.hypot(self.g.dx, self.g.dy)
+        X, Y = self.g.center_arrays()
         for i in range(0, 10000, 97):
-            c = self.g.cell_center(int(idx[i]))
-            assert np.hypot(c.x - xs[i], c.y - ys[i]) <= half_diag + 1e-12
+            cx, cy = X.flat[idx[i]], Y.flat[idx[i]]
+            assert np.hypot(cx - xs[i], cy - ys[i]) <= half_diag + 1e-12
 
 
 class TestRegionContains:
@@ -117,24 +122,6 @@ class TestRegionContains:
 
 
 class TestRasterLookup:
-    def test_constant(self):
-        g = build_grid(BIG_SQUARE, 10, 10)
-        r = constant_raster(g, 3.0)
-        assert raster_lookup(r, Point(17.2, 83.9)) == 3.0
-
-    def test_x_index_raster(self):
-        g = build_grid(BIG_SQUARE, 100, 100)
-        r = Raster(g, np.tile(np.arange(100.0), (100, 1)))
-        assert raster_lookup(r, Point(0.5, 0.5)) == 0.0
-        assert raster_lookup(r, Point(99.5, 0.5)) == 99.0
-
-    def test_missing_cell_raises(self):
-        g = build_grid(UNIT_SQUARE, 2, 2)
-        vals = np.array([[1.0, np.nan], [2.0, 3.0]])
-        r = Raster(g, vals)
-        with pytest.raises(MissingDataError):
-            raster_lookup(r, Point(0.75, 0.25))
-
     def test_raster_shape_checked(self):
         g = build_grid(UNIT_SQUARE, 3, 2)
         with pytest.raises(ValueError):

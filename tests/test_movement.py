@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effortud.geometry import Point, StudyRegion, build_grid, cells_of, raster_lookup
+from effortud.geometry import Point, StudyRegion, build_grid, cells_of
 from effortud.movement import (
     BivariateNormalPotential,
     CustomPotential,
@@ -254,16 +254,15 @@ class TestAnalyticUD:
         g = build_grid(REGION, 100, 100)
         ud = analytic_ud(ANIMAL_POT, g)
         best = int(np.argmax(ud.flat))
-        c = g.cell_center(best)
-        assert abs(c.x - 50.0) <= g.dx and abs(c.y - 50.0) <= g.dy
+        X, Y = g.center_arrays()
+        assert abs(X.flat[best] - 50.0) <= g.dx and abs(Y.flat[best] - 50.0) <= g.dy
 
     def test_radial_symmetry_on_aligned_grid(self):
         # 11x11 grid over [-5,105]^2 puts (50,60) and (40,50) at cell centers
         g = build_grid(StudyRegion(-5, 105, -5, 105), 11, 11)
         ud = analytic_ud(ANIMAL_POT, g)
-        assert raster_lookup(ud, Point(50, 60)) == pytest.approx(
-            raster_lookup(ud, Point(40, 50)), rel=1e-12
-        )
+        a, b = ud.flat[cells_of(g, np.array([50.0, 40.0]), np.array([60.0, 50.0]))]
+        assert a == pytest.approx(b, rel=1e-12)
 
     def test_custom_potential_rejected(self):
         g = build_grid(REGION, 10, 10)
