@@ -9,6 +9,7 @@ accuracy metrics for simulation studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +21,12 @@ from .errors import (
     UndefinedProbabilityError,
 )
 from .geometry import Grid, Point, Raster, raster_from_function
-from .inference import CovariateBlock, FitResult, IntensityModel, predict_intensity
+from .inference import CovariateBlock, FitResult, IntensityModel, _env_block, _env_log_intensity
 
 
 _MAD_C = 1.48  # makes the MAD estimate a normal standard deviation
 _BAND_K = 2.0  # robust_interval's half-width, in those standard deviations
+_VALUE_CHUNK = 1 << 19  # cell values per block of exceedance draws
 
 
 def normalize_ud(intensity: Raster) -> Raster:
@@ -85,6 +87,45 @@ class ExceedanceMap:
         return Raster(self.probabilities.grid, v)
 
 
+def _count_above(V: np.ndarray, q: float, fixed_thr: float | None = None):
+    """Per-cell counts of the rows of ``V`` whose finite value exceeds the row's threshold.
+
+    The threshold is ``fixed_thr`` when given, else each row's
+    ``np.quantile(row[finite], q)`` (numpy's linear method). Rows whose
+    finite cells are exactly the cells finite in every row share one
+    partition at the order statistics around (n - 1) q and numpy's
+    interpolation rule; any other row calls ``np.quantile`` itself.
+    Returns the counts and the cells finite in some row.
+    """
+    finite = np.isfinite(V)
+    thr = fixed_thr
+    if thr is None:
+        if not finite.any(axis=1).all():
+            raise ValueError("a coefficient draw gives no cell a finite intensity")
+        common = finite.all(axis=0)
+        batch = (finite == common).all(axis=1)
+        thr = np.empty((len(V), 1))
+        if batch.any():
+            n = int(np.count_nonzero(common))
+            pos = (n - 1) * q
+            lo = math.floor(pos)
+            hi = lo + 1
+            if pos >= n - 1:
+                lo = hi = n - 1
+            g = pos - lo
+            if n == V.shape[1]:
+                P = np.partition(V, [lo, hi], axis=1)
+            else:
+                P = V[np.ix_(batch, common)]
+                P.partition([lo, hi], axis=1)
+            a, b = P[:, lo], P[:, hi]
+            d = b - a
+            thr[batch, 0] = b - d * (1 - g) if g >= 0.5 else a + d * g
+        for i in np.flatnonzero(~batch):
+            thr[i] = np.quantile(V[i][finite[i]], q)
+    return np.count_nonzero(finite & (V > thr), axis=0), finite.any(axis=0)
+
+
 def exceedance_map(
     model: IntensityModel,
     fit: FitResult,
@@ -104,6 +145,12 @@ def exceedance_map(
     ("per-draw" mode) or against the point-estimate threshold ("fixed").
     An all-zero covariance is accepted and yields a 0/1-valued map; any
     other rank-deficient covariance is refused.
+
+    Draws are evaluated in blocks of at most ``_VALUE_CHUNK`` (2**19)
+    cell values, one draw per block on grids larger than that. Beyond the
+    environment block and the per-cell counts, a block holds its values
+    and one partitioned copy (4 MiB each at most) and a few boolean
+    masks, whatever ``n_samples`` is.
     """
     if not 0.0 < percentile < 100.0:
         raise ValueError(f"percentile must be in (0, 100), got {percentile}")
@@ -111,6 +158,8 @@ def exceedance_map(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if threshold_mode not in ("per-draw", "fixed"):
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
+    if cutoff is not None and not np.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
     if fit.covariance is None:
         raise SingularCovarianceError("fit carries no covariance")
     cov = np.asarray(fit.covariance, dtype=float)
@@ -121,24 +170,30 @@ def exceedance_map(
     grid = model.grid
     q = percentile / 100.0
     if degenerate:
-        draws = np.tile(fit.theta, (n_samples, 1))
+        # every draw equals theta_hat, so one evaluation gives the 0/1 map
+        draws = fit.theta[None]
     else:
         draws = rng.multivariate_normal(fit.theta, cov, size=n_samples, method="svd")
 
+    A = _env_block(model)
     fixed_thr = None
     if threshold_mode == "fixed":
-        base = predict_intensity(model, fit.theta, fix_detection, fix_effort).flat
-        fixed_thr = float(np.quantile(base[np.isfinite(base)], q))
+        base = np.exp(_env_log_intensity(model, fit.theta[None], fix_detection, fix_effort, A)[0])
+        base = base[np.isfinite(base)]
+        if not base.size:
+            raise ValueError("the fitted coefficients give no cell a finite intensity")
+        fixed_thr = float(np.quantile(base, q))
 
-    above = np.zeros(grid.ncells)
+    above = np.zeros(grid.ncells, dtype=np.int64)
     finite_any = np.zeros(grid.ncells, dtype=bool)
-    for k in range(n_samples):
-        vals = predict_intensity(model, draws[k], fix_detection, fix_effort).flat
-        finite = np.isfinite(vals)
+    step = max(1, _VALUE_CHUNK // grid.ncells)
+    for k in range(0, len(draws), step):
+        V = _env_log_intensity(model, draws[k : k + step], fix_detection, fix_effort, A)
+        np.exp(V, out=V)
+        n_above, finite = _count_above(V, q, fixed_thr)
+        above += n_above
         finite_any |= finite
-        thr = fixed_thr if fixed_thr is not None else float(np.quantile(vals[finite], q))
-        above += finite & (vals > thr)
-    probs = above / n_samples
+    probs = above / len(draws)
     probs[~finite_any] = np.nan
     return ExceedanceMap(
         probabilities=Raster(grid, probs.reshape(grid.ny, grid.nx)),

@@ -158,6 +158,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_exceed(args: argparse.Namespace) -> int:
+    if not 0 < args.percentile < 100:
+        raise ConfigError(f"--percentile must be in (0, 100), got {args.percentile}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.cutoff is not None and not 0 <= args.cutoff <= 1:
+        raise ConfigError(f"--cutoff must be in [0, 1], got {args.cutoff}")
     ms, fit = _read_model_fit(args)
     rng = np.random.default_rng(args.seed)
     emap = exceedance_map(

@@ -310,13 +310,13 @@ class _Design:
             if np.any(bad_cov):
                 i = int(np.argmax(bad_cov))
                 raise MissingDataError(
-                    f"point {tuple(pts[i])} falls in a cell with missing covariates"
+                    f"point {tuple(pts[i].tolist())} falls in a cell with missing covariates"
                 )
             inactive = ~active[idx]
             if np.any(inactive):
                 i = int(np.argmax(inactive))
                 raise DataInconsistencyError(
-                    f"observed point {tuple(pts[i])} lies in a cell with zero "
+                    f"observed point {tuple(pts[i].tolist())} lies in a cell with zero "
                     "effort or zero integration weight"
                 )
             N = np.bincount(idx, minlength=model.grid.ncells)[active]
@@ -550,6 +550,43 @@ def fit_mle(
     return fit_joint([JointComponent(model, data)], gtol=gtol, maxiter=maxiter, start=start)
 
 
+def _env_log_intensity(
+    model: IntensityModel,
+    thetas: np.ndarray,
+    fix_detection: float | Sequence[float] = 0.0,
+    fix_effort: float | Sequence[float] = 0.0,
+    env: np.ndarray | None = None,
+) -> np.ndarray:
+    """Environment-driven log intensity, one row of cells per row of ``thetas``.
+
+    ``env`` is the model's environment block (``_env_block``) when the
+    caller holds it already. Each row is one matrix-vector product, then
+    the pinned detection term is subtracted and the pinned effort term
+    added: a matrix-matrix product over all rows rounds differently, and
+    every row must carry the bits of a single evaluation.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.n_parameters:
+        raise ValueError(f"theta must have {model.n_parameters} entries")
+    A = _env_block(model) if env is None else env
+    p_det = len(model.detection.names) if model.detection is not None else 0
+    p_eff = thetas.shape[1] - A.shape[1] - p_det
+    if p_det:
+        c1 = np.broadcast_to(np.asarray(fix_detection, dtype=float), (p_det,))
+    if p_eff:
+        c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (p_eff,))
+    L = np.zeros((len(thetas), model.grid.ncells))
+    for le, theta in zip(L, thetas):
+        b, g1, g2 = _split(theta, A.shape[1], p_det)
+        if b.size:
+            np.matmul(A, b, out=le)
+        if p_det:
+            le -= np.logaddexp(0.0, -float(c1 @ g1))
+        if p_eff:
+            le += float(c2 @ g2)
+    return L
+
+
 def predict_intensity(
     model: IntensityModel,
     theta: np.ndarray,
@@ -563,18 +600,7 @@ def predict_intensity(
     is dropped, so spatial variation comes from the environment block
     alone. This is the estimate of the animal's own intensity surface.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.n_parameters,):
-        raise ValueError(f"theta must have {model.n_parameters} entries")
+    theta = np.asarray(theta, dtype=float)[None]
+    le = _env_log_intensity(model, theta, fix_detection, fix_effort)[0]
     grid = model.grid
-    A = _env_block(model)
-    p_det = len(model.detection.names) if model.detection is not None else 0
-    b, g1, g2 = _split(theta, A.shape[1], p_det)
-    le = A @ b if b.size else np.zeros(grid.ncells)
-    if p_det:
-        c1 = np.broadcast_to(np.asarray(fix_detection, dtype=float), (p_det,))
-        le = le - np.logaddexp(0.0, -float(c1 @ g1))
-    if g2.size:
-        c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (g2.size,))
-        le = le + float(c2 @ g2)
     return Raster(grid, np.exp(le).reshape(grid.ny, grid.nx))

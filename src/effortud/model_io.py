@@ -42,7 +42,7 @@ import numpy as np
 
 from .analysis import QuadraticDesign
 from .effort import floored_log_offset
-from .errors import ConfigError, GridMismatchError, config_entry, is_number
+from .errors import ConfigError, GridMismatchError, check_positive, config_entry, is_number
 from .geometry import Grid, Raster, grid_from_doc
 from .inference import CovariateBlock, FitResult, IntensityModel, renamed_names
 from .raster_io import (
@@ -109,8 +109,8 @@ def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
     if not config_entry(doc, "log", True, bool):
         return raster
     floor = config_entry(doc, "floor", 0.0, float)
-    if floor < 0:
-        raise ConfigError("offset floor must be nonnegative")
+    if not 0 <= floor < float("inf"):
+        raise ConfigError(f"offset floor must be finite and nonnegative, got {floor}")
     return floored_log_offset(raster, floor)
 
 
@@ -173,12 +173,12 @@ def read_model_spec(path: str | Path) -> ModelSpec:
             log_effort_offset=offset,
             intercept=config_entry(doc, "intercept", True, bool),
         )
-        return ModelSpec(
-            model=model,
-            gtol=config_entry(doc, "optimizer.gtol", 1e-8, float),
-            maxiter=config_entry(doc, "optimizer.maxiter", 500, int),
-            rename=rename,
-        )
+        gtol = config_entry(doc, "optimizer.gtol", 1e-8, float)
+        check_positive(gtol, "optimizer.gtol", ConfigError)
+        maxiter = config_entry(doc, "optimizer.maxiter", 500, int)
+        if maxiter < 1:
+            raise ConfigError(f"optimizer.maxiter must be at least 1, got {maxiter}")
+        return ModelSpec(model=model, gtol=gtol, maxiter=maxiter, rename=rename)
     except ConfigError:
         raise
     except (TypeError, KeyError) as exc:

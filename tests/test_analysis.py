@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from effortud import analysis
 from effortud.analysis import (
     QuadraticDesign,
+    _count_above,
     exceedance_map,
     mark_probability,
     mspe,
@@ -22,7 +24,16 @@ from effortud.errors import (
     UndefinedProbabilityError,
 )
 from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
-from effortud.inference import CovariateBlock, FitResult, IntensityModel, LikelihoodData, eta, fit_mle
+from effortud.inference import (
+    CovariateBlock,
+    FitResult,
+    IntensityModel,
+    LikelihoodData,
+    _env_log_intensity,
+    eta,
+    fit_mle,
+    predict_intensity,
+)
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
 
@@ -405,3 +416,183 @@ class TestExceedanceMap:
             exceedance_map(m, fit, rng, n_samples=0)
         with pytest.raises(ValueError):
             exceedance_map(m, fit, rng, threshold_mode="upper")
+
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cutoff_rejected(self, cutoff):
+        m = linear_x_model(5)
+        fit = make_fit(["env:intercept", "env:u"], [0.0, 1.0], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="cutoff"):
+            exceedance_map(m, fit, np.random.default_rng(0), cutoff=cutoff)
+
+    @pytest.mark.parametrize("mode", ["per-draw", "fixed"])
+    def test_surface_without_finite_cells_rejected(self, mode):
+        g = build_grid(REGION, 4, 4)
+        m = IntensityModel(grid=g, env=CovariateBlock(["z"], [constant_raster(g, np.nan)]))
+        fit = make_fit(["env:intercept", "env:z"], [0.0, 1.0], np.diag([0.1, 0.1]))
+        with pytest.raises(ValueError, match="no cell"):
+            exceedance_map(m, fit, np.random.default_rng(0), n_samples=5, threshold_mode=mode)
+
+
+# --- exceedance in blocks of draws against the loop it replaced ---------------
+
+
+def reference_intensity(model, theta, fix_detection, fix_effort):
+    """One draw's surface as it was computed before draws were blocked."""
+    n = model.grid.ncells
+    cols = [np.ones(n)] if model.intercept else []
+    cols += [r.flat for r in model.env.rasters] if model.env is not None else []
+    A = np.column_stack(cols)
+    p_det = len(model.detection.names) if model.detection is not None else 0
+    b, g1, g2 = theta[: A.shape[1]], theta[A.shape[1] : A.shape[1] + p_det], theta[A.shape[1] + p_det :]
+    le = A @ b
+    if p_det:
+        c1 = np.broadcast_to(np.asarray(fix_detection, dtype=float), (p_det,))
+        le = le - np.logaddexp(0.0, -float(c1 @ g1))
+    if g2.size:
+        c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (g2.size,))
+        le = le + float(c2 @ g2)
+    return np.exp(le)
+
+
+def reference_exceedance(model, fit, rng, percentile, n_samples, threshold_mode,
+                         fix_detection=0.0, fix_effort=0.0):
+    """The per-draw loop exceedance_map ran before draws were blocked."""
+    q = percentile / 100.0
+    cov = np.asarray(fit.covariance, dtype=float)
+    if np.all(cov == 0.0):
+        draws = np.tile(fit.theta, (n_samples, 1))
+    else:
+        draws = rng.multivariate_normal(fit.theta, cov, size=n_samples, method="svd")
+    fixed_thr = None
+    if threshold_mode == "fixed":
+        base = reference_intensity(model, fit.theta, fix_detection, fix_effort)
+        fixed_thr = float(np.quantile(base[np.isfinite(base)], q))
+    above = np.zeros(model.grid.ncells)
+    finite_any = np.zeros(model.grid.ncells, dtype=bool)
+    for theta in draws:
+        vals = reference_intensity(model, theta, fix_detection, fix_effort)
+        finite = np.isfinite(vals)
+        finite_any |= finite
+        thr = fixed_thr if fixed_thr is not None else float(np.quantile(vals[finite], q))
+        above += finite & (vals > thr)
+    probs = above / n_samples
+    probs[~finite_any] = np.nan
+    return probs.reshape(model.grid.ny, model.grid.nx)
+
+
+def _random_model(kind, seed=0):
+    rng = np.random.default_rng(seed)
+    g = build_grid(REGION, 13, 11)
+
+    def block(names, nan_frac=0.0):
+        rasters = []
+        for _ in names:
+            v = rng.normal(size=(g.ny, g.nx))
+            v[rng.random(v.shape) < nan_frac] = np.nan
+            rasters.append(Raster(g, v))
+        return CovariateBlock(names, rasters)
+
+    env = block(["a", "b"], nan_frac=0.1 if kind == "nan-cells" else 0.0)
+    det = block(["vis"]) if kind in ("detection", "effort", "no-intercept") else None
+    eff = block(["day", "sea"]) if kind in ("effort", "no-intercept") else None
+    model = IntensityModel(grid=g, env=env, detection=det, effort=eff,
+                           intercept=kind != "no-intercept")
+    p = model.n_parameters
+    theta = rng.normal(size=p)
+    if kind == "overflow":
+        theta[0] = 707.0  # some draws overflow some cells to inf
+    B = rng.normal(size=(p, p))
+    return model, make_fit(model.parameter_names(), theta, 0.05 * B @ B.T)
+
+
+MODEL_KINDS = ["env", "nan-cells", "detection", "effort", "no-intercept", "overflow"]
+
+
+@pytest.mark.parametrize("chunk", [1, 3 * 143 + 5, 1 << 19], ids=["one-draw", "three-draws", "default"])
+@pytest.mark.parametrize("mode", ["per-draw", "fixed"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_blocked_exceedance_matches_per_draw_loop(monkeypatch, kind, mode, chunk):
+    monkeypatch.setattr(analysis, "_VALUE_CHUNK", chunk)
+    model, fit = _random_model(kind, seed=MODEL_KINDS.index(kind))
+    fixes = {"fix_detection": 0.4, "fix_effort": [0.3, -0.2]} if model.effort else {}
+    for percentile in (70.0, 50.0, 97.5):
+        want = reference_exceedance(model, fit, np.random.default_rng(9), percentile, 40, mode, **fixes)
+        got = exceedance_map(model, fit, np.random.default_rng(9), percentile=percentile,
+                             n_samples=40, threshold_mode=mode, **fixes)
+        assert got.probabilities.values.tobytes() == want.tobytes()
+        assert got.n_samples == 40
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_block_rows_keep_single_draw_bits(kind):
+    # a matrix-matrix product over the block would round differently
+    model, fit = _random_model(kind, seed=MODEL_KINDS.index(kind))
+    fix_det, fix_eff = (0.4, [0.3, -0.2]) if model.effort else (0.0, 0.0)
+    thetas = np.random.default_rng(1).multivariate_normal(fit.theta, fit.covariance, size=7)
+    with np.errstate(over="ignore"):
+        block = np.exp(_env_log_intensity(model, thetas, fix_det, fix_eff))
+        for row, theta in zip(block, thetas):
+            assert row.tobytes() == reference_intensity(model, theta, fix_det, fix_eff).tobytes()
+        got = predict_intensity(model, fit.theta, fix_det, fix_eff)
+        assert got.flat.tobytes() == reference_intensity(model, fit.theta, fix_det, fix_eff).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["per-draw", "fixed"])
+def test_degenerate_covariance_on_tied_surface_matches_loop(mode):
+    # rounding leaves a few distinct values, so the threshold sits inside ties
+    g = build_grid(REGION, 20, 20)
+    env = CovariateBlock(["r"], [raster_from_function(g, lambda X, Y: np.round((X + Y) / 100.0, 1))])
+    model = IntensityModel(grid=g, env=env)
+    fit = make_fit(["env:intercept", "env:r"], [0.0, 2.0], np.zeros((2, 2)))
+    for percentile in (70.0, 50.0, 12.5):
+        want = reference_exceedance(model, fit, np.random.default_rng(0), percentile, 9, mode)
+        got = exceedance_map(model, fit, np.random.default_rng(0), percentile=percentile,
+                             n_samples=9, threshold_mode=mode)
+        assert got.probabilities.values.tobytes() == want.tobytes()
+        assert set(np.unique(got.probabilities.values)) <= {0.0, 1.0}
+
+
+_FINITE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300]
+
+
+@st.composite
+def value_blocks(draw):
+    """Blocks of draw values: ties, underflowed zeros, +-0.0, fixed NaN cells, stray inf/NaN."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 16))
+    cell = st.sampled_from(_FINITE_VALUES) | st.integers(0, 8).map(lambda k: k / 4.0)
+    V = draw(arrays(np.float64, (m, n), elements=cell))
+    nan_cells = draw(arrays(np.bool_, n))
+    V[:, nan_cells] = np.nan  # covariates missing in every draw
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        V[i, j] = draw(st.sampled_from([np.inf, np.nan]))
+    if draw(st.booleans()):  # a row left with a single finite cell
+        i = draw(st.integers(0, m - 1))
+        keep = draw(st.integers(0, n - 1))
+        V[i, np.arange(n) != keep] = np.nan
+        V[i, keep] = draw(st.sampled_from(_FINITE_VALUES))
+    return V
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    V=value_blocks(),
+    percentile=st.sampled_from([70.0, 50.0, 25.0, 99.0, 1e-9, 99.99999999999999])
+    | st.floats(0.5, 99.5),
+    fixed_thr=st.none() | st.sampled_from([0.0, 1.0, 1e300]),
+)
+def test_count_above_matches_per_row_quantile_rule(V, percentile, fixed_thr):
+    q = percentile / 100.0
+    finite = np.isfinite(V)
+    if fixed_thr is None and not finite.any(axis=1).all():
+        with pytest.raises(ValueError):
+            _count_above(V, q)
+        return
+    want = np.zeros(V.shape[1], dtype=np.int64)
+    for row, fin in zip(V, finite):
+        thr = fixed_thr if fixed_thr is not None else float(np.quantile(row[fin], q))
+        want += fin & (row > thr)
+    counts, finite_any = _count_above(V, q, fixed_thr)
+    assert np.array_equal(counts, want)
+    assert np.array_equal(finite_any, finite.any(axis=0))

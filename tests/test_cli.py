@@ -384,12 +384,38 @@ class TestExceed:
                      "--out", str(tmp_path / "ud.csv")])
         assert code == EXIT_OK
 
-    def test_bad_percentile_exit_3(self, tmp_path):
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--percentile", "0"),
+            ("--percentile", "100"),
+            ("--percentile", "nan"),
+            ("--percentile", "inf"),
+            ("--samples", "0"),
+            ("--samples", "-3"),
+            ("--cutoff", "nan"),
+            ("--cutoff", "2"),
+            ("--cutoff", "-0.5"),
+            ("--cutoff", "inf"),
+        ],
+        ids=["percentile-0", "percentile-100", "percentile-nan", "percentile-inf", "samples-0",
+             "samples-negative", "cutoff-nan", "cutoff-2", "cutoff-negative", "cutoff-inf"],
+    )
+    def test_bad_option_exit_2(self, tmp_path, capsys, option, value):
         model = self._distinct_model(tmp_path)
         fit = self._fit_json(tmp_path, [[0.0, 0.0], [0.0, 0.0]])
+        out = tmp_path / "x.csv"
         code = main(["exceed", "--model", str(model), "--fit", str(fit),
-                     "--out", str(tmp_path / "x.csv"), "--percentile", "0"])
-        assert code == EXIT_DATA
+                     "--out", str(out), option, value])
+        assert code == EXIT_CONFIG
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_checked_before_files_are_read(self, tmp_path):
+        gone = str(tmp_path / "gone.json")
+        code = main(["exceed", "--model", gone, "--fit", gone, "--out", str(tmp_path / "x.csv"),
+                     "--samples", "0"])
+        assert code == EXIT_CONFIG
 
 
 
@@ -485,6 +511,36 @@ class TestMalformedFiles:
         (tmp_path / "eff.csv").write_text(_raster_rows(GOOD_2X2))
         assert self._fit(tmp_path, spec) == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("optimizer", "gtol", float("nan")),
+            ("optimizer", "gtol", float("inf")),
+            ("optimizer", "gtol", 0.0),
+            ("optimizer", "gtol", -1.0),
+            ("optimizer", "maxiter", 0),
+            ("optimizer", "maxiter", -1),
+            ("offset", "floor", float("nan")),
+            ("offset", "floor", float("inf")),
+            ("offset", "floor", -1e-6),
+        ],
+        ids=["nan-gtol", "infinite-gtol", "zero-gtol", "negative-gtol", "zero-maxiter",
+             "negative-maxiter", "nan-floor", "infinite-floor", "negative-floor"],
+    )
+    def test_out_of_range_model_spec_exit_2(self, tmp_path, capsys, section, key, value):
+        (tmp_path / "eff.csv").write_text(_raster_rows(GOOD_2X2))
+        entries = {"path": "eff.csv"} if section == "offset" else {}
+        assert self._fit(tmp_path, {section: {**entries, key: value}}) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_point_on_missing_covariate_names_plain_coordinates(self, tmp_path, capsys):
+        (tmp_path / "z.csv").write_text(_raster_rows([(25, 25, "nan")] + GOOD_2X2[1:]))
+        assert self._fit(tmp_path, {"env": [{"name": "z", "path": "z.csv"}]}) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "point (25.0, 25.0) falls in a cell with missing covariates" in err
+        assert "np.float64" not in err
 
     def test_presence_on_an_off_origin_grid(self, tmp_path):
         g = build_grid(StudyRegion(0.1, 7.3, -3.3, 5.9), 7, 9)
