@@ -17,14 +17,17 @@ field instead accumulates, per time step,
     1 - prod_over_observers(1 - p_obs)
 
 which is the probability that at least one observer would have detected
-an animal at that cell center during the step. Its output bytes depend
-on one accumulation order: per step, log(1 - p) is summed over the
-observers one stencil row at a time, rows in order; then the steps'
-1 - prod terms are added to the field in step order.
+an animal at that cell center during the step.
 
-Over many trips, summed effort is one pass over every trip's tracks, so
-all trips must share one dt; only the overlap correction runs per trip.
-Every field is a plain ``Raster``.
+Both fields come from one stencil (``_stencil``) on a zero-padded frame
+around the grid, cropped to the grid, and their bytes depend on its
+order: positions in groups, one chunk per stencil row and group, rows
+in order. Summed effort adds each chunk's ``np.bincount`` to the field.
+The overlap correction sums log(1 - p) per step over the observers one
+chunk at a time, then adds the steps' 1 - prod terms in step order.
+
+Summed effort over many trips is one pass over all their tracks (one dt);
+the overlap correction runs per trip. Fields are plain ``Raster``s.
 """
 
 from __future__ import annotations
@@ -43,37 +46,36 @@ _POSITION_CHUNK = 65536
 _EFFORT_KERNELS = {"indicator": "uniform", "detection": "linear-decay"}
 
 
-def _half_widths(grid: Grid, radius: float) -> tuple[int, int]:
-    """Stencil half-widths in columns and rows for a detection radius."""
-    return int(np.floor(radius / grid.dx + 0.5)), int(np.floor(radius / grid.dy + 0.5))
+def _frame(grid: Grid, radius: float) -> tuple[int, int, int, int]:
+    """Stencil half-width ``iw`` in columns, and the padded frame's margins and width:
+    ``mi = min(iw, nx - 1)`` columns and ``mj = min(jw, ny - 1)`` rows each side hold
+    every stencil entry that can reach the grid, in at most 9 grids."""
+    iw = int(np.floor(radius / grid.dx + 0.5))
+    mi = min(iw, grid.nx - 1)
+    return iw, mi, min(int(np.floor(radius / grid.dy + 0.5)), grid.ny - 1), grid.nx + 2 * mi
 
 
 def _stencil(
-    grid: Grid,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    radius: float,
-    mode: str,
-    base: np.ndarray | int = 0,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(key, weight)`` chunks of the positions' fields of view.
+    grid: Grid, xs: np.ndarray, ys: np.ndarray, radius: float, mode: str, base: np.ndarray | int = 0
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(lo, key, weight)`` chunks of the positions' fields of view.
 
-    A key is the flat cell index plus the position's ``base``. The
-    positions run in groups that fill at most ``_POSITION_CHUNK`` entries
-    per stencil row, so memory does not grow with the number of
-    positions. A group yields one chunk per stencil row, rows in order.
-    Every weight is positive. A cell appears once per position covering
-    it, so callers reduce the chunks with ``np.bincount``.
+    ``lo + key`` is a cell's row-major index in the padded frame
+    (``_frame``) plus the position's ``base``; keys start at 0, so a
+    chunk's ``np.bincount`` spans only the chunk. The positions run in
+    groups of at most ``_POSITION_CHUNK`` entries per full stencil row; a
+    group yields one chunk per stencil row its positions reach, rows in
+    order, each position's columns in turn, trimmed to the row's widest
+    chord. Zero weights and entries off the grid add nothing to the bytes.
     """
     if mode not in _EFFORT_KERNELS:
         raise ValueError(f"unknown effort mode {mode!r}")
     kernel = _EFFORT_KERNELS[mode]
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    iw, jw = _half_widths(grid, radius)
-    di = np.arange(-iw, iw + 1)
-    djs = np.arange(-jw, jw + 1)
+    dx, dy = grid.dx, grid.dy
+    iw, mi, mj, width = _frame(grid, radius)
+    djs = np.arange(-mj, mj + 1)
     r2 = radius * radius
-    step = max(1, _POSITION_CHUNK // len(di))
+    step = max(1, _POSITION_CHUNK // (2 * iw + 1))
     bases = np.broadcast_to(base, np.shape(xs))
     for p in range(0, len(xs), step):
         gx, gy = xs[p : p + step], ys[p : p + step]
@@ -81,28 +83,25 @@ def _stencil(
         # offset of the position from its cell center, in cell units
         fx = (gx - grid.region.xmin) / dx - ix - 0.5
         fy = (gy - grid.region.ymin) / dy - iy - 0.5
-        origin = bases[p : p + step] + iy * nx + ix
+        origin = bases[p : p + step] + iy * width + ix
+        first = int(origin.min())
+        origin -= first
         d2ys = (djs[:, None] - fy) * dy
         d2ys *= d2ys
-        # a negative index reads as a huge unsigned one
-        keeps = (d2ys <= r2) & ((iy + djs[:, None]).view(np.uint64) < ny)
-        for dj, keep, d2y in zip(djs.tolist(), keeps, d2ys):
-            if not keep.any():
+        full = (origin[:, None] + np.arange(2 * mi + 1)).ravel()
+        for dj, d2y in zip(djs.tolist(), d2ys):
+            if (near := d2y.min()) > r2:
                 continue
-            kd2y = d2y[keep]
             # columns a cell or more past the row's widest chord have weight 0
-            h = min(iw, int(np.sqrt(max(r2 - kd2y.min(), 0.0)) / dx + 1.5))
-            dr = di[iw - h : iw + h + 1]
-            # distances and keys are built in place: a chunk's arrays bound the memory
-            d = dr[None, :] - fx[keep][:, None]
+            h = min(mi, int(np.sqrt(r2 - near) / dx + 1.5))
+            # distances are built in place: a chunk's arrays bound the memory
+            d = np.arange(-h, h + 1) - fx[:, None]
             d *= dx
             d *= d
-            d += kd2y[:, None]
+            d += d2y[:, None]
             w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
-            tx = ix[keep][:, None] + dr[None, :]
-            valid = np.flatnonzero((tx.view(np.uint64) < nx) & (w > 0))
-            keys = np.add(origin[keep][:, None], (dj * nx + dr)[None, :], out=tx).ravel()
-            yield keys.take(valid), w.ravel().take(valid)
+            key = full if h == mi else (origin[:, None] + np.arange(2 * h + 1)).ravel()
+            yield first + (mj + dj) * width + mi - h, key, w.ravel()
 
 
 def path_integral_effort(
@@ -120,13 +119,13 @@ def path_integral_effort(
     if not tracks:
         return constant_raster(grid, 0.0)
     dt = common_dt((t.dt for t in tracks), "tracks")
-    acc = np.zeros(grid.ncells)
-    xs = np.concatenate([t.positions[:, 0] for t in tracks])
-    ys = np.concatenate([t.positions[:, 1] for t in tracks])
-    for flat, w in _stencil(grid, xs, ys, detection_range, mode):
-        acc += np.bincount(flat, weights=w, minlength=acc.size)
-        del flat, w  # freed before the next chunk is built
-    return Raster(grid, acc * dt)
+    _, mi, mj, width = _frame(grid, detection_range)
+    acc = np.zeros((grid.ny + 2 * mj) * width)
+    xs, ys = np.concatenate([t.positions for t in tracks]).T
+    for lo, key, w in _stencil(grid, xs, ys, detection_range, mode):
+        chunk = np.bincount(key, weights=w)
+        acc[lo : lo + chunk.size] += chunk
+    return Raster(grid, acc.reshape(-1, width)[mj : mj + grid.ny, mi : mi + grid.nx] * dt)
 
 
 def overlap_corrected_effort(
@@ -139,14 +138,9 @@ def overlap_corrected_effort(
 
     The given tracks must be step-aligned (observers of one trip). Per
     step, a cell receives 1 - prod(1 - p) over the observers covering
-    it, so simultaneous overlapping coverage is not double counted.
-
-    The steps run in blocks with one stencil pass each. Within a step,
-    log(1 - p) is summed per stencil row (observers in track order), and
-    each row's sum is added to the step's total, rows in order; the
-    steps' 1 - prod terms then enter the field in step order. That is
-    the order of a loop over single steps, so the output bytes are the
-    same as one step at a time.
+    it, so simultaneous overlapping coverage is not double counted. The
+    steps run in blocks, one stencil pass each, but in the order of a
+    loop over single steps (module docstring), so the bytes are the same.
     """
     check_positive(detection_range, "detection_range")
     lengths = np.array([len(t) for t in tracks], dtype=int)
@@ -162,35 +156,39 @@ def overlap_corrected_effort(
     xs, ys = stacked[alive].T
     step_of = np.nonzero(alive)[0]
     first = np.concatenate(([0], np.cumsum(alive.sum(axis=1))))
-    # keys cover only the grid rows that the trip's fields of view reach
-    iw, jw = _half_widths(grid, detection_range)
+    iw, mi, mj, width = _frame(grid, detection_range)
     iy = cells_xy(grid, xs, ys)[1]
-    lo_cell = max(int(iy.min()) - jw, 0) * grid.nx
-    hi_cell = min(int(iy.max()) + jw + 1, grid.ny) * grid.nx
-    span = hi_cell - lo_cell
+    # a step's keys span the frame rows the trip's fields of view reach
+    top, bottom = int(iy.min()), int(iy.max()) + 2 * mj + 1
+    span = (bottom - top) * width
+    # the grid rows among them, cropped from each step's span
+    g0, g1 = max(top - mj, 0), min(bottom - mj, grid.ny)
+    rows = slice(g0 + mj - top, g1 + mj - top)
     # a block's (step, cell) keys, and one stencil row's entries over the
     # block, fit in a chunk; so a row's chunk never ends inside a step
     # unless that step alone fills it, as it would one step at a time
     entries_per_step = len(tracks) * (2 * iw + 1)
     per_block = max(1, min(_POSITION_CHUNK // span, _POSITION_CHUNK // entries_per_step))
     scratch = np.zeros(min(per_block, n_steps) * span)
-    acc = np.zeros(grid.ncells)
+    acc = np.zeros((grid.ny, grid.nx))
     with np.errstate(divide="ignore"):
         for b0 in range(0, n_steps, per_block):
             b1 = min(b0 + per_block, n_steps)
             lo, hi = first[b0], first[b1]
             # log(1 - p) per (step, cell), summed one stencil row at a time
             block = np.zeros((b1 - b0) * span)
-            base = (step_of[lo:hi] - b0) * span - lo_cell
-            for key, w in _stencil(grid, xs[lo:hi], ys[lo:hi], detection_range, mode, base):
-                np.add.at(scratch, key, np.log1p(-w))
+            base = (step_of[lo:hi] - b0) * span - top * width
+            for k0, key, w in _stencil(grid, xs[lo:hi], ys[lo:hi], detection_range, mode, base):
+                covered = np.flatnonzero(w > 0)
+                key = key.take(covered) + k0
+                np.add.at(scratch, key, np.log1p(-w.take(covered)))
                 row_sum = scratch[key]
                 scratch[key] = 0.0
                 block[key] += row_sum
             # prod(1 - p) - 1, the step's coverage negated
             np.expm1(block, out=block)
-            for minus_cover in block.reshape(b1 - b0, span):
-                acc[lo_cell:hi_cell] -= minus_cover
+            for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:
+                acc[g0:g1] -= minus_cover
     return Raster(grid, acc * dt)
 
 

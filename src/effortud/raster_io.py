@@ -37,16 +37,20 @@ def _fmt(v: float) -> str:
 
 
 def write_raster_csv(raster: Raster, path: str | Path) -> None:
+    """Write the CSV layout, one grid row per ``%`` on a template of that row.
+
+    The bytes are those of ``csv.writer``: no field needs quoting, and
+    lines end in ``\r\n``.
+    """
     grid = raster.grid
-    xc = grid.x_centers()
-    yc = grid.y_centers()
+    template = "".join(f"{_fmt(x)},%s,{_FMT}\r\n" for x in grid.x_centers())
+    fields: list = [None] * (2 * grid.nx)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "value"])
-        for iy in range(grid.ny):
-            row = raster.values[iy]
-            for ix in range(grid.nx):
-                w.writerow([_fmt(xc[ix]), _fmt(yc[iy]), _fmt(row[ix])])
+        fh.write("x,y,value\r\n")
+        for y, row in zip(grid.y_centers(), raster.values.tolist()):
+            fields[0::2] = [_fmt(y)] * grid.nx
+            fields[1::2] = row
+            fh.write(template % tuple(fields))
 
 
 def _center_tolerance(centers: np.ndarray, width: float) -> float:

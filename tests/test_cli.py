@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, files, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effortud.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from effortud.effort import trip_grouped_effort
@@ -171,6 +175,80 @@ class TestEffort:
              str(tmp_path / "o.csv"), "--range", "5"]
         )
         assert code == EXIT_DATA
+
+
+# two trips, ragged observers, positions inside the default region [0, 100]^2
+_TRACK_ROWS = [
+    ["0", "0", "0", "12.5", "40.0"],
+    ["0", "0", "1", "14.0", "43.5"],
+    ["0", "0", "2", "17.25", "41.0"],
+    ["0", "1", "0", "80.0", "20.0"],
+    ["0", "1", "1", "78.5", "22.0"],
+    ["1", "0", "0", "50.0", "95.0"],
+    ["1", "0", "1", "49.5", "97.75"],
+]
+_COORDINATES = ["nan", "inf", "-inf", "-0.5", "100.25", "1e308", "0", "100", "0.0", "100.0"]
+_IDS = ["1.5", "x", "", "-1", "1e3", " 2", "NaN"]
+
+
+@st.composite
+def mutated_tracks_csv(draw):
+    """The seeded tracks CSV with truncated, duplicated, empty and ill-valued rows.
+
+    Coordinates may be NaN, infinite, out of the region or on its edge;
+    ids may be non-integers; an extra column, an extra field on one row
+    or an empty file may appear.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return ""
+    header = ["trip", "observer", "step", "x", "y"]
+    rows = [list(r) for r in _TRACK_ROWS]
+    if draw(st.booleans()):
+        header.append("note")
+        rows = [r + ["7"] for r in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["truncate", "duplicate", "empty", "coordinate", "id", "extra"]))
+        col = draw(st.sampled_from([3, 4])) if op == "coordinate" else draw(st.integers(0, 2))
+        if op == "truncate":
+            rows[i] = rows[i][: draw(st.integers(0, 4))]
+        elif op == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif op == "empty":
+            rows.insert(i, [])
+        elif op == "extra":
+            rows[i].append("9")
+        elif col < len(rows[i]):
+            rows[i][col] = draw(st.sampled_from(_COORDINATES if op == "coordinate" else _IDS))
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(text=mutated_tracks_csv(), mode=st.sampled_from(["detection", "indicator"]))
+def test_effort_on_mutated_tracks_exits_cleanly(tmp_path_factory, text, mode):
+    # every malformed tracks file is refused with an exit code, never a
+    # traceback; what is accepted gives the library's effort raster
+    root = tmp_path_factory.mktemp("effort-tracks")
+    tracks = root / "tracks.csv"
+    tracks.write_text(text)
+    grid = build_grid(StudyRegion(0, 100, 0, 100), 10, 10)
+    for overlap in (False, True):
+        out = root / f"effort-{overlap}.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(
+                ["effort", "--tracks", str(tracks), "--out", str(out), "--range", "15",
+                 "--mode", mode, "--nx", "10", "--ny", "10"] + (["--overlap"] if overlap else [])
+            )
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_OK:
+            assert not out.exists()
+            continue
+        want = trip_grouped_effort(
+            read_tracks_csv(tracks, dt=1.0), grid, 15.0, mode=mode, overlap=overlap
+        )
+        assert read_raster_csv(out).values.tobytes() == want.values.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from effortud import effort
 from effortud.effort import (
-    _stencil,
     overlap_corrected_effort,
     path_integral_effort,
     trip_grouped_effort,
 )
+from effortud.encounters import detection_kernel
 from effortud.errors import OutOfDomainError
-from effortud.geometry import StudyRegion, build_grid
+from effortud.geometry import StudyRegion, build_grid, cells_xy
 from effortud.movement import Trajectory
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
@@ -99,6 +99,58 @@ def _decided_cells(tracks, grid, radius, mode):
     return ~rim
 
 
+def compacting_stencil(grid, xs, ys, radius, mode, base=0):
+    """The stencil before the padded frame: compacted ``(flat cell + base, weight)`` chunks.
+
+    Positions run in groups of ``effort._POSITION_CHUNK // (2 iw + 1)``; a
+    group yields one chunk per stencil row that one of its positions
+    reaches on the grid, keeping only the in-grid entries of positive
+    weight, in position then column order. The reference summation order.
+    """
+    kernel = {"indicator": "uniform", "detection": "linear-decay"}[mode]
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    iw, jw = int(np.floor(radius / dx + 0.5)), int(np.floor(radius / dy + 0.5))
+    di = np.arange(-iw, iw + 1)
+    djs = np.arange(-jw, jw + 1)
+    r2 = radius * radius
+    step = max(1, effort._POSITION_CHUNK // len(di))
+    bases = np.broadcast_to(base, np.shape(xs))
+    for p in range(0, len(xs), step):
+        gx, gy = xs[p : p + step], ys[p : p + step]
+        ix, iy = cells_xy(grid, gx, gy)
+        fx = (gx - grid.region.xmin) / dx - ix - 0.5
+        fy = (gy - grid.region.ymin) / dy - iy - 0.5
+        origin = bases[p : p + step] + iy * nx + ix
+        d2ys = (djs[:, None] - fy) * dy
+        d2ys *= d2ys
+        keeps = (d2ys <= r2) & ((iy + djs[:, None]).view(np.uint64) < ny)
+        for dj, keep, d2y in zip(djs.tolist(), keeps, d2ys):
+            if not keep.any():
+                continue
+            kd2y = d2y[keep]
+            h = min(iw, int(np.sqrt(max(r2 - kd2y.min(), 0.0)) / dx + 1.5))
+            dr = di[iw - h : iw + h + 1]
+            d = dr[None, :] - fx[keep][:, None]
+            d *= dx
+            d *= d
+            d += kd2y[:, None]
+            w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
+            tx = ix[keep][:, None] + dr[None, :]
+            valid = np.flatnonzero((tx.view(np.uint64) < nx) & (w > 0))
+            keys = np.add(origin[keep][:, None], (dj * nx + dr)[None, :], out=tx).ravel()
+            yield keys.take(valid), w.ravel().take(valid)
+
+
+def compacting_path_integral(tracks, grid, radius, mode):
+    """Summed effort as one full-grid ``bincount`` per compacted chunk: the reference order."""
+    acc = np.zeros(grid.ncells)
+    xs = np.concatenate([t.positions[:, 0] for t in tracks])
+    ys = np.concatenate([t.positions[:, 1] for t in tracks])
+    for flat, w in compacting_stencil(grid, xs, ys, radius, mode):
+        acc += np.bincount(flat, weights=w, minlength=acc.size)
+    return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
+
+
 def per_step_overlap(tracks, grid, radius, mode):
     """The overlap correction one synchronized step at a time: the reference summation order."""
     n_steps = max(len(t) for t in tracks)
@@ -108,13 +160,34 @@ def per_step_overlap(tracks, grid, radius, mode):
         ys = np.array([t.positions[s, 1] for t in tracks if len(t) > s])
         # log(1 - p) per cell, summed over the observers covering it
         step_acc = np.zeros(grid.ncells)
-        for flat, w in _stencil(grid, xs, ys, radius, mode):
+        for flat, w in compacting_stencil(grid, xs, ys, radius, mode):
             with np.errstate(divide="ignore"):
                 logmiss = np.log1p(-w)
             step_acc += np.bincount(flat, weights=logmiss, minlength=step_acc.size)
         touched = np.nonzero(step_acc)[0]
         acc[touched] += -np.expm1(step_acc[touched])
     return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
+
+
+@st.composite
+def ragged_track_sets(draw):
+    """Ragged tracks on a small grid, with positions on cell edges and region corners.
+
+    Radii up to 15 cells make stencils far wider than the grid, whose
+    margins the frame caps; a smaller chunk size splits the positions into
+    more groups, sized by the full stencil width.
+    """
+    g, radius = draw(small_grids())
+    radius *= draw(st.sampled_from([1.0, 5.0]))
+    r = g.region
+    corner = st.sampled_from([(x, y) for x in (r.xmin, r.xmax) for y in (r.ymin, r.ymax)])
+    inside = st.tuples(_coordinate(r.xmin, r.xmax, g.nx), _coordinate(r.ymin, r.ymax, g.ny))
+    dt = draw(st.sampled_from([1.0, 0.25]))
+    points = st.lists(st.one_of(corner, inside), min_size=1, max_size=12)
+    tracks = [Trajectory(positions=draw(points), dt=dt) for _ in range(draw(st.integers(1, 4)))]
+    mode = draw(st.sampled_from(["indicator", "detection"]))
+    chunk = draw(st.sampled_from([effort._POSITION_CHUNK, 1000, 64]))
+    return g, tracks, radius, mode, chunk
 
 
 @st.composite
@@ -287,6 +360,40 @@ def test_overlap_bytes_match_the_per_step_loop(case):
         got = overlap_corrected_effort(tracks, g, radius, mode=mode).values
         want = per_step_overlap(tracks, g, radius, mode)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_track_sets())
+def test_path_integral_bytes_match_the_compacting_loop(case):
+    # zero weights and entries on the padded frame's margins add nothing:
+    # every byte equals the compacting stencil's full-grid bincount
+    g, tracks, radius, mode, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(effort, "_POSITION_CHUNK", chunk)
+        got = path_integral_effort(tracks, g, radius, mode=mode).values
+        want = compacting_path_integral(tracks, g, radius, mode)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["indicator", "detection"])
+def test_range_far_wider_than_the_grid(mode):
+    # a range of 500 cells over a 3 x 2 grid: the frame's margins stop at
+    # the grid's own size, so the frame holds at most 9 grids
+    g = build_grid(StudyRegion(0.0, 3.0, 0.0, 2.0), 3, 2)
+    radius = 500.0
+    _, mi, mj, width = effort._frame(g, radius)
+    assert (mi, mj) == (2, 1)
+    assert width * (g.ny + 2 * mj) <= 9 * g.ncells
+    rng = np.random.default_rng(41)
+    corners = [[0.0, 0.0], [3.0, 2.0]]
+    tracks = [
+        Trajectory(positions=np.vstack([corners, rng.uniform((0, 0), (3, 2), (n, 2))]), dt=1.0)
+        for n in (6, 2, 4)
+    ]
+    fast = path_integral_effort(tracks, g, radius, mode=mode).values
+    assert np.allclose(fast, brute_force_effort(tracks, g, radius, mode), rtol=1e-12, atol=0.0)
+    fast = overlap_corrected_effort(tracks, g, radius, mode=mode).values
+    assert np.allclose(fast, brute_force_overlap(tracks, g, radius, mode), rtol=1e-12, atol=0.0)
 
 
 def test_overlap_bytes_when_chunks_end_inside_a_step(monkeypatch):

@@ -1,5 +1,7 @@
 """Grid construction, point-to-cell mapping, and raster file formats."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,33 @@ class TestRasterFromFunction:
         assert r.values[1, 3] == pytest.approx(3.5 + 10 * 1.5)
 
 
+def csv_writer_reference(raster, path):
+    """The raster CSV as ``csv.writer`` writes it, one call per cell."""
+    grid = raster.grid
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "value"])
+        for iy, y in enumerate(grid.y_centers()):
+            for ix, x in enumerate(grid.x_centers()):
+                w.writerow(["%.17g" % x, "%.17g" % y, "%.17g" % raster.values[iy, ix]])
+
+
 class TestRasterFiles:
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (6, 1), (5, 4)])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, nx, ny):
+        g = build_grid(StudyRegion(-2.5, 7.25, 1e5, 1e5 + 3.0), nx, ny)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, -1.5e300, 1.0 / 3.0]
+        rng = np.random.default_rng(nx * 10 + ny)
+        for k in range(len(special)):
+            # every special value lands in some cell, also on a 1 x 1 grid
+            values = rng.normal(size=(ny, nx)) * 1e3
+            n = min(g.ncells, len(special))
+            values.flat[:n] = np.roll(special, -k)[:n]
+            raster = Raster(g, values)
+            write_raster_csv(raster, tmp_path / "got.csv")
+            csv_writer_reference(raster, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def _random_raster(self):
         g = build_grid(StudyRegion(-2.0, 6.0, 1.0, 9.0), 8, 8)
         rng = np.random.default_rng(12)
