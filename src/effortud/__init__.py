@@ -28,7 +28,6 @@ from .encounters import (
     TripRecord,
     detection_prob,
     run_study,
-    run_trip,
 )
 from .errors import (
     ConfigError,

@@ -6,8 +6,9 @@ tracks CSV into a search-effort raster, `fit`/`predict`/`exceed` run
 single-model inference from files, and `experiment` executes the full
 replicated comparison and writes metrics JSON plus a summary table.
 
-Exit codes: 0 success, 2 config error, 3 data error (missing or
-inconsistent inputs), 4 numerical failure.
+Exit codes: 0 success, 2 config error (including a size too large to
+allocate), 3 data error (missing or inconsistent inputs), 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "encounters": enc_name,
                 "tracks": trk_name,
                 "n_encounters": len(ds.encounters()),
+                "n_truncated": ds.n_truncated,
             }
         )
     manifest = {
@@ -284,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -21,9 +21,17 @@ import numpy as np
 
 from .errors import check_positive
 from .geometry import Point, StudyRegion
-from .movement import MovementSpec, Trajectory, common_dt, sample_initial, step_positions
+from .movement import (
+    MovementSpec,
+    Potential,
+    Trajectory,
+    common_dt,
+    sample_initial,
+    step_positions,
+)
 
 DETECTION_MODES = ("linear-decay", "uniform")
+BLOCK_STEPS = 16  # steps of random draws a trip takes from its generator at a time
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,11 @@ class EncounterDataset:
     def n_trips(self) -> int:
         return len(self.trips)
 
+    @property
+    def n_truncated(self) -> int:
+        """Trips that ran all ``max_steps`` steps without an encounter."""
+        return sum(t.encounter is None for t in self.trips)
+
     def encounters(self) -> list[tuple[int, Encounter]]:
         return [(t.trip, t.encounter) for t in self.trips if t.encounter is not None]
 
@@ -103,72 +116,6 @@ def detection_prob(distance, detection_range: float, mode: str = "linear-decay")
     return float(p) if np.isscalar(distance) else p
 
 
-def run_trip(
-    animal: MovementSpec,
-    observers: list[ObserverSpec],
-    region: StudyRegion,
-    max_steps: int,
-    rng: np.random.Generator,
-    trip: int = 0,
-    mark: str | None = None,
-) -> TripRecord:
-    """Simulate one trip; see the module docstring for the step rules."""
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    if not observers:
-        raise ValueError("at least one observer is required")
-    dt = common_dt([animal.dt] + [o.movement.dt for o in observers], "animal and observers")
-
-    animal_pos = np.array([sample_initial(animal.potential, region, rng)], dtype=float)
-    obs_pos = np.array(
-        [sample_initial(o.movement.potential, region, rng) for o in observers], dtype=float
-    )
-
-    # mobile observers sharing a movement spec step together, in first-appearance order
-    groups: dict[MovementSpec, list[int]] = {}
-    for i, o in enumerate(observers):
-        if o.kind == "mobile":
-            groups.setdefault(o.movement, []).append(i)
-    mobile_groups = [(spec, np.array(members)) for spec, members in groups.items()]
-
-    ranges = np.array([o.detection_range for o in observers])
-    linear = np.array([o.detection_mode == "linear-decay" for o in observers])
-
-    history = [obs_pos.copy()]
-    encounter: Encounter | None = None
-    for t in range(1, max_steps + 1):
-        animal_pos = step_positions(animal, animal_pos, region, rng.standard_normal((1, 2)))
-        for spec, members in mobile_groups:
-            obs_pos[members] = step_positions(
-                spec, obs_pos[members], region, rng.standard_normal((len(members), 2))
-            )
-        history.append(obs_pos.copy())
-
-        d = np.hypot(obs_pos[:, 0] - animal_pos[0, 0], obs_pos[:, 1] - animal_pos[0, 1])
-        p = np.where(
-            linear,
-            detection_kernel(d, ranges, "linear-decay"),
-            detection_kernel(d, ranges, "uniform"),
-        )
-        hits = rng.random(len(observers)) < p
-        if np.any(hits):
-            first = int(np.argmax(hits))
-            encounter = Encounter(
-                point=Point(float(animal_pos[0, 0]), float(animal_pos[0, 1])),
-                step=t,
-                observer=first,
-                mark=mark,
-            )
-            break
-
-    arr = np.asarray(history)  # (steps+1, n_obs, 2)
-    tracks = [
-        Trajectory(positions=arr[:, j, :].copy(), dt=dt)
-        for j in range(len(observers))
-    ]
-    return TripRecord(trip=trip, tracks=tracks, encounter=encounter)
-
-
 def run_study(
     animal: MovementSpec,
     observers: list[ObserverSpec],
@@ -178,18 +125,109 @@ def run_study(
     seed: int,
     mark: str | None = None,
 ) -> EncounterDataset:
-    """Simulate ``n_trips`` independent trips.
+    """Simulate ``n_trips`` independent trips, all advanced together.
 
-    Each trip runs on its own generator stream seeded from
-    ``[seed, trip_index]``, so studies are reproducible and trips could
-    be simulated in any order or in parallel without changing output.
+    The trips step in lockstep as one (n_trips, 1, 2) animal array and
+    one (n_trips, n_observers, 2) observer array; a trip drops out after
+    its encounter or at ``max_steps``. Trip ``k`` draws only from its own
+    generator, ``default_rng([seed, k])``, in this order:
+
+    1. the starts: the animal's (``sample_initial`` with n=1), then one
+       ``sample_initial`` call per observer potential, in order of first
+       appearance in ``observers``, for all observers sharing it;
+    2. then, per block of ``BLOCK_STEPS`` steps (fewer in a last block cut
+       by ``max_steps``), ``standard_normal((b, 1 + n_mobile, 2))`` step
+       noise (per step the animal's, then each mobile observer's in
+       observer order) followed by ``random((b, n_observers))`` detection
+       uniforms. A trip that ends inside a block leaves the rest unused,
+       and draws no further block.
+
+    A trip's record therefore depends on ``seed`` and ``k`` alone, not on
+    ``n_trips``, the trip order or the worker count.
     """
     if n_trips < 1:
         raise ValueError(f"n_trips must be positive, got {n_trips}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    if not observers:
+        raise ValueError("at least one observer is required")
+    dt = common_dt([animal.dt] + [o.movement.dt for o in observers], "animal and observers")
+    n_obs = len(observers)
+
+    starts: dict[Potential, list[int]] = {}
+    moves: dict[MovementSpec, list[int]] = {}
+    for i, o in enumerate(observers):
+        starts.setdefault(o.movement.potential, []).append(i)
+        if o.kind == "mobile":
+            moves.setdefault(o.movement, []).append(i)
+    # noise column of each observer: column 0 is the animal's, then the mobile observers'
+    col = np.cumsum([o.kind == "mobile" for o in observers])
+    groups = [(spec, np.array(members), col[members]) for spec, members in moves.items()]
+    ranges = np.array([o.detection_range for o in observers])
+    linear = np.array([o.detection_mode == "linear-decay" for o in observers])
+
+    rngs = [np.random.default_rng([seed, k]) for k in range(n_trips)]
+    apos = np.empty((n_trips, 1, 2))
+    opos = np.empty((n_trips, n_obs, 2))
+    for k, rng in enumerate(rngs):
+        apos[k] = sample_initial(animal.potential, region, rng, n=1)
+        for potential, members in starts.items():
+            opos[k, members] = sample_initial(potential, region, rng, n=len(members))
+
+    # each trip's observer tracks, observer-major: (n_obs, steps, 2) pieces
+    chunks: list[list[np.ndarray]] = [[opos[k, :, None].copy()] for k in range(n_trips)]
+    encounters: list[Encounter | None] = [None] * n_trips
+    live = np.arange(n_trips)  # trip ids of the rows of apos and opos
+    t0 = 0
+    while live.size and t0 < max_steps:
+        b = min(BLOCK_STEPS, max_steps - t0)
+        block_ids = live
+        noise = np.empty((live.size, b, 1 + col[-1], 2))
+        uniforms = np.empty((live.size, b, n_obs))
+        for r, k in enumerate(live):
+            rngs[k].standard_normal(out=noise[r])
+            rngs[k].random(out=uniforms[r])
+        hist = np.empty((live.size, n_obs, b, 2))
+        ends = np.full(live.size, b)  # steps of this block each row keeps
+        rows = np.arange(live.size)  # block rows of the trips still live
+        for s in range(b):
+            z = noise[rows, s]
+            apos = step_positions(animal, apos, region, z[:, :1])
+            for spec, members, cols in groups:
+                opos[:, members] = step_positions(spec, opos[:, members], region, z[:, cols])
+            hist[rows, :, s] = opos
+
+            d = np.hypot(opos[..., 0] - apos[..., 0], opos[..., 1] - apos[..., 1])
+            p = np.where(
+                linear,
+                detection_kernel(d, ranges, "linear-decay"),
+                detection_kernel(d, ranges, "uniform"),
+            )
+            hits = uniforms[rows, s] < p
+            done = hits.any(axis=1)
+            if not done.any():
+                continue
+            for r in np.flatnonzero(done):
+                x, y = apos[r, 0]
+                encounters[live[r]] = Encounter(
+                    point=Point(float(x), float(y)),
+                    step=t0 + s + 1,
+                    observer=int(np.argmax(hits[r])),
+                    mark=mark,
+                )
+            ends[rows[done]] = s + 1
+            keep = ~done
+            live, rows, apos, opos = live[keep], rows[keep], apos[keep], opos[keep]
+        for k, h, e in zip(block_ids, hist, ends):
+            chunks[k].append(h[:, :e].copy())  # a copy, so the block's arrays are freed
+        t0 += b
+
     trips = []
     for k in range(n_trips):
-        rng = np.random.default_rng([seed, k])
-        trips.append(run_trip(animal, observers, region, max_steps, rng, trip=k, mark=mark))
+        arr = np.concatenate(chunks[k], axis=1)
+        chunks[k] = []  # free the pieces trip by trip: peak memory stays near the output's
+        tracks = [Trajectory(positions=arr[j], dt=dt) for j in range(n_obs)]
+        trips.append(TripRecord(trip=k, tracks=tracks, encounter=encounters[k]))
     return EncounterDataset(trips=trips)
 
 

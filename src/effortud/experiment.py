@@ -242,6 +242,7 @@ def run_replicate(cfg: ExperimentConfig, replicate: int) -> dict[str, Any]:
         "setting": cfg.label,
         "seed": cfg.replicate_seed(replicate),
         "n_encounters": int(len(pts)),
+        "n_truncated": dataset.n_truncated,
     }
 
     qd = QuadraticDesign(grid)

@@ -302,6 +302,7 @@ class _Design:
                     f"{int(bad.sum())} cells are occupied but have zero effort/weight"
                 )
             self.O_act = data.presence[active]
+            self.has_events = bool(self.O_act.any())
             return
         if data.kind == "points":
             pts = data.points
@@ -335,6 +336,7 @@ class _Design:
         # only the active cells holding points or counts, so memory follows the data
         self.nz = np.flatnonzero(N)
         self.N_nz = N[self.nz].astype(float)
+        self.has_events = bool(self.nz.size)
 
     def loglik_grad(self, theta: np.ndarray):
         """Log likelihood, gradient and observed information at theta.
@@ -494,9 +496,13 @@ def fit_joint(
     gradient max-norm falls below ``gtol`` or after ``maxiter`` steps. The
     coefficient covariance is the inverse observed information at the
     estimate. A start where the likelihood is not finite is returned
-    unfitted, with a NaN gradient norm and no covariance.
+    unfitted, with a NaN gradient norm and no covariance. Data with no
+    point, count or presence in any component have no maximum likelihood
+    estimate and raise DataInconsistencyError.
     """
     names, maps, designs = _joint_designs(components)
+    if not any(d.has_events for d in designs):
+        raise DataInconsistencyError("the data hold no events, so the fit has no maximum")
     p = len(names)
     theta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
     if theta.shape != (p,):

@@ -22,6 +22,7 @@ from .errors import DegenerateSpecError, check_positive
 from .geometry import Grid, Point, Raster, StudyRegion
 
 _REJECTION_CAP = 10**6
+_MAX_CHUNK = 1 << 16  # proposals in one rejection round
 
 
 @dataclass(frozen=True)
@@ -195,53 +196,65 @@ def simulate_trajectory(
 
 
 def _rejection_sample(
-    propose: Callable[[int], np.ndarray], region: StudyRegion, cap: int
-) -> Point:
-    """The first proposed (n, 2) row inside ``region``, proposing 4096 at a time."""
-    attempts = 0
-    chunk = 4096
-    while attempts < cap:
-        n = min(chunk, cap - attempts)
-        cand = propose(n)
-        ok = region.contains(cand[:, 0], cand[:, 1])
-        if np.any(ok):
-            x, y = cand[np.argmax(ok)]
-            return Point(float(x), float(y))
-        attempts += n
-    raise DegenerateSpecError(f"rejection sampling failed after {cap} attempts")
+    propose: Callable[[int], np.ndarray], region: StudyRegion, n: int, cap: int
+) -> np.ndarray:
+    """The first ``n`` proposed (m, 2) rows inside ``region``, as an (n, 2) array.
+
+    Each round proposes what is still needed divided by the call's
+    acceptance rate so far (add-one smoothed), at most ``_MAX_CHUNK`` and
+    never past ``cap`` proposals in all. The accepted rows, taken in
+    proposal order, are independent draws from the truncated density
+    whatever the round sizes.
+    """
+    out = np.empty((n, 2))
+    got = attempts = 0
+    while got < n:
+        if attempts >= cap:
+            raise DegenerateSpecError(f"rejection sampling failed after {cap} attempts")
+        need = n - got
+        m = min(-(-need * (attempts + 1) // (got + 1)), _MAX_CHUNK, cap - attempts)
+        cand = propose(m)
+        ok = cand[region.contains(cand[:, 0], cand[:, 1])][:need]
+        out[got : got + len(ok)] = ok
+        got += len(ok)
+        attempts += m
+    return out
 
 
 def sample_initial(
     potential: Potential,
     region: StudyRegion,
     rng: np.random.Generator,
+    n: int = 1,
     cap: int = _REJECTION_CAP,
-) -> Point:
-    """Draw one point from the potential density truncated to the region.
+) -> np.ndarray:
+    """Draw ``n`` points from the potential density truncated to the region.
 
-    Each built-in potential is sampled exactly, by rejection from its own
-    proposal. A custom potential has no proposal and is rejected with
-    ValueError, as in ``analytic_ud``.
+    Returns an (n, 2) array. Each built-in potential is sampled exactly,
+    by rejection from its own proposal; one call proposes at most ``cap``
+    points and raises DegenerateSpecError when that is not enough. A
+    custom potential has no proposal and is rejected with ValueError, as
+    in ``analytic_ud``.
     """
     if isinstance(potential, BivariateNormalPotential):
         sd = np.sqrt(potential.variance)
         cx, cy = potential.center
 
-        def propose(n: int) -> np.ndarray:
-            return rng.normal((cx, cy), sd, size=(n, 2))
+        def propose(m: int) -> np.ndarray:
+            return rng.normal((cx, cy), sd, size=(m, 2))
 
-        return _rejection_sample(propose, region, cap)
+        return _rejection_sample(propose, region, n, cap)
 
     if isinstance(potential, HalfNormalYPotential):
         sd = np.sqrt(potential.variance)
 
-        def propose(n: int) -> np.ndarray:
-            xs = rng.uniform(region.xmin, region.xmax, size=n)
-            ys = rng.normal(potential.center_y, sd, size=n)
-            return np.array((xs, ys)).T  # (n, 2) with contiguous columns for the region test
+        def propose(m: int) -> np.ndarray:
+            xs = rng.uniform(region.xmin, region.xmax, size=m)
+            ys = rng.normal(potential.center_y, sd, size=m)
+            return np.array((xs, ys)).T  # (m, 2) with contiguous columns for the region test
 
         # x is drawn inside the region, so only y can fall outside
-        return _rejection_sample(propose, region, cap)
+        return _rejection_sample(propose, region, n, cap)
 
     raise ValueError("sample_initial requires a built-in potential kind")
 

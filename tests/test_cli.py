@@ -80,6 +80,22 @@ class TestSimulate:
         bad.write_text("{broken")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    def test_manifest_counts_truncated_trips(self, sim):
+        max_steps = CONFIG["study"]["max_steps"]
+        for entry in sim["manifest"]["replicates"]:
+            tracks = read_tracks_csv(sim["out"] / entry["tracks"])
+            full = sum(len(obs[0]) == max_steps + 1 for obs in tracks.values())
+            assert entry["n_truncated"] == full == CONFIG["study"]["n_trips"] - entry["n_encounters"]
+
+    def test_animal_outside_region_exit_4(self, tmp_path, capsys):
+        # every start proposal falls outside the region, so sampling gives up
+        cfg = tmp_path / "config.json"
+        far = {**CONFIG["animal"], "center": [1e4, 1e4], "potential_variance": 1.0}
+        cfg.write_text(json.dumps({**CONFIG, "animal": far}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "rejection sampling failed" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
 @pytest.mark.parametrize(
@@ -175,6 +191,20 @@ class TestEffort:
              str(tmp_path / "o.csv"), "--range", "5"]
         )
         assert code == EXIT_DATA
+
+    def test_allocation_failure_exit_2(self, sim, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+        monkeypatch.setattr("effortud.cli.trip_grouped_effort", no_memory)
+        out = tmp_path / "e.csv"
+        code = main(["effort", "--tracks", str(sim["out"] / "tracks_r000.csv"),
+                     "--out", str(out), "--range", "5"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: not enough memory: Unable to allocate 74.5 GiB for an array " \
+            "with shape (10000000000,)\n"
+        assert not out.exists()
 
 
 # two trips, ragged observers, positions inside the default region [0, 100]^2
@@ -288,6 +318,17 @@ class TestFit:
              str(tmp_path / "gone.csv"), "--out", str(tmp_path / "f.json")]
         )
         assert code == EXIT_DATA
+
+    def test_no_encounters_exit_3(self, homog_fit, tmp_path, capsys):
+        # with no events the likelihood has no maximum: refuse, do not report "converged"
+        enc = tmp_path / "enc.csv"
+        enc.write_text("trip,step,x,y,mark,observer\n")
+        out = tmp_path / "f.json"
+        code = main(["fit", "--model", str(homog_fit["model"]), "--encounters", str(enc),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "no events" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quadratic_with_effort_offset_pipeline(self, sim, tmp_path):
         """simulate -> effort -> fit with the offset, end to end."""

@@ -2,22 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effortud.encounters import (
+    BLOCK_STEPS,
+    Encounter,
     ObserverSpec,
+    TripRecord,
     detection_prob,
     read_encounters_csv,
     read_tracks_csv,
     run_study,
-    run_trip,
     write_encounters_csv,
     write_tracks_csv,
 )
-from effortud.geometry import StudyRegion
+from effortud.geometry import Point, StudyRegion
 from effortud.movement import (
     BivariateNormalPotential,
     HalfNormalYPotential,
     MovementSpec,
+    Trajectory,
+    sample_initial,
+    step_positions,
 )
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
@@ -61,57 +68,53 @@ class TestDetectionProb:
             detection_prob(1.0, 10.0, "gaussian")
 
 
+def one_trip(observers, max_steps, seed):
+    """The one trip of a one-trip study."""
+    return run_study(animal_spec(), observers, REGION, 1, max_steps, seed=seed).trips[0]
+
+
 class TestRunTrip:
+    """The rules of one trip, run through ``run_study``."""
+
     def test_zero_observers_rejected(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            run_trip(animal_spec(), [], REGION, 10, rng)
+            run_study(animal_spec(), [], REGION, 1, 10, seed=0)
 
     def test_region_covering_uniform_detects_at_step_one(self):
         # range exceeds the region diagonal, so detection is certain
         obs = ObserverSpec("static", observer_movement(), 200.0, "uniform")
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            rec = run_trip(animal_spec(), [obs], REGION, 500, rng)
+        ds = run_study(animal_spec(), [obs], REGION, 10, 500, seed=4)
+        for rec in ds.trips:
             assert rec.encounter is not None
             assert rec.encounter.step == 1
 
     def test_encounter_geometry(self):
         obs = [mobile_observer(), mobile_observer()]
-        rng = np.random.default_rng(8)
-        found = 0
-        for trip in range(40):
-            rec = run_trip(animal_spec(), obs, REGION, 500, rng, trip=trip)
-            if rec.encounter is None:
-                continue
-            found += 1
-            e = rec.encounter
-            opos = rec.tracks[e.observer].positions[e.step]
+        ds = run_study(animal_spec(), obs, REGION, 40, 500, seed=8)
+        for trip, e in ds.encounters():
+            opos = ds.trips[trip].tracks[e.observer].positions[e.step]
             dist = np.hypot(opos[0] - e.point.x, opos[1] - e.point.y)
             assert dist <= obs[e.observer].detection_range + 1e-9
-        assert found > 0
+        assert ds.encounters()
 
     def test_tracks_truncated_at_encounter(self):
-        obs = [mobile_observer()]
-        rng = np.random.default_rng(15)
-        rec = None
-        while rec is None or rec.encounter is None:
-            rec = run_trip(animal_spec(), obs, REGION, 500, rng)
-        # per-step positions 0..encounter step inclusive
-        assert len(rec.tracks[0]) == rec.encounter.step + 1
+        ds = run_study(animal_spec(), [mobile_observer()], REGION, 40, 500, seed=15)
+        assert ds.encounters()
+        for rec in ds.trips:
+            # per-step positions 0..encounter step inclusive, or all max_steps + 1
+            steps = rec.encounter.step if rec.encounter else 500
+            assert len(rec.tracks[0]) == steps + 1
 
     def test_no_encounter_full_tracks(self):
         # zero-probability detection: range tiny, animal far away is typical
         obs = ObserverSpec("static", observer_movement(), 1e-6, "uniform")
-        rng = np.random.default_rng(2)
-        rec = run_trip(animal_spec(), [obs], REGION, 50, rng)
+        rec = one_trip([obs], 50, seed=2)
         assert rec.encounter is None
         assert len(rec.tracks[0]) == 51
 
     def test_static_observer_does_not_move(self):
         obs = ObserverSpec("static", observer_movement(), 1e-6, "uniform")
-        rng = np.random.default_rng(3)
-        rec = run_trip(animal_spec(), [obs], REGION, 30, rng)
+        rec = one_trip([obs], 30, seed=3)
         assert np.all(rec.tracks[0].positions == rec.tracks[0].positions[0])
 
     def test_high_bias_encounters_skew_north(self):
@@ -152,6 +155,122 @@ class TestRunStudy:
         obs = ObserverSpec("static", observer_movement(), 200.0, "uniform")
         ds = run_study(animal_spec(), [obs], REGION, 3, 5, seed=0, mark="podA")
         assert all(e.mark == "podA" for _, e in ds.encounters())
+
+
+def reference_trip(animal, observers, max_steps, seed, trip, mark=None):
+    """One trip simulated on its own, reading ``run_study``'s documented stream layout.
+
+    Every observer steps alone, so the grouping by movement spec and the
+    lockstep masking of ``run_study`` are not reused here.
+    """
+    rng = np.random.default_rng([seed, trip])
+    apos = sample_initial(animal.potential, REGION, rng, n=1)
+    opos = np.empty((len(observers), 2))
+    firsts = []
+    for o in observers:
+        if o.movement.potential not in firsts:
+            firsts.append(o.movement.potential)
+    for pot in firsts:
+        members = [i for i, o in enumerate(observers) if o.movement.potential == pot]
+        opos[members] = sample_initial(pot, REGION, rng, n=len(members))
+    mobile = [i for i, o in enumerate(observers) if o.kind == "mobile"]
+
+    history = [opos.copy()]
+    encounter = None
+    t = 0
+    while encounter is None and t < max_steps:
+        b = min(BLOCK_STEPS, max_steps - t)
+        noise = rng.standard_normal((b, 1 + len(mobile), 2))
+        uniforms = rng.random((b, len(observers)))
+        for s in range(b):
+            t += 1
+            apos = step_positions(animal, apos, REGION, noise[s, :1])
+            for c, i in enumerate(mobile):
+                opos[i] = step_positions(
+                    observers[i].movement, opos[i : i + 1], REGION, noise[s, 1 + c : 2 + c]
+                )[0]
+            history.append(opos.copy())
+            for i, o in enumerate(observers):
+                d = np.hypot(opos[i, 0] - apos[0, 0], opos[i, 1] - apos[0, 1])
+                if uniforms[s, i] < detection_prob(d, o.detection_range, o.detection_mode):
+                    x, y = apos[0]
+                    encounter = Encounter(Point(float(x), float(y)), t, i, mark)
+                    break
+            if encounter is not None:
+                break
+    arr = np.asarray(history)
+    tracks = [Trajectory(arr[:, j].copy(), animal.dt) for j in range(len(observers))]
+    return TripRecord(trip=trip, tracks=tracks, encounter=encounter)
+
+
+def assert_same_record(a: TripRecord, b: TripRecord) -> None:
+    assert a.trip == b.trip
+    assert a.encounter == b.encounter
+    assert len(a.tracks) == len(b.tracks)
+    for ta, tb in zip(a.tracks, b.tracks):
+        assert ta.dt == tb.dt
+        assert ta.positions.tobytes() == tb.positions.tobytes()
+
+
+def fast_animal():
+    return MovementSpec(BivariateNormalPotential((50.0, 60.0), 400.0), 50.0)
+
+
+def static_observer(detection_range=10.0, mode="linear-decay"):
+    return ObserverSpec("static", observer_movement(), detection_range, mode)
+
+
+class TestLockstep:
+    """``run_study`` against trips simulated one at a time."""
+
+    def check(self, observers, n_trips, max_steps, seed, animal=None, mark=None):
+        animal = animal or animal_spec()
+        ds = run_study(animal, observers, REGION, n_trips, max_steps, seed=seed, mark=mark)
+        for rec in ds.trips:
+            assert_same_record(rec, reference_trip(animal, observers, max_steps, seed, rec.trip, mark))
+        return ds
+
+    def test_encounters_in_first_and_later_blocks(self):
+        obs = [mobile_observer(15.0) for _ in range(4)]
+        ds = self.check(obs, 30, 200, seed=5, animal=fast_animal(), mark="m")
+        steps = [e.step for _, e in ds.encounters()]
+        assert min(steps) <= BLOCK_STEPS < max(steps)
+
+    def test_truncated_trips(self):
+        # the last block is cut short by max_steps and holds an encounter
+        obs = [mobile_observer(8.0), mobile_observer(8.0)]
+        ds = self.check(obs, 12, 2 * BLOCK_STEPS + 5, seed=1, animal=fast_animal())
+        assert 0 < ds.n_truncated < ds.n_trips
+        assert max(e.step for _, e in ds.encounters()) > 2 * BLOCK_STEPS
+        for rec in ds.trips:
+            if rec.encounter is None:
+                assert len(rec.tracks[0]) == 2 * BLOCK_STEPS + 6
+
+    def test_mixed_static_and_mobile(self):
+        obs = [static_observer(8.0), mobile_observer(), static_observer(12.0, "uniform"),
+               mobile_observer(6.0, "uniform")]
+        ds = self.check(obs, 20, 60, seed=11)
+        assert ds.encounters() and ds.n_truncated
+
+    def test_two_mobile_movement_groups(self):
+        slow = observer_movement()
+        quick = MovementSpec(BivariateNormalPotential((30.0, 70.0), 300.0), 9.0)
+        obs = [ObserverSpec("mobile", quick, 10.0), ObserverSpec("mobile", slow, 10.0),
+               ObserverSpec("static", slow, 5.0), ObserverSpec("mobile", quick, 10.0)]
+        self.check(obs, 20, 70, seed=23)
+
+    def test_zero_steps(self):
+        ds = self.check([mobile_observer()], 3, 0, seed=1)
+        assert ds.n_truncated == 3
+        assert all(len(rec.tracks[0]) == 1 for rec in ds.trips)
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(k=st.integers(0, 6), seed=st.integers(0, 2**31 - 1))
+    def test_trip_record_independent_of_trip_count(self, k, seed):
+        obs = [mobile_observer(), static_observer()]
+        few = run_study(animal_spec(), obs, REGION, k + 1, 40, seed=seed)
+        many = run_study(animal_spec(), obs, REGION, k + 5, 40, seed=seed)
+        assert_same_record(few.trips[k], many.trips[k])
 
 
 class TestDatasetFiles:

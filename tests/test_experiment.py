@@ -245,6 +245,22 @@ class TestRunReplicate:
         cfg = toy_config()
         assert run_replicate(cfg, 1) == run_replicate(cfg, 1)
 
+    def test_counts_truncated_trips(self):
+        cfg = toy_config(max_steps=20)
+        rec = run_replicate(cfg, 0)
+        full = [
+            t for t in simulate_replicate(cfg, 0).trips
+            if t.encounter is None and len(t.tracks[0]) == cfg.max_steps + 1
+        ]
+        assert 0 < rec["n_truncated"] == len(full) == cfg.n_trips - rec["n_encounters"]
+
+    def test_no_encounters_is_a_failed_fit(self):
+        rec = run_replicate(toy_config(true_range=1e-9, n_trips=3, max_steps=5), 0)
+        assert rec["n_encounters"] == 0 and rec["n_truncated"] == 3
+        for tag in ("uncorrected", "corrected"):
+            assert rec[f"mspe_{tag}"] is None and rec[f"converged_{tag}"] is False
+            assert rec[f"error_{tag}"].startswith("DataInconsistencyError: ")
+
     def test_single_observer_overlap_matches_plain(self):
         rec = run_replicate(toy_config(overlap=True), 0)
         assert rec["mspe_overlap"] == pytest.approx(rec["mspe_corrected"], rel=1e-6)

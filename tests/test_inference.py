@@ -509,6 +509,27 @@ class TestJoint:
         with pytest.raises(ValueError):
             joint_loglik([a], np.zeros(5))
 
+    @pytest.mark.parametrize("kind", ["points", "counts", "presence"])
+    def test_no_events_refused(self, kind):
+        g = build_grid(REGION, 10, 10)
+        empty = {
+            "points": LikelihoodData.from_points(g, np.empty((0, 2))),
+            "counts": LikelihoodData.from_counts(g, np.zeros(g.ncells)),
+            "presence": LikelihoodData.from_presence(g, np.zeros(g.ncells)),
+        }[kind]
+        m = IntensityModel(grid=g)
+        with pytest.raises(DataInconsistencyError, match="no events"):
+            fit_mle(m, empty)
+        with pytest.raises(DataInconsistencyError, match="no events"):
+            fit_joint([JointComponent(m, empty), JointComponent(m, empty)])
+
+    def test_one_empty_component_still_fits(self):
+        # the empty component shares every coefficient, so the maximum exists
+        a = self._component(5)
+        empty = JointComponent(a.model, LikelihoodData.from_points(a.model.grid, np.empty((0, 2))))
+        fit = fit_joint([a, empty])
+        assert fit.converged and np.all(np.isfinite(fit.theta))
+
 
 class TestPredictIntensity:
     def test_intercept_only_constant(self):

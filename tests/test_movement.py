@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from effortud.errors import DegenerateSpecError
 from effortud.geometry import Point, StudyRegion, build_grid, cells_of
 from effortud.movement import (
     BivariateNormalPotential,
@@ -223,25 +225,45 @@ class TestSimulateTrajectory:
 
 class TestSampleInitial:
     def test_bivariate_normal_mean(self):
-        rng = np.random.default_rng(5)
-        pts = np.array(
-            [sample_initial(ANIMAL_POT, REGION, rng, cap=64) for _ in range(20000)]
-        )
+        pts = sample_initial(ANIMAL_POT, REGION, np.random.default_rng(5), n=20000)
+        assert pts.shape == (20000, 2)
         assert pts.mean(axis=0) == pytest.approx([50.0, 50.0], abs=0.2)
 
     def test_half_normal_marginals(self):
-        rng = np.random.default_rng(6)
-        pts = np.array(
-            [sample_initial(OBSERVER_POT, REGION, rng, cap=256) for _ in range(20000)]
-        )
+        pts = sample_initial(OBSERVER_POT, REGION, np.random.default_rng(6), n=20000)
         assert pts[:, 0].mean() == pytest.approx(50.0, abs=0.5)
         assert pts[:, 1].mean() > 85.0
 
+    def test_half_normal_ks(self):
+        """x is uniform on the region; y is the normal truncated to [ymin, ymax]."""
+        pts = sample_initial(OBSERVER_POT, REGION, np.random.default_rng(12), n=20000)
+        sd = np.sqrt(OBSERVER_POT.variance)
+        cy = OBSERVER_POT.center_y
+        y_law = stats.truncnorm((REGION.ymin - cy) / sd, (REGION.ymax - cy) / sd, loc=cy, scale=sd)
+        assert stats.kstest(pts[:, 1], y_law.cdf).pvalue > 1e-3
+        x_law = stats.uniform(REGION.xmin, REGION.xmax - REGION.xmin)
+        assert stats.kstest(pts[:, 0], x_law.cdf).pvalue > 1e-3
+
     def test_samples_inside_region(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            p = sample_initial(OBSERVER_POT, REGION, rng)
-            assert REGION.contains(p.x, p.y)
+        pts = sample_initial(OBSERVER_POT, REGION, np.random.default_rng(7), n=500)
+        assert np.all(REGION.contains(pts[:, 0], pts[:, 1]))
+
+    def test_first_accepted_proposals_kept(self):
+        """The result is the first n proposals inside the region, whatever the round sizes."""
+        edge = BivariateNormalPotential((50.0, 95.0), 100.0)  # about a third falls outside
+        got = sample_initial(edge, REGION, np.random.default_rng(9), n=500)
+        proposals = np.random.default_rng(9).normal((50.0, 95.0), 10.0, size=(5000, 2))
+        inside = proposals[REGION.contains(proposals[:, 0], proposals[:, 1])]
+        assert got.tobytes() == inside[:500].tobytes()
+
+    def test_mass_outside_region_is_degenerate(self):
+        far = BivariateNormalPotential((500.0, 500.0), 1.0)
+        with pytest.raises(DegenerateSpecError, match="after 1000 attempts"):
+            sample_initial(far, REGION, np.random.default_rng(0), n=3, cap=1000)
+
+    def test_custom_potential_rejected(self):
+        with pytest.raises(ValueError):
+            sample_initial(flat_potential(), REGION, np.random.default_rng(0))
 
 
 class TestAnalyticUD:
