@@ -72,7 +72,6 @@ from .inference import (
     eta,
     fit_joint,
     fit_mle,
-    joint_loglik,
     loglik,
     predict_intensity,
 )

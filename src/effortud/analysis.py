@@ -87,6 +87,14 @@ class ExceedanceMap:
         return Raster(self.probabilities.grid, v)
 
 
+def is_covariance(C: np.ndarray) -> bool:
+    """Finite, symmetric and positive semidefinite, up to 1e-10 of the largest entry."""
+    tol = 1e-10 * np.abs(C).max(initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not symmetric
+        asymmetry = np.abs(C - C.T).max(initial=0.0)
+    return tol < np.inf and asymmetry <= tol and np.linalg.eigvalsh(C).min(initial=0.0) >= -tol
+
+
 def _count_above(V: np.ndarray, q: float, fixed_thr: float | None = None):
     """Per-cell counts of the rows of ``V`` whose finite value exceeds the row's threshold.
 
@@ -144,7 +152,8 @@ def exceedance_map(
     computed and compared against its own ``percentile`` threshold
     ("per-draw" mode) or against the point-estimate threshold ("fixed").
     An all-zero covariance is accepted and yields a 0/1-valued map; any
-    other rank-deficient covariance is refused.
+    other rank-deficient covariance, and one that is not symmetric positive
+    semidefinite (``is_covariance``), is refused.
 
     Draws are evaluated in blocks of at most ``_VALUE_CHUNK`` (2**19)
     cell values, one draw per block on grids larger than that. Beyond the
@@ -163,6 +172,8 @@ def exceedance_map(
     if fit.covariance is None:
         raise SingularCovarianceError("fit carries no covariance")
     cov = np.asarray(fit.covariance, dtype=float)
+    if not is_covariance(cov):
+        raise ValueError("the coefficient covariance is not symmetric positive semidefinite")
     degenerate = bool(np.all(cov == 0.0))
     if fit.singular_information and not degenerate:
         raise SingularCovarianceError("singular coefficient covariance")
@@ -173,26 +184,28 @@ def exceedance_map(
         # every draw equals theta_hat, so one evaluation gives the 0/1 map
         draws = fit.theta[None]
     else:
-        draws = rng.multivariate_normal(fit.theta, cov, size=n_samples, method="svd")
+        # checked above; numpy's own check has an absolute tolerance (1e-8)
+        draws = rng.multivariate_normal(fit.theta, cov, n_samples, method="svd", check_valid="ignore")
 
     A = _env_block(model)
     fixed_thr = None
-    if threshold_mode == "fixed":
-        base = np.exp(_env_log_intensity(model, fit.theta[None], fix_detection, fix_effort, A)[0])
-        base = base[np.isfinite(base)]
-        if not base.size:
-            raise ValueError("the fitted coefficients give no cell a finite intensity")
-        fixed_thr = float(np.quantile(base, q))
-
     above = np.zeros(grid.ncells, dtype=np.int64)
     finite_any = np.zeros(grid.ncells, dtype=bool)
     step = max(1, _VALUE_CHUNK // grid.ncells)
-    for k in range(0, len(draws), step):
-        V = _env_log_intensity(model, draws[k : k + step], fix_detection, fix_effort, A)
-        np.exp(V, out=V)
-        n_above, finite = _count_above(V, q, fixed_thr)
-        above += n_above
-        finite_any |= finite
+    # a cell whose intensity overflows is not finite, so it counts in no draw
+    with np.errstate(over="ignore"):
+        if threshold_mode == "fixed":
+            base = np.exp(_env_log_intensity(model, fit.theta[None], fix_detection, fix_effort, A)[0])
+            base = base[np.isfinite(base)]
+            if not base.size:
+                raise ValueError("the fitted coefficients give no cell a finite intensity")
+            fixed_thr = float(np.quantile(base, q))
+        for k in range(0, len(draws), step):
+            V = _env_log_intensity(model, draws[k : k + step], fix_detection, fix_effort, A)
+            np.exp(V, out=V)
+            n_above, finite = _count_above(V, q, fixed_thr)
+            above += n_above
+            finite_any |= finite
     probs = above / len(draws)
     probs[~finite_any] = np.nan
     return ExceedanceMap(

@@ -8,7 +8,7 @@ replicated comparison and writes metrics JSON plus a summary table.
 
 Exit codes: 0 success, 2 config error (including a size too large to
 allocate), 3 data error (missing or inconsistent inputs), 4 numerical
-failure.
+failure (including a non-converged fit passed to `predict` or `exceed`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     DataInconsistencyError,
     DegenerateSpecError,
     NonConcaveFitError,
+    NotConvergedError,
     SingularCovarianceError,
     check_positive,
 )
@@ -52,6 +53,7 @@ EXIT_NUMERIC = 4
 _NUMERIC_ERRORS = (
     DegenerateSpecError,
     NonConcaveFitError,
+    NotConvergedError,
     SingularCovarianceError,
     np.linalg.LinAlgError,
 )
@@ -135,7 +137,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_model_fit(args: argparse.Namespace):
-    """The model spec and a fit whose coefficients match the model's names."""
+    """The model spec and a converged fit whose coefficients match the model's names."""
     ms = read_model_spec(args.model)
     fit = read_fit_json(args.fit)
     expected = ms.parameter_names()
@@ -143,6 +145,9 @@ def _read_model_fit(args: argparse.Namespace):
         raise DataInconsistencyError(
             f"{args.fit}: fit coefficients {fit.names} do not match the model's {expected}"
         )
+    if not fit.converged:
+        gmax = fit.gradient_max_norm
+        raise NotConvergedError(f"{args.fit}: fit not converged, gradient_max_norm {gmax:g}")
     return ms, fit
 
 

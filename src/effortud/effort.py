@@ -23,8 +23,8 @@ Both fields come from one stencil (``_stencil``) on a zero-padded frame
 around the grid, cropped to the grid, and their bytes depend on its
 order: positions in groups, one chunk per stencil row and group, rows
 in order. Summed effort adds each chunk's ``np.bincount`` to the field.
-The overlap correction sums log(1 - p) per step over the observers one
-chunk at a time, then adds the steps' 1 - prod terms in step order.
+The overlap correction adds each entry's log(1 - p) to its step's cell
+in stencil order (``np.add.at``), then the steps' 1 - prod terms in order.
 
 Summed effort over many trips is one pass over all their tracks (one dt);
 the overlap correction runs per trip. Fields are plain ``Raster``s.
@@ -139,8 +139,8 @@ def overlap_corrected_effort(
     The given tracks must be step-aligned (observers of one trip). Per
     step, a cell receives 1 - prod(1 - p) over the observers covering
     it, so simultaneous overlapping coverage is not double counted. The
-    steps run in blocks, one stencil pass each, but in the order of a
-    loop over single steps (module docstring), so the bytes are the same.
+    steps run in blocks, one stencil pass each; a step's entries keep the
+    stencil order they have one step at a time (module docstring).
     """
     check_positive(detection_range, "detection_range")
     lengths = np.array([len(t) for t in tracks], dtype=int)
@@ -165,26 +165,21 @@ def overlap_corrected_effort(
     g0, g1 = max(top - mj, 0), min(bottom - mj, grid.ny)
     rows = slice(g0 + mj - top, g1 + mj - top)
     # a block's (step, cell) keys, and one stencil row's entries over the
-    # block, fit in a chunk; so a row's chunk never ends inside a step
-    # unless that step alone fills it, as it would one step at a time
+    # block, fit in a chunk; so a step never splits across position groups
+    # unless that step alone fills one, as it would one step at a time
     entries_per_step = len(tracks) * (2 * iw + 1)
     per_block = max(1, min(_POSITION_CHUNK // span, _POSITION_CHUNK // entries_per_step))
-    scratch = np.zeros(min(per_block, n_steps) * span)
     acc = np.zeros((grid.ny, grid.nx))
     with np.errstate(divide="ignore"):
         for b0 in range(0, n_steps, per_block):
             b1 = min(b0 + per_block, n_steps)
             lo, hi = first[b0], first[b1]
-            # log(1 - p) per (step, cell), summed one stencil row at a time
+            # log(1 - p) summed per (step, cell)
             block = np.zeros((b1 - b0) * span)
             base = (step_of[lo:hi] - b0) * span - top * width
             for k0, key, w in _stencil(grid, xs[lo:hi], ys[lo:hi], detection_range, mode, base):
                 covered = np.flatnonzero(w > 0)
-                key = key.take(covered) + k0
-                np.add.at(scratch, key, np.log1p(-w.take(covered)))
-                row_sum = scratch[key]
-                scratch[key] = 0.0
-                block[key] += row_sum
+                np.add.at(block, key.take(covered) + k0, np.log1p(-w.take(covered)))
             # prod(1 - p) - 1, the step's coverage negated
             np.expm1(block, out=block)
             for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:

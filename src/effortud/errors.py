@@ -4,6 +4,7 @@ All data-shaped failures derive from ValueError so generic callers can catch
 broadly, while the CLI can still map specific classes to exit codes.
 """
 
+import sys
 from typing import Any
 
 
@@ -47,6 +48,10 @@ class SingularCovarianceError(RuntimeError):
     """A coefficient covariance is unusable for sampling."""
 
 
+class NotConvergedError(RuntimeError):
+    """A fit ended before its gradient fell below the tolerance."""
+
+
 def check_positive(value: float, what: str, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` unless ``value`` is finite and > 0 (NaN and inf are refused)."""
     if not 0 < value < float("inf"):
@@ -54,8 +59,8 @@ def check_positive(value: float, what: str, error: type[ValueError] = ValueError
 
 
 def is_number(v: Any) -> bool:
-    """Whether ``v`` is a JSON number: an int or float, not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether ``v`` is a JSON number a float holds: a float, or an int (not a bool) in range."""
+    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
 
 
 def config_entry(doc: dict, path: str, default: Any, kind: type) -> Any:

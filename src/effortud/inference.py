@@ -25,8 +25,8 @@ data resolutions share the same eta:
 
 ``loglik(model, theta, data)`` is the one evaluation: the data's kind
 picks the likelihood, and it returns the log likelihood, its gradient
-and the observed information. ``joint_loglik`` and ``fit_joint`` sum the
-same three over components that share coefficients by name.
+and the observed information. ``fit_joint`` sums the same three over
+components that share coefficients by name.
 """
 
 from __future__ import annotations
@@ -194,9 +194,6 @@ class FitResult:
     @property
     def coefficients(self) -> dict[str, float]:
         return {n: float(v) for n, v in zip(self.names, self.theta)}
-
-    def coefficient(self, name: str) -> float:
-        return self.coefficients[name]
 
     def stderr(self) -> dict[str, float]:
         if self.covariance is None:
@@ -412,9 +409,6 @@ class JointComponent:
     data: LikelihoodData
     rename: dict[str, str] = field(default_factory=dict)
 
-    def qualified_names(self) -> list[str]:
-        return renamed_names(self.model, self.rename)
-
 
 def _joint_designs(components: Sequence[JointComponent]):
     """Shared coefficient names, each component's index map into them, and its design."""
@@ -423,7 +417,7 @@ def _joint_designs(components: Sequence[JointComponent]):
     names: list[str] = []
     maps = []
     for comp in components:
-        local = comp.qualified_names()
+        local = renamed_names(comp.model, comp.rename)
         if len(set(local)) != len(local):
             raise ValueError(f"duplicate parameter names within a component: {local}")
         idx = []
@@ -451,15 +445,6 @@ def _joint_evaluate(designs: Sequence[_Design], maps, theta: np.ndarray):
         grad[m] += gi
         info[np.ix_(m, m)] += ii
     return ll, grad, info
-
-
-def joint_loglik(components: Sequence[JointComponent], theta: np.ndarray) -> float:
-    """Sum of component log likelihoods under shared coefficients."""
-    names, maps, designs = _joint_designs(components)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (len(names),):
-        raise ValueError(f"theta must have {len(names)} entries ({names})")
-    return float(_joint_evaluate(designs, maps, theta)[0])
 
 
 def _covariance_from_info(info: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -497,12 +482,15 @@ def fit_joint(
     coefficient covariance is the inverse observed information at the
     estimate. A start where the likelihood is not finite is returned
     unfitted, with a NaN gradient norm and no covariance. Data with no
-    point, count or presence in any component have no maximum likelihood
-    estimate and raise DataInconsistencyError.
+    point, count or presence in any component, or with presence on every
+    active cell of every component, have no maximum likelihood estimate
+    and raise DataInconsistencyError.
     """
     names, maps, designs = _joint_designs(components)
     if not any(d.has_events for d in designs):
         raise DataInconsistencyError("the data hold no events, so the fit has no maximum")
+    if all(d.kind == "presence" and d.O_act.all() for d in designs):
+        raise DataInconsistencyError("the presence data hold no absences, so the fit has no maximum")
     p = len(names)
     theta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
     if theta.shape != (p,):
@@ -566,30 +554,24 @@ def _env_log_intensity(
     """Environment-driven log intensity, one row of cells per row of ``thetas``.
 
     ``env`` is the model's environment block (``_env_block``) when the
-    caller holds it already. Each row is one matrix-vector product, then
-    the pinned detection term is subtracted and the pinned effort term
-    added: a matrix-matrix product over all rows rounds differently, and
-    every row must carry the bits of a single evaluation.
+    caller holds it already. The rows are one product of their env
+    coefficients with the block, less the pinned detection term, plus the
+    pinned effort term; their last bits depend on the row count and BLAS.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != model.n_parameters:
         raise ValueError(f"theta must have {model.n_parameters} entries")
     A = _env_block(model) if env is None else env
     p_det = len(model.detection.names) if model.detection is not None else 0
-    p_eff = thetas.shape[1] - A.shape[1] - p_det
-    if p_det:
-        c1 = np.broadcast_to(np.asarray(fix_detection, dtype=float), (p_det,))
-    if p_eff:
-        c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (p_eff,))
-    L = np.zeros((len(thetas), model.grid.ncells))
-    for le, theta in zip(L, thetas):
-        b, g1, g2 = _split(theta, A.shape[1], p_det)
-        if b.size:
-            np.matmul(A, b, out=le)
-        if p_det:
-            le -= np.logaddexp(0.0, -float(c1 @ g1))
-        if p_eff:
-            le += float(c2 @ g2)
+    # coefficient rows, one column per row of thetas
+    b, g1, g2 = _split(thetas.T, A.shape[1], p_det)
+    L = b.T @ A.T
+    if len(g1):
+        c1 = np.broadcast_to(np.asarray(fix_detection, dtype=float), (len(g1),))
+        L -= np.logaddexp(0.0, -(c1 @ g1))[:, None]
+    if len(g2):
+        c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (len(g2),))
+        L += (c2 @ g2)[:, None]
     return L
 
 
@@ -605,8 +587,10 @@ def predict_intensity(
     (scalar broadcast or one value per covariate) and the effort offset
     is dropped, so spatial variation comes from the environment block
     alone. This is the estimate of the animal's own intensity surface.
+    Cells that overflow are inf, as in ``eta``.
     """
     theta = np.asarray(theta, dtype=float)[None]
-    le = _env_log_intensity(model, theta, fix_detection, fix_effort)[0]
     grid = model.grid
-    return Raster(grid, np.exp(le).reshape(grid.ny, grid.nx))
+    with np.errstate(over="ignore"):
+        le = _env_log_intensity(model, theta, fix_detection, fix_effort)[0]
+        return Raster(grid, np.exp(le).reshape(grid.ny, grid.nx))

@@ -40,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from .analysis import QuadraticDesign
+from .analysis import QuadraticDesign, is_covariance
 from .effort import floored_log_offset
 from .errors import ConfigError, GridMismatchError, check_positive, config_entry, is_number
 from .geometry import Grid, Raster, grid_from_doc
@@ -216,7 +216,8 @@ _REQUIRED = object()
 def read_fit_json(path: str | Path) -> FitResult:
     """Read a fit written by ``write_fit_json``.
 
-    A missing or ill-typed entry raises ValueError naming its key.
+    A missing or ill-typed entry, a non-finite theta or a covariance that is
+    not (finite and) symmetric positive semidefinite raises ValueError naming its key.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -234,13 +235,17 @@ def read_fit_json(path: str | Path) -> FitResult:
 
     names = entry("names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v))
     p = len(names)
-    theta = entry("theta", lambda v: _is_numbers(v, p))
+    theta = entry("theta", lambda v: _is_numbers(v, p) and bool(np.isfinite(v).all()))
     cov = entry(
         "covariance",
         lambda v: v is None
         or (isinstance(v, list) and len(v) == p and all(_is_numbers(r, p) for r in v)),
         None,
     )
+    if cov is not None:
+        cov = np.asarray(cov, dtype=float).reshape(p, p)
+        if not is_covariance(cov):
+            raise ValueError(f"{path}: fit JSON 'covariance' is not symmetric positive semidefinite")
     gmax = entry("gradient_max_norm", lambda v: v is None or is_number(v), None)
     return FitResult(
         names=list(names),
@@ -248,7 +253,7 @@ def read_fit_json(path: str | Path) -> FitResult:
         loglik=float(entry("loglik", is_number)),
         converged=entry("converged", lambda v: isinstance(v, bool)),
         iterations=entry("iterations", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-        covariance=None if cov is None else np.asarray(cov, dtype=float),
+        covariance=cov,
         singular_information=entry("singular_information", lambda v: isinstance(v, bool), False),
         gradient_max_norm=float("nan") if gmax is None else float(gmax),
     )

@@ -69,26 +69,17 @@ class HalfNormalYPotential:
 
 @dataclass(frozen=True)
 class CustomPotential:
-    """User-supplied log density (vectorized over coordinate arrays).
-
-    If no gradient callable is given, central finite differences are used.
-    """
+    """User-supplied log density and its gradient (both vectorized over coordinate arrays)."""
 
     log_density_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    grad_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def log_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.log_density_fn(x, y), dtype=float)
 
     def grad_log_density(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.grad_fn is not None:
-            gx, gy = self.grad_fn(x, y)
-            return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
-        h = 1e-6
-        f = self.log_density
-        gx = (f(x + h, y) - f(x - h, y)) / (2.0 * h)
-        gy = (f(x, y + h) - f(x, y - h)) / (2.0 * h)
-        return gx, gy
+        gx, gy = self.grad_fn(x, y)
+        return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
 
 
 Potential = BivariateNormalPotential | HalfNormalYPotential | CustomPotential

@@ -432,52 +432,86 @@ class TestExceedanceMap:
         with pytest.raises(ValueError, match="no cell"):
             exceedance_map(m, fit, np.random.default_rng(0), n_samples=5, threshold_mode=mode)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["per-draw", "fixed"])
+    def test_overflowing_cells_count_in_no_draw(self, mode):
+        # exp(800) overflows on the right half: inf there, without a warning
+        g = build_grid(REGION, 4, 4)
+        right = raster_from_function(g, lambda X, Y: np.where(X < 50.0, 0.0, 1.0))
+        m = IntensityModel(grid=g, env=CovariateBlock(["b"], [right]))
+        fit = make_fit(["env:intercept", "env:b"], [0.0, 800.0], np.zeros((2, 2)))
+        surface = predict_intensity(m, fit.theta).values
+        assert (surface[:, :2] == 1.0).all() and np.isposinf(surface[:, 2:]).all()
+        probs = exceedance_map(m, fit, np.random.default_rng(0), n_samples=5,
+                               threshold_mode=mode).probabilities.values
+        assert (probs[:, :2] == 0.0).all() and np.isnan(probs[:, 2:]).all()
 
-# --- exceedance in blocks of draws against the loop it replaced ---------------
+
+# --- exceedance in blocks of draws against reference loops -------------------
 
 
-def reference_intensity(model, theta, fix_detection, fix_effort):
-    """One draw's surface as it was computed before draws were blocked."""
+def reference_intensity(model, thetas, fix_detection, fix_effort, per_draw=False):
+    """Surfaces of a block of draws, one row each, from one product of the env columns.
+
+    ``per_draw`` replays the loop before blocks: one matrix-vector product per draw.
+    """
     n = model.grid.ncells
     cols = [np.ones(n)] if model.intercept else []
     cols += [r.flat for r in model.env.rasters] if model.env is not None else []
     A = np.column_stack(cols)
+    p_env = A.shape[1]
     p_det = len(model.detection.names) if model.detection is not None else 0
-    b, g1, g2 = theta[: A.shape[1]], theta[A.shape[1] : A.shape[1] + p_det], theta[A.shape[1] + p_det :]
-    le = A @ b
+    B, G1, G2 = thetas[:, :p_env], thetas[:, p_env : p_env + p_det], thetas[:, p_env + p_det :]
+    le = np.array([A @ b for b in B]) if per_draw else B @ A.T
     if p_det:
         c1 = np.broadcast_to(np.asarray(fix_detection, dtype=float), (p_det,))
-        le = le - np.logaddexp(0.0, -float(c1 @ g1))
-    if g2.size:
-        c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (g2.size,))
-        le = le + float(c2 @ g2)
-    return np.exp(le)
+        le = le - np.logaddexp(0.0, -(c1 @ G1.T))[:, None]
+    if G2.shape[1]:
+        c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (G2.shape[1],))
+        le = le + (c2 @ G2.T)[:, None]
+    with np.errstate(over="ignore"):
+        return np.exp(le)
 
 
 def reference_exceedance(model, fit, rng, percentile, n_samples, threshold_mode,
-                         fix_detection=0.0, fix_effort=0.0):
-    """The per-draw loop exceedance_map ran before draws were blocked."""
+                         fix_detection=0.0, fix_effort=0.0, per_draw=False):
+    """Per-draw ``np.quantile`` thresholds over blocks on ``exceedance_map``'s partition.
+
+    A zero covariance gives one draw, theta_hat. ``per_draw`` evaluates
+    every draw on its own, as the loop before blocks did.
+    """
     q = percentile / 100.0
     cov = np.asarray(fit.covariance, dtype=float)
     if np.all(cov == 0.0):
-        draws = np.tile(fit.theta, (n_samples, 1))
+        draws = fit.theta[None]
     else:
         draws = rng.multivariate_normal(fit.theta, cov, size=n_samples, method="svd")
     fixed_thr = None
     if threshold_mode == "fixed":
-        base = reference_intensity(model, fit.theta, fix_detection, fix_effort)
+        base = reference_intensity(model, fit.theta[None], fix_detection, fix_effort)[0]
         fixed_thr = float(np.quantile(base[np.isfinite(base)], q))
+    step = 1 if per_draw else max(1, analysis._VALUE_CHUNK // model.grid.ncells)
     above = np.zeros(model.grid.ncells)
     finite_any = np.zeros(model.grid.ncells, dtype=bool)
-    for theta in draws:
-        vals = reference_intensity(model, theta, fix_detection, fix_effort)
-        finite = np.isfinite(vals)
-        finite_any |= finite
-        thr = fixed_thr if fixed_thr is not None else float(np.quantile(vals[finite], q))
-        above += finite & (vals > thr)
-    probs = above / n_samples
+    for k in range(0, len(draws), step):
+        block = reference_intensity(model, draws[k : k + step], fix_detection, fix_effort, per_draw)
+        for vals in block:
+            finite = np.isfinite(vals)
+            finite_any |= finite
+            thr = fixed_thr if fixed_thr is not None else float(np.quantile(vals[finite], q))
+            above += finite & (vals > thr)
+    probs = above / len(draws)
     probs[~finite_any] = np.nan
     return probs.reshape(model.grid.ny, model.grid.nx)
+
+
+def assert_exceedance_matches_reference(got, model, fit, seed, *args, **kwargs):
+    """Bytes equal to the blocked reference; within 1e-12 of the per-draw loop."""
+    want = reference_exceedance(model, fit, np.random.default_rng(seed), *args, **kwargs)
+    assert got.tobytes() == want.tobytes()
+    old = reference_exceedance(model, fit, np.random.default_rng(seed), *args, **kwargs,
+                               per_draw=True)
+    assert np.allclose(got, old, rtol=1e-12, atol=0.0, equal_nan=True)
 
 
 def _random_model(kind, seed=0):
@@ -516,25 +550,29 @@ def test_blocked_exceedance_matches_per_draw_loop(monkeypatch, kind, mode, chunk
     model, fit = _random_model(kind, seed=MODEL_KINDS.index(kind))
     fixes = {"fix_detection": 0.4, "fix_effort": [0.3, -0.2]} if model.effort else {}
     for percentile in (70.0, 50.0, 97.5):
-        want = reference_exceedance(model, fit, np.random.default_rng(9), percentile, 40, mode, **fixes)
         got = exceedance_map(model, fit, np.random.default_rng(9), percentile=percentile,
                              n_samples=40, threshold_mode=mode, **fixes)
-        assert got.probabilities.values.tobytes() == want.tobytes()
+        assert_exceedance_matches_reference(got.probabilities.values, model, fit, 9,
+                                            percentile, 40, mode, **fixes)
         assert got.n_samples == 40
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_block_rows_keep_single_draw_bits(kind):
-    # a matrix-matrix product over the block would round differently
+    # a block's rows are one product over the block, and a single draw
+    # (predict_intensity) a one-row block; both within 1e-12 of one
+    # matrix-vector product per draw
     model, fit = _random_model(kind, seed=MODEL_KINDS.index(kind))
     fix_det, fix_eff = (0.4, [0.3, -0.2]) if model.effort else (0.0, 0.0)
     thetas = np.random.default_rng(1).multivariate_normal(fit.theta, fit.covariance, size=7)
-    with np.errstate(over="ignore"):
-        block = np.exp(_env_log_intensity(model, thetas, fix_det, fix_eff))
-        for row, theta in zip(block, thetas):
-            assert row.tobytes() == reference_intensity(model, theta, fix_det, fix_eff).tobytes()
-        got = predict_intensity(model, fit.theta, fix_det, fix_eff)
-        assert got.flat.tobytes() == reference_intensity(model, fit.theta, fix_det, fix_eff).tobytes()
+    for rows in (thetas, fit.theta[None]):
+        with np.errstate(over="ignore"):
+            got = np.exp(_env_log_intensity(model, rows, fix_det, fix_eff))
+        assert got.tobytes() == reference_intensity(model, rows, fix_det, fix_eff).tobytes()
+        old = reference_intensity(model, rows, fix_det, fix_eff, per_draw=True)
+        assert np.allclose(got, old, rtol=1e-12, atol=0.0, equal_nan=True)
+    got = predict_intensity(model, fit.theta, fix_det, fix_eff)
+    assert got.flat.tobytes() == reference_intensity(model, fit.theta[None], fix_det, fix_eff).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["per-draw", "fixed"])
@@ -545,10 +583,10 @@ def test_degenerate_covariance_on_tied_surface_matches_loop(mode):
     model = IntensityModel(grid=g, env=env)
     fit = make_fit(["env:intercept", "env:r"], [0.0, 2.0], np.zeros((2, 2)))
     for percentile in (70.0, 50.0, 12.5):
-        want = reference_exceedance(model, fit, np.random.default_rng(0), percentile, 9, mode)
         got = exceedance_map(model, fit, np.random.default_rng(0), percentile=percentile,
                              n_samples=9, threshold_mode=mode)
-        assert got.probabilities.values.tobytes() == want.tobytes()
+        assert_exceedance_matches_reference(got.probabilities.values, model, fit, 0,
+                                            percentile, 9, mode)
         assert set(np.unique(got.probabilities.values)) <= {0.0, 1.0}
 
 

@@ -3,10 +3,11 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effortud.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
@@ -330,6 +331,17 @@ class TestFit:
         assert "no events" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_presence_everywhere_exit_3(self, homog_fit, tmp_path, capsys):
+        # occupied on every cell, the intercept walks toward +inf: refuse
+        g = build_grid(StudyRegion(0, 100, 0, 100), 25, 25)
+        write_raster_csv(raster_from_function(g, lambda X, Y: 1.0 + 0.0 * X), tmp_path / "p.csv")
+        out = tmp_path / "f.json"
+        code = main(["fit", "--model", str(homog_fit["model"]), "--presence",
+                     str(tmp_path / "p.csv"), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "no absences" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadratic_with_effort_offset_pipeline(self, sim, tmp_path):
         """simulate -> effort -> fit with the offset, end to end."""
         tracks_csv = sim["out"] / "tracks_r000.csv"
@@ -401,7 +413,8 @@ class TestPredict:
 
 
 class TestExceed:
-    def _distinct_model(self, tmp_path):
+    @staticmethod
+    def _distinct_model(tmp_path):
         g = build_grid(StudyRegion(0, 100, 0, 100), 10, 10)
         z = raster_from_function(g, lambda X, Y: X + 100.0 * Y)
         write_raster_csv(z, tmp_path / "z.csv")
@@ -484,6 +497,18 @@ class TestExceed:
         assert code == EXIT_DATA
         assert repr(key) in capsys.readouterr().err
 
+    def test_not_converged_fit_exit_4(self, tmp_path, capsys):
+        model = self._distinct_model(tmp_path)
+        fit = self._fit_json(tmp_path, [[0.0, 0.0], [0.0, 0.0]], converged=False,
+                             gradient_max_norm=0.25)
+        for command in ("predict", "exceed"):
+            out = tmp_path / f"{command}.csv"
+            code = main([command, "--model", str(model), "--fit", str(fit), "--out", str(out)])
+            assert code == EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "gradient_max_norm 0.25" in err
+            assert not out.exists()
+
     def test_fit_names_must_match_model(self, tmp_path):
         model = self._distinct_model(tmp_path)
         fit = self._fit_json(tmp_path, [[0.0, 0.0], [0.0, 0.0]], names=["env:intercept", "env:w"])
@@ -536,6 +561,104 @@ class TestExceed:
                      "--samples", "0"])
         assert code == EXIT_CONFIG
 
+
+
+_FIT_DOC = {
+    "names": ["env:intercept", "env:z"],
+    "theta": [0.0, 0.001],
+    "coefficients": {"env:intercept": 0.0, "env:z": 0.001},
+    "stderr": {"env:intercept": 0.1, "env:z": 0.001},
+    "loglik": -12.5,
+    "converged": True,
+    "iterations": 4,
+    "gradient_max_norm": 1e-10,
+    "singular_information": False,
+    "covariance": [[0.01, 1e-5], [1e-5, 1e-6]],
+}
+_ODD_VALUES = [None, True, "0.5", 3, 2.5, [], {}, ["a"], [[1.0]]]
+_ODD_NUMBERS = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10**400, 5e-324, -1.0]
+
+
+@st.composite
+def mutated_fit_json(draw):
+    """The text of a valid fit JSON after up to three mutations, sometimes truncated or empty.
+
+    Mutations drop keys, swap an entry to another JSON type, put NaN,
+    Infinity, huge or negative numbers into a number, make the covariance
+    asymmetric or give it a negative or huge variance, or clear ``converged``.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return ""
+    doc = json.loads(json.dumps(_FIT_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "swap", "number", "asymmetric", "variance",
+                                   "not-converged"]))
+        cov = doc.get("covariance")
+        square = isinstance(cov, list) and len(cov) == 2 and all(
+            isinstance(r, list) and len(r) == 2 for r in cov)
+        key = draw(st.sampled_from(sorted(_FIT_DOC)))
+        if op == "drop":
+            doc.pop(key, None)
+        elif op == "swap":
+            doc[key] = draw(st.sampled_from(_ODD_VALUES))
+        elif op == "number":
+            value = draw(st.sampled_from(_ODD_NUMBERS))
+            where = draw(st.sampled_from(["theta", "covariance", "loglik", "gradient_max_norm"]))
+            i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+            if where == "theta" and isinstance(doc.get("theta"), list) and len(doc["theta"]) > i:
+                doc["theta"][i] = value
+            elif where == "covariance" and square:
+                cov[i][j] = value
+            elif where in ("loglik", "gradient_max_norm"):
+                doc[where] = value
+        elif op == "asymmetric" and square:
+            v = draw(st.sampled_from([1e-3, 1.0, 1e300]))
+            cov[0][1], cov[1][0] = v, -v
+        elif op == "variance" and square:
+            i = draw(st.integers(0, 1))
+            cov[i][i] = draw(st.sampled_from([-1e-12, -1e-6, -1.0, -1e300, 1e6, 1e300]))
+        elif op == "not-converged":
+            doc["converged"] = False
+    text = json.dumps(doc)
+    if draw(st.integers(0, 5)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _fit_text(**entries):
+    return json.dumps({**_FIT_DOC, **entries})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=mutated_fit_json())
+@example(text=_fit_text(covariance=[[1e300, 1e-5], [1e-5, 1e-6]]))  # draws overflow exp
+@example(text=_fit_text(covariance=[[-0.01, 1e-5], [1e-5, 1e-6]]))
+@example(text=_fit_text(covariance=[[1e6, 0.0], [0.0, -1e-5]]))  # PSD up to 1e-10 of 1e6
+@example(text=_fit_text(covariance=[[0.0, 1.0], [-1.0, 0.0]]))
+@example(text=_fit_text(theta=[0.0, 10**400]))
+@example(text=_fit_text(theta=[0.0, 1e308]))  # the surface overflows
+@example(text=_fit_text(theta=[1e308, -1e306]))  # the log surface reaches +inf and -inf
+@example(text=_fit_text(theta=[float("nan"), 0.001]))
+@example(text=_fit_text(converged=False)[:-20])
+@example(text="")
+def test_predict_and_exceed_on_mutated_fit_json_exit_cleanly(tmp_path_factory, text):
+    # every malformed fit is refused with an exit code; no traceback, no warning
+    root = tmp_path_factory.mktemp("fit-json")
+    model = TestExceed._distinct_model(root)
+    fit = root / "fit.json"
+    fit.write_text(text)
+    for command, extra in (("predict", []), ("predict", ["--intensity"]),
+                           ("exceed", ["--samples", "20"])):
+        out = root / f"{command}.csv"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, "--model", str(model), "--fit", str(fit), "--out", str(out)]
+                        + extra)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert out.exists() == (code == EXIT_OK)
+        out.unlink(missing_ok=True)
 
 
 def _raster_rows(cells):

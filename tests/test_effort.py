@@ -151,8 +151,13 @@ def compacting_path_integral(tracks, grid, radius, mode):
     return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
 
 
-def per_step_overlap(tracks, grid, radius, mode):
-    """The overlap correction one synchronized step at a time: the reference summation order."""
+def per_step_overlap(tracks, grid, radius, mode, row_sums=False):
+    """The overlap correction one synchronized step at a time: the reference summation order.
+
+    Each step adds its compacted entries' log(1 - p) to its cells with
+    ``np.add.at``, in stencil order. ``row_sums`` replays the order before
+    that: each chunk summed on its own by ``np.bincount``, then added.
+    """
     n_steps = max(len(t) for t in tracks)
     acc = np.zeros(grid.ncells)
     for s in range(n_steps):
@@ -163,10 +168,20 @@ def per_step_overlap(tracks, grid, radius, mode):
         for flat, w in compacting_stencil(grid, xs, ys, radius, mode):
             with np.errstate(divide="ignore"):
                 logmiss = np.log1p(-w)
-            step_acc += np.bincount(flat, weights=logmiss, minlength=step_acc.size)
+            if row_sums:
+                step_acc += np.bincount(flat, weights=logmiss, minlength=step_acc.size)
+            else:
+                np.add.at(step_acc, flat, logmiss)
         touched = np.nonzero(step_acc)[0]
         acc[touched] += -np.expm1(step_acc[touched])
     return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
+
+
+def assert_overlap_matches_per_step(got, tracks, grid, radius, mode):
+    """Bytes equal to the per-step reference; within 1e-12 of the row-sum order it replaced."""
+    assert got.tobytes() == per_step_overlap(tracks, grid, radius, mode).tobytes()
+    old = per_step_overlap(tracks, grid, radius, mode, row_sums=True)
+    assert np.allclose(got, old, rtol=1e-12, atol=0.0)
 
 
 @st.composite
@@ -358,8 +373,7 @@ def test_overlap_bytes_match_the_per_step_loop(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(effort, "_POSITION_CHUNK", chunk)
         got = overlap_corrected_effort(tracks, g, radius, mode=mode).values
-        want = per_step_overlap(tracks, g, radius, mode)
-    assert got.tobytes() == want.tobytes()
+        assert_overlap_matches_per_step(got, tracks, g, radius, mode)
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,7 +426,7 @@ def test_overlap_bytes_when_chunks_end_inside_a_step(monkeypatch):
         ]
         radius = rng.uniform(1.5, 3.5)
         got = overlap_corrected_effort(tracks, g, radius, mode="detection").values
-        assert got.tobytes() == per_step_overlap(tracks, g, radius, "detection").tobytes()
+        assert_overlap_matches_per_step(got, tracks, g, radius, "detection")
 
 
 class TestTripGroupedEffort:

@@ -18,10 +18,11 @@ from effortud.inference import (
     eta,
     fit_joint,
     fit_mle,
-    joint_loglik,
     loglik,
     predict_intensity,
     _Design,
+    _joint_designs,
+    _joint_evaluate,
 )
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
@@ -169,7 +170,7 @@ class TestCountLoglik:
         assert fit.converged
         se = fit.stderr()
         for name, truth in zip(fit.names, true):
-            assert abs(fit.coefficient(name) - truth) <= 3 * se[name]
+            assert abs(fit.coefficients[name] - truth) <= 3 * se[name]
 
     def test_negative_counts_rejected(self):
         g = build_grid(REGION, 2, 2)
@@ -340,7 +341,7 @@ class TestFitMle:
         m = IntensityModel(grid=g)
         fit = fit_mle(m, LikelihoodData.from_points(g, pts))
         assert fit.converged
-        assert fit.coefficient("env:intercept") == pytest.approx(
+        assert fit.coefficients["env:intercept"] == pytest.approx(
             np.log(60.0 / REGION.area), abs=1e-8
         )
 
@@ -365,7 +366,7 @@ class TestFitMle:
         pts = np.random.default_rng(10).uniform(0, 100, size=(40, 2))
         fit = fit_mle(m, LikelihoodData.from_points(g, pts))
         assert fit.converged
-        assert fit.coefficient("env:zero") == 0.0
+        assert fit.coefficients["env:zero"] == 0.0
         assert fit.singular_information
 
     def test_nonconvergence_flagged(self):
@@ -467,6 +468,12 @@ class TestFitMle:
         assert np.isnan(fit.gradient_max_norm)
 
 
+def joint_loglik(components, theta):
+    """The summed component log likelihood that ``fit_joint`` climbs, at shared ``theta``."""
+    _, maps, designs = _joint_designs(components)
+    return float(_joint_evaluate(designs, maps, np.asarray(theta, dtype=float))[0])
+
+
 class TestJoint:
     def _component(self, seed, rename=None):
         g = build_grid(REGION, 10, 10)
@@ -506,22 +513,40 @@ class TestJoint:
 
     def test_dimension_mismatch_rejected(self):
         a = self._component(3)
-        with pytest.raises(ValueError):
-            joint_loglik([a], np.zeros(5))
+        with pytest.raises(ValueError, match="start must have 3 entries"):
+            fit_joint([a], start=np.zeros(5))
 
-    @pytest.mark.parametrize("kind", ["points", "counts", "presence"])
+    @pytest.mark.parametrize("kind", ["points", "counts", "presence", "presence-everywhere"])
     def test_no_events_refused(self, kind):
+        # presence on every active cell walks the intercept toward +inf, as
+        # no events walk it toward -inf: neither fit has a maximum
         g = build_grid(REGION, 10, 10)
         empty = {
             "points": LikelihoodData.from_points(g, np.empty((0, 2))),
             "counts": LikelihoodData.from_counts(g, np.zeros(g.ncells)),
             "presence": LikelihoodData.from_presence(g, np.zeros(g.ncells)),
+            "presence-everywhere": LikelihoodData.from_presence(g, np.ones(g.ncells)),
         }[kind]
+        why = "no absences" if kind == "presence-everywhere" else "no events"
         m = IntensityModel(grid=g)
-        with pytest.raises(DataInconsistencyError, match="no events"):
+        with pytest.raises(DataInconsistencyError, match=why):
             fit_mle(m, empty)
-        with pytest.raises(DataInconsistencyError, match="no events"):
+        with pytest.raises(DataInconsistencyError, match=why):
             fit_joint([JointComponent(m, empty), JointComponent(m, empty)])
+        assert np.isfinite(loglik(m, np.zeros(1), empty)[0])
+
+    def test_presence_everywhere_beside_other_data_still_fits(self):
+        # absences elsewhere, or other data kinds, bound the shared intercept
+        g = build_grid(REGION, 10, 10)
+        m = IntensityModel(grid=g)
+        full = JointComponent(m, LikelihoodData.from_presence(g, np.ones(g.ncells)))
+        half = np.arange(g.ncells) % 2
+        for other in (
+            LikelihoodData.from_presence(g, half),
+            LikelihoodData.from_counts(g, half),
+        ):
+            fit = fit_joint([full, JointComponent(m, other)])
+            assert fit.converged and np.all(np.isfinite(fit.theta))
 
     def test_one_empty_component_still_fits(self):
         # the empty component shares every coefficient, so the maximum exists

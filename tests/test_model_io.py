@@ -10,7 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from effortud.errors import ConfigError, GridMismatchError
 from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
-from effortud.inference import FitResult, IntensityModel, LikelihoodData, fit_mle
+from effortud.inference import (
+    FitResult,
+    IntensityModel,
+    LikelihoodData,
+    _covariance_from_info,
+    fit_mle,
+)
 from effortud.model_io import (
     ModelSpec,
     read_fit_json,
@@ -288,6 +294,56 @@ class TestFitJson:
         assert back.gradient_max_norm == fit.gradient_max_norm
         assert back.singular_information == fit.singular_information
         assert np.array_equal(back.covariance, fit.covariance)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        log_scales=st.lists(st.sampled_from([-300, -20, -3, 0, 3, 20, 300]), min_size=6, max_size=6),
+        signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=6, max_size=6),
+    )
+    def test_every_written_covariance_reads_back(self, tmp_path_factory, p, seed, log_scales, signs):
+        # the inverse of any information matrix, rank-deficient or not, round-trips
+        Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))[0]
+        w = np.array(signs[:p]) * 10.0 ** np.array(log_scales[:p])
+        cov, singular = _covariance_from_info((Q * w) @ Q.T)
+        fit = FitResult(names=[f"c{i}" for i in range(p)], theta=np.zeros(p), loglik=-1.0,
+                        converged=True, iterations=1, covariance=cov,
+                        singular_information=singular, gradient_max_norm=0.0)
+        path = tmp_path_factory.mktemp("fit") / "fit.json"
+        write_fit_json(fit, path)
+        assert np.array_equal(read_fit_json(path).covariance, cov)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[1.0, 0.5], [-0.5, 1.0]],
+            [[0.0, 1.0], [-1.0, 0.0]],
+            [[-1e-6, 0.0], [0.0, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[float("nan"), 0.0], [0.0, 1.0]],
+            [[float("inf"), 0.0], [0.0, 1.0]],
+            [[1.0, 1e308], [-1e308, 1.0]],
+        ],
+        ids=["asymmetric", "antisymmetric", "negative-diagonal", "indefinite", "nan", "inf",
+             "overflowing-asymmetry"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_covariance_not_symmetric_psd_refused(self, tmp_path, cov):
+        fit = FitResult(names=["a", "b"], theta=np.zeros(2), loglik=-1.0, converged=True,
+                        iterations=1, covariance=np.array(cov))
+        write_fit_json(fit, tmp_path / "fit.json")
+        with pytest.raises(ValueError, match="'covariance'"):
+            read_fit_json(tmp_path / "fit.json")
+
+    @pytest.mark.parametrize("text", ["1e400", "-Infinity", "NaN", "1" + "0" * 400])
+    def test_theta_not_finite_refused(self, tmp_path, text):
+        (tmp_path / "fit.json").write_text(
+            f'{{"names": ["a"], "theta": [{text}], "loglik": 0.0, "converged": true, '
+            f'"iterations": 1}}'
+        )
+        with pytest.raises(ValueError, match="'theta'"):
+            read_fit_json(tmp_path / "fit.json")
 
     def test_round_trip_missing_covariance(self, tmp_path):
         fit = FitResult(

@@ -146,7 +146,6 @@ POTENTIAL_KINDS = {
     "bivariate-normal": lambda c: BivariateNormalPotential((c[0], c[1]), c[2]),
     "half-normal-y": lambda c: HalfNormalYPotential(c[1], c[2]),
     "custom-with-gradient": lambda c: CustomPotential(_quartic, grad_fn=_quartic_gradient),
-    "custom-finite-differences": lambda c: CustomPotential(_quartic),
 }
 
 
