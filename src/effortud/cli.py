@@ -158,6 +158,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
     if not args.intensity:
         surface = normalize_ud(surface)
+    elif (overflowed := int(np.sum(surface.values == np.inf))) > 0:
+        # NaN cells (missing covariates) are written as they are; inf is no intensity
+        raise ValueError(f"intensity overflows to inf in {overflowed} cells")
     write_raster(surface, args.out)
     kind = "intensity" if args.intensity else "normalized UD"
     print(f"{kind} raster written to {args.out}")

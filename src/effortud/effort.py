@@ -22,9 +22,11 @@ an animal at that cell center during the step.
 Both fields come from one stencil (``_stencil``) on a zero-padded frame
 around the grid, cropped to the grid, and their bytes depend on its
 order: positions in groups, one chunk per stencil row and group, rows
-in order. Summed effort adds each chunk's ``np.bincount`` to the field.
-The overlap correction adds each entry's log(1 - p) to its step's cell
-in stencil order (``np.add.at``), then the steps' 1 - prod terms in order.
+in order. Summed effort runs its positions in cell order (a stable sort
+by row-major cell index) and adds each chunk's ``np.bincount`` to the
+field. The overlap correction adds every entry's log(1 - p), zero
+weights included, to its step's cell in stencil order (``np.add.at``),
+then the steps' 1 - prod terms in order.
 
 Summed effort over many trips is one pass over all their tracks (one dt);
 the overlap correction runs per trip. Fields are plain ``Raster``s.
@@ -88,17 +90,16 @@ def _stencil(
         origin -= first
         d2ys = (djs[:, None] - fy) * dy
         d2ys *= d2ys
+        # squared column offsets, once per group: each row takes its chord
+        d2xs = (np.arange(-mi, mi + 1) - fx[:, None]) * dx
+        d2xs *= d2xs
         full = (origin[:, None] + np.arange(2 * mi + 1)).ravel()
         for dj, d2y in zip(djs.tolist(), d2ys):
             if (near := d2y.min()) > r2:
                 continue
             # columns a cell or more past the row's widest chord have weight 0
             h = min(mi, int(np.sqrt(r2 - near) / dx + 1.5))
-            # distances are built in place: a chunk's arrays bound the memory
-            d = np.arange(-h, h + 1) - fx[:, None]
-            d *= dx
-            d *= d
-            d += d2y[:, None]
+            d = np.add(d2xs[:, mi - h : mi + h + 1], d2y[:, None])
             w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
             key = full if h == mi else (origin[:, None] + np.arange(2 * h + 1)).ravel()
             yield first + (mj + dj) * width + mi - h, key, w.ravel()
@@ -121,7 +122,11 @@ def path_integral_effort(
     dt = common_dt((t.dt for t in tracks), "tracks")
     _, mi, mj, width = _frame(grid, detection_range)
     acc = np.zeros((grid.ny + 2 * mj) * width)
-    xs, ys = np.concatenate([t.positions for t in tracks]).T
+    xy = np.concatenate([t.positions for t in tracks])
+    ix, iy = cells_xy(grid, *xy.T)
+    # in cell order, each chunk's bincount spans a few frame rows
+    xs, ys = xy[np.argsort(iy * grid.nx + ix, kind="stable")].T
+    del xy, ix, iy
     for lo, key, w in _stencil(grid, xs, ys, detection_range, mode):
         chunk = np.bincount(key, weights=w)
         acc[lo : lo + chunk.size] += chunk
@@ -178,8 +183,8 @@ def overlap_corrected_effort(
             block = np.zeros((b1 - b0) * span)
             base = (step_of[lo:hi] - b0) * span - top * width
             for k0, key, w in _stencil(grid, xs[lo:hi], ys[lo:hi], detection_range, mode, base):
-                covered = np.flatnonzero(w > 0)
-                np.add.at(block, key.take(covered) + k0, np.log1p(-w.take(covered)))
+                # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
+                np.add.at(block, key + k0, np.log1p(np.negative(w, out=w), out=w))
             # prod(1 - p) - 1, the step's coverage negated
             np.expm1(block, out=block)
             for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:

@@ -33,6 +33,8 @@ from effortud.movement import (
     simulate_trajectory,
 )
 
+pytestmark = pytest.mark.slow
+
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
 
 # One strongly habit-driven observer searching from the north: the raw

@@ -450,8 +450,8 @@ class TestExceedanceMap:
 # --- exceedance in blocks of draws against reference loops -------------------
 
 
-def reference_intensity(model, thetas, fix_detection, fix_effort, per_draw=False):
-    """Surfaces of a block of draws, one row each, from one product of the env columns.
+def reference_log_intensity(model, thetas, fix_detection, fix_effort, per_draw=False):
+    """Log surfaces of a block of draws, one row each, from one product of the env columns.
 
     ``per_draw`` replays the loop before blocks: one matrix-vector product per draw.
     """
@@ -469,8 +469,13 @@ def reference_intensity(model, thetas, fix_detection, fix_effort, per_draw=False
     if G2.shape[1]:
         c2 = np.broadcast_to(np.asarray(fix_effort, dtype=float), (G2.shape[1],))
         le = le + (c2 @ G2.T)[:, None]
+    return le
+
+
+def reference_intensity(model, thetas, fix_detection, fix_effort, per_draw=False):
+    """``reference_log_intensity``, exponentiated."""
     with np.errstate(over="ignore"):
-        return np.exp(le)
+        return np.exp(reference_log_intensity(model, thetas, fix_detection, fix_effort, per_draw))
 
 
 def reference_exceedance(model, fit, rng, percentile, n_samples, threshold_mode,
@@ -548,13 +553,27 @@ MODEL_KINDS = ["env", "nan-cells", "detection", "effort", "no-intercept", "overf
 def test_blocked_exceedance_matches_per_draw_loop(monkeypatch, kind, mode, chunk):
     monkeypatch.setattr(analysis, "_VALUE_CHUNK", chunk)
     model, fit = _random_model(kind, seed=MODEL_KINDS.index(kind))
-    fixes = {"fix_detection": 0.4, "fix_effort": [0.3, -0.2]} if model.effort else {}
+    fix_det, fix_eff = (0.4, [0.3, -0.2]) if model.effort else (0.0, 0.0)
+    blocks = []
+
+    def recorded(model, thetas, *args):
+        L = _env_log_intensity(model, thetas, *args)
+        blocks.append((thetas, L.copy()))
+        return L
+
+    monkeypatch.setattr(analysis, "_env_log_intensity", recorded)
     for percentile in (70.0, 50.0, 97.5):
         got = exceedance_map(model, fit, np.random.default_rng(9), percentile=percentile,
-                             n_samples=40, threshold_mode=mode, **fixes)
+                             n_samples=40, threshold_mode=mode, fix_detection=fix_det,
+                             fix_effort=fix_eff)
         assert_exceedance_matches_reference(got.probabilities.values, model, fit, 9,
-                                            percentile, 40, mode, **fixes)
+                                            percentile, 40, mode, fix_det, fix_eff)
         assert got.n_samples == 40
+    # the counts rarely see one ulp: every block's log intensity keeps its bits too
+    for thetas, L in blocks:
+        assert L.tobytes() == reference_log_intensity(model, thetas, fix_det, fix_eff).tobytes()
+        old = reference_log_intensity(model, thetas, fix_det, fix_eff, per_draw=True)
+        assert np.allclose(L, old, rtol=1e-12, atol=0.0, equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

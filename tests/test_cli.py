@@ -294,6 +294,72 @@ def homog_fit(sim):
     return {"model": model, "fit": out}
 
 
+# five encounters inside the default region [0, 100]^2, one with a mark
+_ENCOUNTER_ROWS = [
+    ["0", "3", "25.0", "25.0", "", "0"],
+    ["1", "7", "62.5", "40.25", "", "1"],
+    ["2", "1", "80.0", "75.5", "a", "0"],
+    ["3", "12", "10.0", "90.0", "", "2"],
+    ["4", "5", "55.0", "55.0", "", "0"],
+]
+_ENCOUNTER_COORDINATES = _COORDINATES + ["-20", "abc", ""]
+
+
+@st.composite
+def mutated_encounters_csv(draw):
+    """The seeded encounters CSV with truncated, duplicated, empty and ill-valued rows.
+
+    Coordinates may be NaN, infinite, negative, out of the region, on its
+    edge or not numbers; ids may be non-integers; an extra column, an extra
+    field on one row, a file with the header alone or an empty file may
+    appear.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return ""
+    header = ["trip", "step", "x", "y", "mark", "observer"]
+    rows = [list(r) for r in _ENCOUNTER_ROWS]
+    if draw(st.integers(0, 9)) == 0:
+        rows = []
+    if draw(st.booleans()):
+        header.append("note")
+        rows = [r + ["7"] for r in rows]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["truncate", "duplicate", "empty", "coordinate", "id", "extra"]))
+        col = draw(st.sampled_from([2, 3])) if op == "coordinate" else draw(st.sampled_from([0, 1, 5]))
+        if op == "truncate":
+            rows[i] = rows[i][: draw(st.integers(0, 5))]
+        elif op == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif op == "empty":
+            rows.insert(i, [])
+        elif op == "extra":
+            rows[i].append("9")
+        elif col < len(rows[i]):
+            values = _ENCOUNTER_COORDINATES if op == "coordinate" else _IDS
+            rows[i][col] = draw(st.sampled_from(values))
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(text=mutated_encounters_csv())
+def test_fit_on_mutated_encounters_exits_cleanly(tmp_path_factory, text):
+    # every malformed encounters file is refused with an exit code, never a
+    # traceback; a fit is written exactly when the command succeeds
+    root = tmp_path_factory.mktemp("fit-encounters")
+    model = TestExceed._distinct_model(root)
+    encounters = root / "encounters.csv"
+    encounters.write_text(text)
+    out = root / "fit.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["fit", "--model", str(model), "--encounters", str(encounters),
+                     "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()
+    assert out.exists() == (code == EXIT_OK)
+
+
 class TestFit:
     def test_homogeneous_closed_form(self, sim, homog_fit):
         doc = json.loads(homog_fit["fit"].read_text())
@@ -400,6 +466,39 @@ class TestPredict:
         assert main(["predict", "--model", str(with_off), "--fit",
                      str(homog_fit["fit"]), "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("theta", [[0.0, 1e308], [800.0, 0.0]], ids=["slope", "intercept"])
+    def test_overflowing_surface_exit_3(self, tmp_path, capsys, theta):
+        # a converged fit whose surface overflows to inf is refused either way
+        model = TestExceed._distinct_model(tmp_path)
+        fit = tmp_path / "fit.json"
+        fit.write_text(_fit_text(theta=theta))
+        out = tmp_path / "out.csv"
+        for extra in ([], ["--intensity"]):
+            code = main(["predict", "--model", str(model), "--fit", str(fit), "--out", str(out)]
+                        + extra)
+            assert code == EXIT_DATA
+            assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: intensity overflows to inf in ")
+
+    def test_intensity_keeps_missing_covariate_cells(self, tmp_path):
+        # a cell without covariates has no intensity: written as NaN, and
+        # the normalized UD, which needs every cell, is refused
+        model = TestExceed._distinct_model(tmp_path)
+        g = build_grid(StudyRegion(0, 100, 0, 100), 10, 10)
+        z = raster_from_function(g, lambda X, Y: np.where((X < 10) & (Y < 10), np.nan, X))
+        write_raster_csv(z, tmp_path / "z.csv")
+        fit = tmp_path / "fit.json"
+        fit.write_text(_fit_text())
+        out = tmp_path / "out.csv"
+        args = ["predict", "--model", str(model), "--fit", str(fit), "--out", str(out)]
+        assert main(args + ["--intensity"]) == EXIT_OK
+        v = read_raster_csv(out).values
+        assert np.isnan(v[0, 0]) and np.isfinite(np.delete(v.ravel(), 0)).all()
+        out.unlink()
+        assert main(args) == EXIT_DATA
+        assert not out.exists()
 
     def test_fit_without_theta_exit_3(self, homog_fit, tmp_path, capsys):
         doc = json.loads(homog_fit["fit"].read_text())
@@ -658,6 +757,8 @@ def test_predict_and_exceed_on_mutated_fit_json_exit_cleanly(tmp_path_factory, t
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
         assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
         assert out.exists() == (code == EXIT_OK)
+        if code == EXIT_OK and command == "predict":
+            assert not np.isinf(read_raster_csv(out).values).any()
         out.unlink(missing_ok=True)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effortud import effort
@@ -141,11 +141,19 @@ def compacting_stencil(grid, xs, ys, radius, mode, base=0):
             yield keys.take(valid), w.ravel().take(valid)
 
 
-def compacting_path_integral(tracks, grid, radius, mode):
-    """Summed effort as one full-grid ``bincount`` per compacted chunk: the reference order."""
+def compacting_path_integral(tracks, grid, radius, mode, cell_order=True):
+    """Summed effort as one full-grid ``bincount`` per compacted chunk: the reference order.
+
+    The positions run in cell order (a stable sort by row-major cell
+    index); ``cell_order=False`` keeps the track order it replaced.
+    """
     acc = np.zeros(grid.ncells)
     xs = np.concatenate([t.positions[:, 0] for t in tracks])
     ys = np.concatenate([t.positions[:, 1] for t in tracks])
+    if cell_order:
+        ix, iy = cells_xy(grid, xs, ys)
+        order = np.argsort(iy * grid.nx + ix, kind="stable")
+        xs, ys = xs[order], ys[order]
     for flat, w in compacting_stencil(grid, xs, ys, radius, mode):
         acc += np.bincount(flat, weights=w, minlength=acc.size)
     return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
@@ -212,8 +220,12 @@ def synchronized_trips(draw):
     Half the cases use the 100 x 100 grid with 7 to 20 steps. Tracks 0 and 1
     start in the bottom and top rows, so the trip's fields of view reach
     every row and its steps run in blocks of 6. The other half use small
-    off-origin grids. A smaller chunk size splits blocks and stencil rows
-    further.
+    off-origin grids. Other tracks may follow track 0 on its cell row, on
+    its very position, or under a cell off it, on its row or the next:
+    three or more observers then cover the same cells with distinct
+    weights, from one stencil row and from another, so a change in the
+    order of a cell's sum shows. A smaller chunk size splits blocks and
+    stencil rows further.
     """
     big = draw(st.booleans())
     if big:
@@ -231,12 +243,19 @@ def synchronized_trips(draw):
     if big:
         paths[0][0] = (paths[0][0][0], 0.5)
         paths[1][0] = (paths[1][0][0], 99.5)
+    r = g.region
     for path in paths[1:]:
-        if draw(st.booleans()):  # on track 0's cell row, or on its very position
-            same = draw(st.booleans())
-            for s in range(len(path)):
-                x0, y0 = paths[0][s]
-                path[s] = (x0 if same else path[s][0], y0)
+        follow = draw(st.sampled_from(["free", "row", "same", "near"]))
+        ox = draw(st.floats(-1.0, 1.0)) * g.dx
+        oy = draw(st.sampled_from([0.0, 0.5, -0.5])) * g.dy
+        for s in range(len(path)):
+            x0, y0 = paths[0][s]
+            if follow == "row":
+                path[s] = (path[s][0], y0)
+            elif follow == "same":
+                path[s] = (x0, y0)
+            elif follow == "near":
+                path[s] = (min(max(x0 + ox, r.xmin), r.xmax), min(max(y0 + oy, r.ymin), r.ymax))
     tracks = [Trajectory(positions=path, dt=1.0) for path in paths]
     mode = draw(st.sampled_from(["indicator", "detection"]))
     chunk = draw(st.sampled_from([effort._POSITION_CHUNK, 1000, 64]))
@@ -366,8 +385,19 @@ def test_overlap_matches_brute_force(case):
     assert np.allclose(fast[keep], slow[keep], rtol=1e-10, atol=1e-12)
 
 
+def clustered_trip(n_steps, chunk):
+    """Four observers a cell or so apart across cell rows, each step somewhere else."""
+    g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
+    where = np.random.default_rng(n_steps).uniform(4.0, 8.0, size=(n_steps, 1, 2))
+    paths = where + [[0.1, 0.2], [0.7, 0.3], [-0.2, 1.4], [0.4, -0.9]]
+    tracks = [Trajectory(positions=paths[:, o], dt=1.0) for o in range(4)]
+    return g, tracks, 4.0, "detection", chunk
+
+
 @settings(max_examples=120, deadline=None)
 @given(synchronized_trips())
+@example(clustered_trip(1, effort._POSITION_CHUNK))
+@example(clustered_trip(6, 64))
 def test_overlap_bytes_match_the_per_step_loop(case):
     g, tracks, radius, mode, chunk = case
     with pytest.MonkeyPatch.context() as mp:
@@ -376,17 +406,42 @@ def test_overlap_bytes_match_the_per_step_loop(case):
         assert_overlap_matches_per_step(got, tracks, g, radius, mode)
 
 
+@settings(max_examples=80, deadline=None)
+@given(synchronized_trips(), st.data())
+def test_overlap_effort_is_at_most_summed_effort(case, data):
+    # per step 1 - prod(1 - p) <= sum(p), with equality for one observer;
+    # summed effort does not depend on the order of the tracks
+    g, tracks, radius, _, chunk = case
+    order = data.draw(st.permutations(range(len(tracks))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(effort, "_POSITION_CHUNK", chunk)
+        for mode in ("indicator", "detection"):
+            summed = path_integral_effort(tracks, g, radius, mode).values
+            overlap = overlap_corrected_effort(tracks, g, radius, mode).values
+            assert (overlap >= 0.0).all()
+            assert (overlap <= summed * (1.0 + 1e-12)).all()
+            one = tracks[:1]
+            assert np.allclose(overlap_corrected_effort(one, g, radius, mode).values,
+                               path_integral_effort(one, g, radius, mode).values,
+                               rtol=1e-12, atol=0.0)
+            permuted = path_integral_effort([tracks[o] for o in order], g, radius, mode).values
+            assert np.allclose(permuted, summed, rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(ragged_track_sets())
 def test_path_integral_bytes_match_the_compacting_loop(case):
     # zero weights and entries on the padded frame's margins add nothing:
-    # every byte equals the compacting stencil's full-grid bincount
+    # every byte equals the compacting stencil's full-grid bincount over the
+    # same cell-ordered positions, and the track order differs by rounding
     g, tracks, radius, mode, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(effort, "_POSITION_CHUNK", chunk)
         got = path_integral_effort(tracks, g, radius, mode=mode).values
         want = compacting_path_integral(tracks, g, radius, mode)
+        old = compacting_path_integral(tracks, g, radius, mode, cell_order=False)
     assert got.tobytes() == want.tobytes()
+    assert np.allclose(got, old, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("mode", ["indicator", "detection"])
