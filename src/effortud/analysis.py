@@ -22,11 +22,13 @@ from .errors import (
 )
 from .geometry import Grid, Point, Raster, raster_from_function
 from .inference import CovariateBlock, FitResult, IntensityModel, _env_block, _env_log_intensity
+from .pool import ordered_map
 
 
 _MAD_C = 1.48  # makes the MAD estimate a normal standard deviation
 _BAND_K = 2.0  # robust_interval's half-width, in those standard deviations
 _VALUE_CHUNK = 1 << 19  # cell values per block of exceedance draws
+_BAND_STRIDE = 32  # a row's sample for its threshold band: every 32nd cell
 
 
 def normalize_ud(intensity: Raster) -> Raster:
@@ -95,13 +97,43 @@ def is_covariance(C: np.ndarray) -> bool:
     return tol < np.inf and asymmetry <= tol and np.linalg.eigvalsh(C).min(initial=0.0) >= -tol
 
 
+def _order_statistics(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Each row's values at sorted positions ``lo <= hi``, as ``np.partition`` places them.
+
+    Every ``_BAND_STRIDE``-th cell of a row is a sample; two of its order
+    statistics, a few standard errors either side of the ranks, give
+    values ``tl <= th`` of the row. The row's cells below ``tl`` are
+    counted and those in [tl, th] (its band) partitioned on their own; a
+    row whose band does not hold both ranks is partitioned whole. Order
+    statistics are values, so both ways give the same bits. Returns a
+    rows x 2 array.
+    """
+    n = P.shape[1]
+    S = P[:, ::_BAND_STRIDE]
+    m = S.shape[1]
+    # a sample rank's standard error is at most sqrt(m) / 2
+    margin = 2 * math.isqrt(m) + 1
+    sl, sh = max(lo * m // n - margin, 0), min(hi * m // n + margin, m - 1)
+    S = np.partition(S, [sl, sh], axis=1)
+    below = P < S[:, sl, None]
+    band = (P <= S[:, sh, None]) ^ below  # below implies <= th, as tl <= th
+    out = np.empty((len(P), 2))
+    sizes = zip(np.count_nonzero(below, axis=1).tolist(), np.count_nonzero(band, axis=1).tolist())
+    for i, (c, size) in enumerate(sizes):
+        if c <= lo and hi < c + size:
+            out[i] = np.partition(P[i][band[i]], [lo - c, hi - c])[[lo - c, hi - c]]
+        else:
+            out[i] = np.partition(P[i], [lo, hi])[[lo, hi]]
+    return out
+
+
 def _count_above(V: np.ndarray, q: float, fixed_thr: float | None = None):
     """Per-cell counts of the rows of ``V`` whose finite value exceeds the row's threshold.
 
     The threshold is ``fixed_thr`` when given, else each row's
     ``np.quantile(row[finite], q)`` (numpy's linear method). Rows whose
-    finite cells are exactly the cells finite in every row share one
-    partition at the order statistics around (n - 1) q and numpy's
+    finite cells are exactly the cells finite in every row take the order
+    statistics around (n - 1) q (``_order_statistics``) and numpy's
     interpolation rule; any other row calls ``np.quantile`` itself.
     Returns the counts and the cells finite in some row.
     """
@@ -121,12 +153,8 @@ def _count_above(V: np.ndarray, q: float, fixed_thr: float | None = None):
             if pos >= n - 1:
                 lo = hi = n - 1
             g = pos - lo
-            if n == V.shape[1]:
-                P = np.partition(V, [lo, hi], axis=1)
-            else:
-                P = V[np.ix_(batch, common)]
-                P.partition([lo, hi], axis=1)
-            a, b = P[:, lo], P[:, hi]
+            P = V if n == V.shape[1] else V[np.ix_(batch, common)]
+            a, b = _order_statistics(P, lo, hi).T
             d = b - a
             thr[batch, 0] = b - d * (1 - g) if g >= 0.5 else a + d * g
         for i in np.flatnonzero(~batch):
@@ -156,10 +184,13 @@ def exceedance_map(
     semidefinite (``is_covariance``), is refused.
 
     Draws are evaluated in blocks of at most ``_VALUE_CHUNK`` (2**19)
-    cell values, one draw per block on grids larger than that. Beyond the
-    environment block and the per-cell counts, a block holds its values
-    and one partitioned copy (4 MiB each at most) and a few boolean
-    masks, whatever ``n_samples`` is.
+    cell values, one draw per block on grids larger than that. The blocks
+    run on the stage threads (``pool.ordered_map``); their counts are
+    integers, added on the calling thread, so the map does not depend on
+    the thread count. Beyond the environment block and the per-cell
+    counts, each thread's block holds its values (4 MiB at most), one
+    row's partitioned copy, a few boolean masks and its counts, whatever
+    ``n_samples`` is.
     """
     if not 0.0 < percentile < 100.0:
         raise ValueError(f"percentile must be in (0, 100), got {percentile}")
@@ -189,23 +220,28 @@ def exceedance_map(
 
     A = _env_block(model)
     fixed_thr = None
-    above = np.zeros(grid.ncells, dtype=np.int64)
-    finite_any = np.zeros(grid.ncells, dtype=bool)
-    step = max(1, _VALUE_CHUNK // grid.ncells)
-    # a cell whose intensity overflows is not finite, so it counts in no draw
-    with np.errstate(over="ignore"):
-        if threshold_mode == "fixed":
+    if threshold_mode == "fixed":
+        # a cell whose intensity overflows is not finite, so it counts in no draw
+        with np.errstate(over="ignore"):
             base = np.exp(_env_log_intensity(model, fit.theta[None], fix_detection, fix_effort, A)[0])
-            base = base[np.isfinite(base)]
-            if not base.size:
-                raise ValueError("the fitted coefficients give no cell a finite intensity")
-            fixed_thr = float(np.quantile(base, q))
-        for k in range(0, len(draws), step):
+        base = base[np.isfinite(base)]
+        if not base.size:
+            raise ValueError("the fitted coefficients give no cell a finite intensity")
+        fixed_thr = float(np.quantile(base, q))
+    step = max(1, _VALUE_CHUNK // grid.ncells)
+
+    def count_block(k: int):
+        # errstate is per thread: a stage thread does not inherit the caller's
+        with np.errstate(over="ignore"):
             V = _env_log_intensity(model, draws[k : k + step], fix_detection, fix_effort, A)
             np.exp(V, out=V)
-            n_above, finite = _count_above(V, q, fixed_thr)
-            above += n_above
-            finite_any |= finite
+            return _count_above(V, q, fixed_thr)
+
+    above = np.zeros(grid.ncells, dtype=np.int64)
+    finite_any = np.zeros(grid.ncells, dtype=bool)
+    for n_above, finite in ordered_map(count_block, range(0, len(draws), step)):
+        above += n_above
+        finite_any |= finite
     probs = above / len(draws)
     probs[~finite_any] = np.nan
     return ExceedanceMap(

@@ -19,14 +19,17 @@ field instead accumulates, per time step,
 which is the probability that at least one observer would have detected
 an animal at that cell center during the step.
 
-Both fields come from one stencil (``_stencil``) on a zero-padded frame
-around the grid, cropped to the grid, and their bytes depend on its
-order: positions in groups, one chunk per stencil row and group, rows
-in order. Summed effort runs its positions in cell order (a stable sort
-by row-major cell index) and adds each chunk's ``np.bincount`` to the
-field. The overlap correction adds every entry's log(1 - p), zero
-weights included, to its step's cell in stencil order (``np.add.at``),
-then the steps' 1 - prod terms in order.
+Both fields come from one stencil (``_stencil_rows``) on a zero-padded
+frame around the grid, cropped to the grid, and their bytes depend on
+its order: positions in groups, one chunk per stencil row and group,
+rows in order. Summed effort runs its positions in cell order (a stable
+sort by row-major cell index); each chunk's weights and ``np.bincount``
+are computed on the stage threads (``pool.ordered_map``) and added to
+the field on the calling thread in that order, so the bytes do not
+depend on the thread count. The overlap correction runs its chunks
+inline, adding every entry's log(1 - p), zero weights included, to its
+step's cell in stencil order (``np.add.at``), then the steps'
+1 - prod terms in order.
 
 Summed effort over many trips is one pass over all their tracks (one dt);
 the overlap correction runs per trip. Fields are plain ``Raster``s.
@@ -34,7 +37,8 @@ the overlap correction runs per trip. Fields are plain ``Raster``s.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .encounters import detection_kernel
 from .errors import check_positive
 from .geometry import Grid, Raster, cells_xy, constant_raster
 from .movement import Trajectory, common_dt
+from .pool import ordered_map
 
 _POSITION_CHUNK = 65536
 # each effort mode weighs a cell center by a detection kernel of its distance
@@ -57,10 +62,10 @@ def _frame(grid: Grid, radius: float) -> tuple[int, int, int, int]:
     return iw, mi, min(int(np.floor(radius / grid.dy + 0.5)), grid.ny - 1), grid.nx + 2 * mi
 
 
-def _stencil(
+def _stencil_rows(
     grid: Grid, xs: np.ndarray, ys: np.ndarray, radius: float, mode: str, base: np.ndarray | int = 0
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(lo, key, weight)`` chunks of the positions' fields of view.
+) -> Iterator[Callable[[], tuple[int, np.ndarray, np.ndarray]]]:
+    """Yield one task per chunk of the positions' fields of view; a task returns ``(lo, key, weight)``.
 
     ``lo + key`` is a cell's row-major index in the padded frame
     (``_frame``) plus the position's ``base``; keys start at 0, so a
@@ -69,6 +74,8 @@ def _stencil(
     group yields one chunk per stencil row its positions reach, rows in
     order, each position's columns in turn, trimmed to the row's widest
     chord. Zero weights and entries off the grid add nothing to the bytes.
+    A group's set-up runs as the tasks are drawn; the tasks only read it,
+    so they may run on other threads.
     """
     if mode not in _EFFORT_KERNELS:
         raise ValueError(f"unknown effort mode {mode!r}")
@@ -99,10 +106,25 @@ def _stencil(
                 continue
             # columns a cell or more past the row's widest chord have weight 0
             h = min(mi, int(np.sqrt(r2 - near) / dx + 1.5))
-            d = np.add(d2xs[:, mi - h : mi + h + 1], d2y[:, None])
-            w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
-            key = full if h == mi else (origin[:, None] + np.arange(2 * h + 1)).ravel()
-            yield first + (mj + dj) * width + mi - h, key, w.ravel()
+            key = full if h == mi else None
+            lo = first + (mj + dj) * width + mi - h
+            yield partial(_stencil_row, lo, d2xs[:, mi - h : mi + h + 1], d2y, origin, key, radius, kernel)
+
+
+def _stencil_row(lo, d2xs, d2y, origin, key, radius, kernel) -> tuple[int, np.ndarray, np.ndarray]:
+    """One stencil row's chunk: the row's chord of the squared column offsets
+    plus its squared row offset, then ``sqrt`` and the kernel; ``key`` is
+    the group's full-width keys, or None to build the chord's."""
+    d = np.add(d2xs, d2y[:, None])
+    w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
+    if key is None:
+        key = (origin[:, None] + np.arange(d2xs.shape[1])).ravel()
+    return lo, key, w.ravel()
+
+
+def _binned_row(task) -> tuple[int, np.ndarray]:
+    lo, key, w = task()
+    return lo, np.bincount(key, weights=w)
 
 
 def path_integral_effort(
@@ -127,8 +149,8 @@ def path_integral_effort(
     # in cell order, each chunk's bincount spans a few frame rows
     xs, ys = xy[np.argsort(iy * grid.nx + ix, kind="stable")].T
     del xy, ix, iy
-    for lo, key, w in _stencil(grid, xs, ys, detection_range, mode):
-        chunk = np.bincount(key, weights=w)
+    # each chunk's bincount may run on another thread; the sums stay in order
+    for lo, chunk in ordered_map(_binned_row, _stencil_rows(grid, xs, ys, detection_range, mode)):
         acc[lo : lo + chunk.size] += chunk
     return Raster(grid, acc.reshape(-1, width)[mj : mj + grid.ny, mi : mi + grid.nx] * dt)
 
@@ -182,7 +204,8 @@ def overlap_corrected_effort(
             # log(1 - p) summed per (step, cell)
             block = np.zeros((b1 - b0) * span)
             base = (step_of[lo:hi] - b0) * span - top * width
-            for k0, key, w in _stencil(grid, xs[lo:hi], ys[lo:hi], detection_range, mode, base):
+            for row in _stencil_rows(grid, xs[lo:hi], ys[lo:hi], detection_range, mode, base):
+                k0, key, w = row()
                 # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
                 np.add.at(block, key + k0, np.log1p(np.negative(w, out=w), out=w))
             # prod(1 - p) - 1, the step's coverage negated

@@ -11,13 +11,14 @@ scores both against the animal's true stationary density:
 Replicates are independent (seed = base_seed XOR replicate index) and
 run in a process pool; the worker count comes from the ``workers``
 argument, the EFFORTUD_WORKERS environment variable, or the CPU count,
-in that order. It is not part of the config: it changes no result.
+in that order (``pool.resolve_workers``). Worker processes run their
+stages on one thread. The count is not part of the config: it changes
+no result.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,8 +40,7 @@ from .geometry import Grid, StudyRegion, build_grid, grid_from_doc
 from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
 from .movement import BivariateNormalPotential, HalfNormalYPotential, MovementSpec, analytic_ud
-
-WORKERS_ENV = "EFFORTUD_WORKERS"
+from .pool import resolve_workers, single_threaded
 
 # Bias presets pair the observers' step variance with the spread of their
 # long-run density. Slow observers (step variance 2) concentrate search
@@ -290,18 +290,6 @@ class ExperimentResult:
     summaries: dict[str, RobustInterval] = field(default_factory=dict)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def summarize(records: list[dict[str, Any]], overlap: bool) -> dict[str, RobustInterval]:
     keys = ["mspe_uncorrected", "mspe_corrected", "bias_uncorrected", "bias_corrected"]
     if overlap:
@@ -317,12 +305,13 @@ def summarize(records: list[dict[str, Any]], overlap: bool) -> dict[str, RobustI
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run all replicates of one setting, in parallel where possible."""
-    n_workers = _resolve_workers(workers)
+    n_workers = resolve_workers(workers)
     reps = list(range(cfg.replicates))
     if n_workers == 1 or cfg.replicates == 1:
         records = [run_replicate(cfg, r) for r in reps]
     else:
-        with ProcessPoolExecutor(max_workers=min(n_workers, cfg.replicates)) as pool:
+        n = min(n_workers, cfg.replicates)
+        with ProcessPoolExecutor(max_workers=n, initializer=single_threaded) as pool:
             records = list(pool.map(run_replicate, [cfg] * len(reps), reps))
     return ExperimentResult(
         config=cfg, records=records, summaries=summarize(records, cfg.overlap)

@@ -130,7 +130,8 @@ def _axis_index(coord: np.ndarray, lo: float, step: float, n: int) -> np.ndarray
 def cells_xy(grid: Grid, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column and row of the cell holding each point.
 
-    Points outside the closed region raise OutOfDomainError.
+    Points outside the closed region raise OutOfDomainError, naming the
+    first such point; a NaN or infinite coordinate is named as such.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -138,7 +139,9 @@ def cells_xy(grid: Grid, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np
     inside = r.contains(xs, ys)
     if not np.all(inside):
         i = int(np.argmin(inside))
-        raise OutOfDomainError(f"point ({xs.flat[i]}, {ys.flat[i]}) outside region")
+        x, y = float(xs.flat[i]), float(ys.flat[i])
+        where = "outside region" if np.isfinite([x, y]).all() else "has a non-finite coordinate"
+        raise OutOfDomainError(f"point ({x}, {y}) {where}")
     return _axis_index(xs, r.xmin, grid.dx, grid.nx), _axis_index(ys, r.ymin, grid.dy, grid.ny)
 
 

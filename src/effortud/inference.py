@@ -45,6 +45,7 @@ from .errors import (
 from .geometry import Grid, Raster, cells_of
 
 _RCOND = 1e-12
+_MAX_COUNT = 2.0**53  # past it a float no longer holds every integer
 
 
 @dataclass
@@ -150,6 +151,8 @@ class LikelihoodData:
             raise ValueError("negative counts")
         if np.any(c != np.floor(c)):
             raise ValueError("counts must be integers")
+        if np.any(c > _MAX_COUNT):
+            raise ValueError(f"counts must be at most 2**53, got {c.max():g}")
         return cls(kind="counts", grid=grid, weights=_default_weights(grid, weights), counts=c)
 
     @classmethod

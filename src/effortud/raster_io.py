@@ -6,11 +6,12 @@ survive a write/read cycle bit-exact.
 CSV layout: header ``x,y,value``, one row per cell center, x varying
 fastest, rows from the south edge upward. The reader reconstructs the
 grid from the center coordinates; it refuses a row it cannot parse, a
-center listed twice and spacing that is not uniform, naming the file
-and line. The reconstructed region is exact only up to rounding of the
-centers (a single column or row has no spacing at all), so callers that
-know the intended grid should compare centers against it with
-``same_cell_centers``; ``model_io.read_raster`` does.
+center that is not finite or listed twice and spacing that is not
+uniform, naming the file and line. The reconstructed region is exact
+only up to rounding of the centers (a single column or row has no
+spacing at all), so callers that know the intended grid should compare
+centers against it with ``same_cell_centers``; ``model_io.read_raster``
+does.
 
 ASCII grid layout follows the ESRI convention: six header lines
 (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value) and data
@@ -88,7 +89,7 @@ def _axis(u: np.ndarray, path, name: str) -> tuple[np.ndarray, float]:
     if np.any(bad):
         raise ValueError(
             f"{path}: {name} centers are not evenly spaced "
-            f"({name} = {c[int(np.argmax(bad))]!r} is off a spacing of {d!r})"
+            f"({name} = {float(c[int(np.argmax(bad))])!r} is off a spacing of {float(d)!r})"
         )
     return c, float(d)
 
@@ -115,8 +116,12 @@ def read_raster_csv(path: str | Path) -> Raster:
             raise ValueError(f"{path}, line {r.line_num}: expected x,y,value numbers, got {row}") from exc
     if not vs:
         raise ValueError(f"{path}: no data rows")
-    ux, dx = _axis(np.asarray(xs), path, "x")
-    uy, dy = _axis(np.asarray(ys), path, "y")
+    centers = np.array([xs, ys])
+    if not np.isfinite(centers).all():
+        i = int(np.argmin(np.isfinite(centers).all(axis=0)))
+        raise ValueError(f"{path}, line {lines[i]}: cell center ({xs[i]!r}, {ys[i]!r}) is not finite")
+    ux, dx = _axis(centers[0], path, "x")
+    uy, dy = _axis(centers[1], path, "y")
     nx, ny = len(ux), len(uy)
     if nx * ny != len(vs):
         raise ValueError(f"{path}: {len(vs)} rows do not fill a {nx}x{ny} grid")

@@ -10,6 +10,7 @@ from effortud import analysis
 from effortud.analysis import (
     QuadraticDesign,
     _count_above,
+    _order_statistics,
     exceedance_map,
     mark_probability,
     mspe,
@@ -651,5 +652,106 @@ def test_count_above_matches_per_row_quantile_rule(V, percentile, fixed_thr):
         thr = fixed_thr if fixed_thr is not None else float(np.quantile(row[fin], q))
         want += fin & (row > thr)
     counts, finite_any = _count_above(V, q, fixed_thr)
+    assert np.array_equal(counts, want)
+    assert np.array_equal(finite_any, finite.any(axis=0))
+
+
+class _PartitionSpy:
+    """numpy for ``analysis``, with each one-row ``partition`` call recorded.
+
+    A call on a view of ``P`` partitions a whole row (the fallback); any
+    other one-row call partitions a band.
+    """
+
+    def __init__(self, P):
+        self.P, self.ways = P, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def partition(self, a, kth, axis=-1):
+        if a.ndim == 1:
+            self.ways.append("whole" if np.shares_memory(a, self.P) else "band")
+        return np.partition(a, kth, axis=axis)
+
+
+def _rows_off_their_sample(rng, rows, n, shift):
+    """Rows whose sampled cells (every ``_BAND_STRIDE``-th) lie ``shift`` above the rest."""
+    P = rng.random((rows, n))
+    P[:, :: analysis._BAND_STRIDE] += shift
+    return P
+
+
+@st.composite
+def band_blocks(draw):
+    """Finite blocks of rows for the sampled band: smooth, heavily tied, constant,
+    sorted, shorter than the sample stride, or built so the band misses the ranks."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 5, 31, 32, 33, 64, 100, 1000, 4099]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["smooth", "ties", "constant", "sorted", "miss"]))
+    if kind == "smooth":
+        P = rng.random((rows, n))
+    elif kind == "ties":
+        P = rng.integers(0, draw(st.integers(1, 4)), (rows, n)) * draw(st.sampled_from([1.0, 1e300]))
+    elif kind == "constant":
+        P = np.full((rows, n), draw(st.sampled_from([0.0, 0.25, 5e-324, 1e300])))
+    elif kind == "sorted":
+        P = np.sort(rng.random((rows, n)), axis=1)[:, :: draw(st.sampled_from([1, -1]))]
+    else:
+        P = _rows_off_their_sample(rng, rows, n, draw(st.sampled_from([-2.0, 2.0])))
+    lo = draw(st.sampled_from([0, 1, n // 2, (7 * (n - 1)) // 10, n - 2, n - 1]) | st.integers(0, n - 1))
+    lo = min(max(lo, 0), n - 1)
+    return np.ascontiguousarray(P), lo, min(lo + draw(st.integers(0, 1)), n - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(band_blocks())
+def test_band_order_statistics_equal_partition(case):
+    # order statistics are values: the band and the whole-row partition agree
+    P, lo, hi = case
+    got = _order_statistics(P, lo, hi)
+    want = np.partition(P, [lo, hi], axis=1)[:, [lo, hi]]
+    assert np.array_equal(got, want)
+
+
+def test_band_and_fallback_both_run(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 4099
+    smooth = rng.random((3, n))
+    missed = _rows_off_their_sample(rng, 3, n, 2.0)
+    lo = (7 * (n - 1)) // 10
+    for P, way in ((smooth, "band"), (missed, "whole")):
+        spy = _PartitionSpy(P)
+        monkeypatch.setattr(analysis, "np", spy)
+        got = _order_statistics(P, lo, lo + 1)
+        monkeypatch.undo()
+        assert spy.ways == [way] * 3
+        assert np.array_equal(got, np.partition(P, [lo, lo + 1], axis=1)[:, [lo, lo + 1]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    case=band_blocks(),
+    percentile=st.sampled_from([70.0, 50.0, 1e-9, 0.01, 99.99, 99.99999999999999])
+    | st.floats(0.5, 99.5),
+    data=st.data(),
+)
+def test_count_above_matches_quantile_rule_on_long_rows(case, percentile, data):
+    # rows longer than the sample stride, with cells missing in every row
+    # and a stray infinite cell sending its row to np.quantile
+    V = case[0].copy()
+    n = V.shape[1]
+    V[:, data.draw(arrays(np.bool_, n))] = np.nan
+    if data.draw(st.booleans()):
+        V[data.draw(st.integers(0, len(V) - 1)), data.draw(st.integers(0, n - 1))] = np.inf
+    finite = np.isfinite(V)
+    if not finite.any(axis=1).all():
+        return
+    q = percentile / 100.0
+    want = np.zeros(n, dtype=np.int64)
+    for row, fin in zip(V, finite):
+        want += fin & (row > np.quantile(row[fin], q))
+    counts, finite_any = _count_above(V, q)
     assert np.array_equal(counts, want)
     assert np.array_equal(finite_any, finite.any(axis=0))

@@ -360,6 +360,92 @@ def test_fit_on_mutated_encounters_exits_cleanly(tmp_path_factory, text):
     assert out.exists() == (code == EXIT_OK)
 
 
+# a counts and a presence raster on TestExceed._distinct_model's 10 x 10 grid
+_RASTER_CENTERS = [(5.0 + 10 * i, 5.0 + 10 * j) for j in range(10) for i in range(10)]
+_SEED_VALUES = {
+    "counts": [int(v) for v in np.random.default_rng(3).poisson(2.0, 100)],
+    "presence": [int(v) for v in np.random.default_rng(4).random(100) < 0.4],
+}
+_RASTER_VALUES = ["nan", "inf", "-inf", "-1", "-0.0", "0.5", "2", "1e308", "1e400", "abc", ""]
+
+
+def _seed_raster_rows(kind):
+    return [[repr(x), repr(y), str(v)] for (x, y), v in zip(_RASTER_CENTERS, _SEED_VALUES[kind])]
+
+
+def _raster_text(rows):
+    return "\n".join(",".join(r) for r in [["x", "y", "value"]] + rows) + "\n"
+
+
+def _seed_raster_with(kind, col, value):
+    rows = _seed_raster_rows(kind)
+    rows[7][col] = value
+    return kind, _raster_text(rows)
+
+
+@st.composite
+def mutated_cell_raster(draw):
+    """A seeded counts or presence CSV with truncated, duplicated, empty and ill-valued rows.
+
+    Values may be NaN, infinite, negative, fractional, huge or not numbers;
+    the raster may lie on the wrong grid (shifted, rescaled, a row or
+    column short); a file with the header alone or an empty file may appear.
+    """
+    kind = draw(st.sampled_from(["counts", "presence"]))
+    if draw(st.integers(0, 19)) == 0:
+        return kind, ""
+    rows = _seed_raster_rows(kind)
+    grid = draw(st.sampled_from(["same", "same", "same", "shift", "scale", "row", "column"]))
+    if grid == "shift":
+        rows = [[repr(float(x) + 10.0), y, v] for x, y, v in rows]
+    elif grid == "scale":
+        rows = [[repr(2.0 * float(x)), repr(2.0 * float(y)), v] for x, y, v in rows]
+    elif grid == "row":
+        rows = rows[:90]
+    elif grid == "column":
+        rows = [r for r in rows if float(r[0]) < 90.0]
+    if draw(st.integers(0, 19)) == 0:
+        rows = []
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["truncate", "duplicate", "empty", "value", "value", "coordinate"]))
+        if op == "truncate":
+            rows[i] = rows[i][: draw(st.integers(0, 2))]
+        elif op == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif op == "empty":
+            rows.insert(i, [])
+        elif op == "value" and len(rows[i]) == 3:
+            rows[i][2] = draw(st.sampled_from(_RASTER_VALUES))
+        elif op == "coordinate" and len(rows[i]) == 3:
+            rows[i][draw(st.integers(0, 1))] = draw(st.sampled_from(_COORDINATES))
+    return kind, _raster_text(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=mutated_cell_raster())
+@example(case=_seed_raster_with("counts", 2, "1e308"))  # log N! overflowed
+@example(case=_seed_raster_with("counts", 2, "inf"))  # fit "NOT converged", exit 0
+@example(case=_seed_raster_with("presence", 0, "inf"))  # spacing check warned
+def test_fit_on_mutated_cell_rasters_exits_cleanly(tmp_path_factory, case):
+    # every malformed counts or presence raster is refused with an exit
+    # code, never a traceback; a fit is written exactly when the command succeeds
+    kind, text = case
+    root = tmp_path_factory.mktemp("fit-raster")
+    model = TestExceed._distinct_model(root)
+    data = root / f"{kind}.csv"
+    data.write_text(text)
+    out = root / "fit.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--model", str(model), f"--{kind}", str(data), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()
+    assert out.exists() == (code == EXIT_OK)
+    assert [str(w.message) for w in caught] == []
+
+
 class TestFit:
     def test_homogeneous_closed_form(self, sim, homog_fit):
         doc = json.loads(homog_fit["fit"].read_text())
@@ -809,6 +895,15 @@ class TestMalformedFiles:
                      "--range", "5"])
         assert code == EXIT_DATA
         assert "tracks.csv, line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x, y", [("80.0", "nan"), ("inf", "25.0")])
+    def test_non_finite_encounter_coordinate_exit_3(self, tmp_path, capsys, x, y):
+        enc = tmp_path / "enc.csv"
+        enc.write_text(f"trip,step,x,y,mark,observer\n0,3,25.0,25.0,,0\n1,4,{x},{y},,0\n")
+        assert self._fit(tmp_path, {}, encounters=enc) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"point ({float(x)}, {float(y)}) has a non-finite coordinate" in err
+        assert "outside region" not in err
 
     def test_counts_off_the_model_grid_exit_3(self, tmp_path):
         (tmp_path / "n.csv").write_text(_raster_rows([(x + 1, y, 0.0) for x, y, _ in GOOD_2X2]))

@@ -122,6 +122,23 @@ class TestRegionContains:
         with pytest.raises(OutOfDomainError):
             cells_of(g, np.array([50.0, np.nan]), np.array([50.0, 50.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_coordinate_named_as_such(self, bad, axis):
+        # a NaN or infinite coordinate is refused with its own message, not
+        # reported as a point outside the region
+        g = build_grid(BIG_SQUARE, 10, 10)
+        xs, ys = np.array([50.0, 80.0]), np.array([50.0, 80.0])
+        (xs if axis == "x" else ys)[1] = bad
+        with pytest.raises(OutOfDomainError, match="has a non-finite coordinate") as info:
+            cells_of(g, xs, ys)
+        assert "outside region" not in str(info.value)
+
+    def test_first_bad_point_is_named(self):
+        g = build_grid(BIG_SQUARE, 10, 10)
+        with pytest.raises(OutOfDomainError, match=r"point \(101\.0, 5\.0\) outside region"):
+            cells_of(g, np.array([101.0, np.nan]), np.array([5.0, 5.0]))
+
 
 class TestRasterLookup:
     def test_raster_shape_checked(self):
