@@ -26,7 +26,6 @@ from .encounters import (
     EncounterDataset,
     ObserverSpec,
     TripRecord,
-    detection_prob,
     run_study,
 )
 from .errors import (
@@ -69,7 +68,6 @@ from .inference import (
     IntensityModel,
     JointComponent,
     LikelihoodData,
-    eta,
     fit_joint,
     fit_mle,
     loglik,

@@ -7,8 +7,9 @@ single-model inference from files, and `experiment` executes the full
 replicated comparison and writes metrics JSON plus a summary table.
 
 Exit codes: 0 success, 2 config error (including a size too large to
-allocate), 3 data error (missing or inconsistent inputs), 4 numerical
-failure (including a non-converged fit passed to `predict` or `exceed`).
+allocate), 3 data error (missing, unreadable or inconsistent inputs, and
+outputs that cannot be written), 4 numerical failure (including a
+non-converged fit passed to `predict` or `exceed`).
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:

@@ -131,7 +131,7 @@ def path_integral_effort(
     tracks: Sequence[Trajectory],
     grid: Grid,
     detection_range: float,
-    mode: str = "indicator",
+    mode: str,
 ) -> Raster:
     """Accumulate per-cell effort over all positions of all tracks.
 
@@ -159,7 +159,7 @@ def overlap_corrected_effort(
     tracks: Sequence[Trajectory],
     grid: Grid,
     detection_range: float,
-    mode: str = "detection",
+    mode: str,
 ) -> Raster:
     """Joint coverage effort for tracks recorded simultaneously.
 
@@ -219,7 +219,7 @@ def trip_grouped_effort(
     tracks_by_trip: dict[int, list[Trajectory]],
     grid: Grid,
     detection_range: float,
-    mode: str = "detection",
+    mode: str,
     overlap: bool = False,
 ) -> Raster:
     """Total effort over many trips.

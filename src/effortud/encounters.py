@@ -25,7 +25,6 @@ from .movement import (
     MovementSpec,
     Potential,
     Trajectory,
-    common_dt,
     sample_initial,
     step_positions,
 )
@@ -104,18 +103,6 @@ def detection_kernel(d: np.ndarray, detection_range, mode: str) -> np.ndarray:
     return (d <= detection_range).astype(float)
 
 
-def detection_prob(distance, detection_range: float, mode: str = "linear-decay"):
-    """Detection probability at a given observer-animal distance (see ``detection_kernel``)."""
-    check_positive(detection_range, "detection_range")
-    if mode not in DETECTION_MODES:
-        raise ValueError(f"unknown detection mode {mode!r}")
-    d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distance must be nonnegative")
-    p = detection_kernel(d, detection_range, mode)
-    return float(p) if np.isscalar(distance) else p
-
-
 def run_study(
     animal: MovementSpec,
     observers: list[ObserverSpec],
@@ -151,7 +138,6 @@ def run_study(
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if not observers:
         raise ValueError("at least one observer is required")
-    dt = common_dt([animal.dt] + [o.movement.dt for o in observers], "animal and observers")
     n_obs = len(observers)
 
     starts: dict[Potential, list[int]] = {}
@@ -226,7 +212,7 @@ def run_study(
     for k in range(n_trips):
         arr = np.concatenate(chunks[k], axis=1)
         chunks[k] = []  # free the pieces trip by trip: peak memory stays near the output's
-        tracks = [Trajectory(positions=arr[j], dt=dt) for j in range(n_obs)]
+        tracks = [Trajectory(positions=arr[j], dt=1.0) for j in range(n_obs)]
         trips.append(TripRecord(trip=k, tracks=tracks, encounter=encounters[k]))
     return EncounterDataset(trips=trips)
 
@@ -248,20 +234,24 @@ def write_encounters_csv(dataset: EncounterDataset, path: str | Path) -> None:
 def _read_csv_rows(path: str | Path, need: set[str], parse) -> list:
     """``parse`` applied to each row of a CSV that has the columns ``need``.
 
-    A row ``parse`` cannot read (a short row, a non-number) raises
-    ValueError naming the file and line.
+    A row ``parse`` cannot read (a short row, a non-number) or the csv
+    module cannot split (an over-long field) raises ValueError naming the
+    file and line.
     """
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)
-        if r.fieldnames is None or not need.issubset(r.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(need)}, got {r.fieldnames}")
-        out = []
         try:
+            if r.fieldnames is None or not need.issubset(r.fieldnames):
+                raise ValueError(f"{path}: expected columns {sorted(need)}, got {r.fieldnames}")
+            out = []
             for row in r:
-                out.append(parse(row))
-        except (TypeError, ValueError) as exc:
-            fields = {k: row.get(k) for k in sorted(need)}
-            raise ValueError(f"{path}, line {r.line_num}: cannot read row {fields}") from exc
+                try:
+                    out.append(parse(row))
+                except (TypeError, ValueError) as exc:
+                    fields = {k: row.get(k) for k in sorted(need)}
+                    raise ValueError(f"{path}, line {r.line_num}: cannot read row {fields}") from exc
+        except csv.Error as exc:  # r.line_num counts only the rows it returned
+            raise ValueError(f"{path}, line {r.reader.line_num}: {exc}") from exc
     return out
 
 

@@ -24,7 +24,7 @@ class DataInconsistencyError(ValueError):
     """Observed data contradict the model structure.
 
     Example: an observed point falls in a cell excluded from the
-    likelihood integral because it carries zero effort or zero weight.
+    likelihood integral because it carries zero effort.
     """
 
 

@@ -10,18 +10,18 @@ and ``off`` is a fixed log-effort offset (coefficient pinned to 1).
 Covariates are piecewise constant per cell.
 
 The point-pattern log likelihood uses a Riemann approximation of the
-intensity integral with per-cell weights alpha (cell areas by default):
+intensity integral with the cell area alpha as each cell's weight:
 
-    ll = sum_points log eta(point) - sum_cells alpha_i * eta_i
+    ll = sum_points log eta(point) - sum_cells alpha * eta_i
 
-Cells with zero weight or zero effort (offset -inf) drop out of the sum;
-an observed point in such a cell contradicts the model and raises.
+Cells with zero effort (offset -inf) drop out of the sum; an observed
+point in such a cell contradicts the model and raises.
 As eta is constant on a cell, points enter as per-cell counts N_i: their
 ll is the count likelihood on the same cells less a constant. Two derived
 data resolutions share the same eta:
 
-    counts:   N_i ~ Poisson(alpha_i eta_i)
-    presence: O_i ~ Bernoulli(1 - exp(-alpha_i eta_i))
+    counts:   N_i ~ Poisson(alpha eta_i)
+    presence: O_i ~ Bernoulli(1 - exp(-alpha eta_i))
 
 ``loglik(model, theta, data)`` is the one evaluation: the data's kind
 picks the likelihood, and it returns the log likelihood, its gradient
@@ -118,13 +118,11 @@ class LikelihoodData:
     """Observed data in one of three resolutions on a grid.
 
     kind "points": exact locations; "counts": per-cell totals;
-    "presence": per-cell detected-or-not. ``weights`` are the Riemann
-    integration weights alpha (default: cell area everywhere).
+    "presence": per-cell detected-or-not.
     """
 
     kind: str
     grid: Grid
-    weights: np.ndarray
     points: np.ndarray | None = None
     counts: np.ndarray | None = None
     presence: np.ndarray | None = None
@@ -132,20 +130,14 @@ class LikelihoodData:
     def __post_init__(self) -> None:
         if self.kind not in ("points", "counts", "presence"):
             raise ValueError(f"unknown data kind {self.kind!r}")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape != (self.grid.ncells,):
-            raise ValueError(f"weights must have {self.grid.ncells} entries")
-        if np.any(~np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and nonnegative")
-        self.weights = w
 
     @classmethod
-    def from_points(cls, grid: Grid, points: np.ndarray, weights: np.ndarray | None = None):
+    def from_points(cls, grid: Grid, points: np.ndarray):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return cls(kind="points", grid=grid, weights=_default_weights(grid, weights), points=pts)
+        return cls(kind="points", grid=grid, points=pts)
 
     @classmethod
-    def from_counts(cls, grid: Grid, counts, weights: np.ndarray | None = None):
+    def from_counts(cls, grid: Grid, counts):
         c = _cell_values(grid, counts, "counts")
         if np.any(c < 0):
             raise ValueError("negative counts")
@@ -153,14 +145,14 @@ class LikelihoodData:
             raise ValueError("counts must be integers")
         if np.any(c > _MAX_COUNT):
             raise ValueError(f"counts must be at most 2**53, got {c.max():g}")
-        return cls(kind="counts", grid=grid, weights=_default_weights(grid, weights), counts=c)
+        return cls(kind="counts", grid=grid, counts=c)
 
     @classmethod
-    def from_presence(cls, grid: Grid, presence, weights: np.ndarray | None = None):
+    def from_presence(cls, grid: Grid, presence):
         o = _cell_values(grid, presence, "presence")
         if not np.all((o == 0) | (o == 1)):
             raise ValueError("presence must be 0/1")
-        return cls(kind="presence", grid=grid, weights=_default_weights(grid, weights), presence=o.astype(bool))
+        return cls(kind="presence", grid=grid, presence=o.astype(bool))
 
 
 def _cell_values(grid: Grid, values, what: str) -> np.ndarray:
@@ -173,12 +165,6 @@ def _cell_values(grid: Grid, values, what: str) -> np.ndarray:
     if v.shape != (grid.ncells,):
         raise ValueError(f"{what} must have {grid.ncells} entries")
     return v
-
-
-def _default_weights(grid: Grid, weights: np.ndarray | None) -> np.ndarray:
-    if weights is None:
-        return np.full(grid.ncells, grid.cell_area)
-    return np.asarray(weights, dtype=float).reshape(-1)
 
 
 @dataclass
@@ -290,16 +276,16 @@ class _Design:
             & np.isfinite(W2).all(axis=1)
             & ~np.isnan(off)
         )
-        # excluded: zero weight, zero effort (offset -inf), or missing covariates
-        active = (data.weights > 0) & cov_ok & (off > -np.inf)
+        # excluded: zero effort (offset -inf) or missing covariates
+        active = cov_ok & (off > -np.inf)
         self.cells = tuple(blk[active] for blk in blocks)
-        self.w_act = data.weights[active]
+        self.w_act = np.full(np.count_nonzero(active), model.grid.cell_area)
 
         if data.kind == "presence":
             bad = data.presence & ~active
             if np.any(bad):
                 raise DataInconsistencyError(
-                    f"{int(bad.sum())} cells are occupied but have zero effort/weight"
+                    f"{int(bad.sum())} cells are occupied but have zero effort"
                 )
             self.O_act = data.presence[active]
             self.has_events = bool(self.O_act.any())
@@ -317,8 +303,7 @@ class _Design:
             if np.any(inactive):
                 i = int(np.argmax(inactive))
                 raise DataInconsistencyError(
-                    f"observed point {tuple(pts[i].tolist())} lies in a cell with zero "
-                    "effort or zero integration weight"
+                    f"observed point {tuple(pts[i].tolist())} lies in a cell with zero effort"
                 )
             N = np.bincount(idx, minlength=model.grid.ncells)[active]
             self.const = 0.0
@@ -326,7 +311,7 @@ class _Design:
             bad = (data.counts > 0) & ~active
             if np.any(bad):
                 raise DataInconsistencyError(
-                    f"{int(bad.sum())} cells have positive counts but zero effort/weight"
+                    f"{int(bad.sum())} cells have positive counts but zero effort"
                 )
             N = data.counts[active]
             # sum N log alpha - sum log N!, which points' likelihood lacks
@@ -342,44 +327,34 @@ class _Design:
         """Log likelihood, gradient and observed information at theta.
 
         Counts (binned points too) and presence supply only c = d ll / d log eta
-        and d = d c / d log eta per row; ``_assemble`` makes the rest.
+        and d = d c / d log eta per row; ``_assemble`` makes the rest. Where any
+        of the three is not finite (the intensity or a product with a covariate
+        overflows), the log likelihood is -inf, with NaN gradient and information.
         """
-        le, t = _log_eta(self.cells, theta)
-        with np.errstate(over="ignore"):
+        p = len(theta)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            le, t = _log_eta(self.cells, theta)
             mu = self.w_act * np.exp(le)
-        if not np.all(np.isfinite(mu)):
-            p = len(theta)
-            return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
+            if np.all(np.isfinite(mu)):
+                ll, grad, info = self._terms(le, t, mu)
+                if np.isfinite(ll) and np.all(np.isfinite(grad)) and np.all(np.isfinite(info)):
+                    return ll, grad, info
+        return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
 
+    def _terms(self, le: np.ndarray, t, mu: np.ndarray):
         if self.kind != "presence":
             ll = float(self.N_nz @ le[self.nz] - mu.sum()) + self.const
             c, d = -mu, -mu  # two arrays: c becomes N - mu
             c[self.nz] += self.N_nz
         else:
             O = self.O_act
-            with np.errstate(over="ignore"):
-                r = np.where(O, mu / np.expm1(np.where(O, mu, 1.0)), 0.0)
+            r = np.where(O, mu / np.expm1(np.where(O, mu, 1.0)), 0.0)
             occ = np.log(-np.expm1(-mu[O])) if np.any(O) else np.zeros(0)
             ll = float(occ.sum() - mu[~O].sum())
             c = np.where(O, r, -mu)
             d = np.where(O, r * (1.0 - mu - r), -mu)
         grad, info = _assemble(self.cells, t, c, d)
         return ll, grad, info
-
-
-def eta(model: IntensityModel, theta: np.ndarray) -> Raster:
-    """Cellwise modeled intensity exp(log eta) as a raster.
-
-    Zero-effort cells evaluate to 0; cells with missing covariates to NaN.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.n_parameters,):
-        raise ValueError(f"theta must have {model.n_parameters} entries, got {theta.shape}")
-    le, _ = _log_eta(_design_blocks(model), theta)
-    with np.errstate(over="ignore"):
-        vals = np.exp(le)
-    grid = model.grid
-    return Raster(grid, vals.reshape(grid.ny, grid.nx))
 
 
 def loglik(model: IntensityModel, theta: np.ndarray, data: LikelihoodData):
@@ -590,7 +565,7 @@ def predict_intensity(
     (scalar broadcast or one value per covariate) and the effort offset
     is dropped, so spatial variation comes from the environment block
     alone. This is the estimate of the animal's own intensity surface.
-    Cells that overflow are inf, as in ``eta``.
+    Cells that overflow are inf.
     """
     theta = np.asarray(theta, dtype=float)[None]
     grid = model.grid

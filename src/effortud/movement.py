@@ -4,9 +4,9 @@ Positions follow discretized Langevin dynamics: the drift is
 ``(sigma^2 / 2) * grad log pi`` where ``pi`` is the potential density and
 ``sigma^2`` the Brownian motion variance, so in the small-step limit the
 stationary density of the process equals ``pi`` restricted to the region.
-Each update is an Euler-Maruyama step
+Each update is an Euler-Maruyama step of unit time
 
-    p' = p + drift(p) * dt + sqrt(sigma^2 * dt) * Z,   Z ~ N(0, I_2)
+    p' = p + drift(p) + sigma * Z,   Z ~ N(0, I_2)
 
 followed by coordinate-wise reflection back into the rectangle.
 """
@@ -91,11 +91,9 @@ class MovementSpec:
 
     potential: Potential
     bm_variance: float
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         check_positive(self.bm_variance, "bm_variance")
-        check_positive(self.dt, "dt")
 
 
 @dataclass
@@ -150,13 +148,12 @@ def step_positions(
     region: StudyRegion,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Advance an (n, 2) array of positions one Euler-Maruyama step.
+    """Advance an (n, 2) array of positions one unit-time Euler-Maruyama step.
 
     ``noise`` must be (n, 2) standard normal draws; scaling by
-    sqrt(bm_variance * dt) happens here.
+    sqrt(bm_variance) happens here.
     """
-    sd = np.sqrt(spec.bm_variance * spec.dt)
-    moved = positions + spec.dt * drift(spec, positions) + sd * noise
+    moved = positions + drift(spec, positions) + np.sqrt(spec.bm_variance) * noise
     return reflect_into(moved, (region.xmin, region.ymin), (region.xmax, region.ymax))
 
 
@@ -183,27 +180,25 @@ def simulate_trajectory(
     for i in range(n_steps):
         pos = step_positions(spec, pos, region, noise[i])
         out[i + 1] = pos[0]
-    return Trajectory(positions=out, dt=spec.dt)
+    return Trajectory(positions=out, dt=1.0)
 
 
-def _rejection_sample(
-    propose: Callable[[int], np.ndarray], region: StudyRegion, n: int, cap: int
-) -> np.ndarray:
+def _rejection_sample(propose: Callable[[int], np.ndarray], region: StudyRegion, n: int) -> np.ndarray:
     """The first ``n`` proposed (m, 2) rows inside ``region``, as an (n, 2) array.
 
     Each round proposes what is still needed divided by the call's
     acceptance rate so far (add-one smoothed), at most ``_MAX_CHUNK`` and
-    never past ``cap`` proposals in all. The accepted rows, taken in
+    never past ``_REJECTION_CAP`` proposals in all. The accepted rows, taken in
     proposal order, are independent draws from the truncated density
     whatever the round sizes.
     """
     out = np.empty((n, 2))
     got = attempts = 0
     while got < n:
-        if attempts >= cap:
-            raise DegenerateSpecError(f"rejection sampling failed after {cap} attempts")
+        if attempts >= _REJECTION_CAP:
+            raise DegenerateSpecError(f"rejection sampling failed after {_REJECTION_CAP} attempts")
         need = n - got
-        m = min(-(-need * (attempts + 1) // (got + 1)), _MAX_CHUNK, cap - attempts)
+        m = min(-(-need * (attempts + 1) // (got + 1)), _MAX_CHUNK, _REJECTION_CAP - attempts)
         cand = propose(m)
         ok = cand[region.contains(cand[:, 0], cand[:, 1])][:need]
         out[got : got + len(ok)] = ok
@@ -217,13 +212,12 @@ def sample_initial(
     region: StudyRegion,
     rng: np.random.Generator,
     n: int = 1,
-    cap: int = _REJECTION_CAP,
 ) -> np.ndarray:
     """Draw ``n`` points from the potential density truncated to the region.
 
     Returns an (n, 2) array. Each built-in potential is sampled exactly,
-    by rejection from its own proposal; one call proposes at most ``cap``
-    points and raises DegenerateSpecError when that is not enough. A
+    by rejection from its own proposal; one call proposes at most
+    ``_REJECTION_CAP`` points and raises DegenerateSpecError when that is not enough. A
     custom potential has no proposal and is rejected with ValueError, as
     in ``analytic_ud``.
     """
@@ -234,7 +228,7 @@ def sample_initial(
         def propose(m: int) -> np.ndarray:
             return rng.normal((cx, cy), sd, size=(m, 2))
 
-        return _rejection_sample(propose, region, n, cap)
+        return _rejection_sample(propose, region, n)
 
     if isinstance(potential, HalfNormalYPotential):
         sd = np.sqrt(potential.variance)
@@ -245,7 +239,7 @@ def sample_initial(
             return np.array((xs, ys)).T  # (m, 2) with contiguous columns for the region test
 
         # x is drawn inside the region, so only y can fall outside
-        return _rejection_sample(propose, region, n, cap)
+        return _rejection_sample(propose, region, n)
 
     raise ValueError("sample_initial requires a built-in potential kind")
 

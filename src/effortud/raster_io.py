@@ -5,7 +5,8 @@ survive a write/read cycle bit-exact.
 
 CSV layout: header ``x,y,value``, one row per cell center, x varying
 fastest, rows from the south edge upward. The reader reconstructs the
-grid from the center coordinates; it refuses a row it cannot parse, a
+grid from the center coordinates; it refuses a row it cannot parse (or
+the csv module cannot split, such as one with an over-long field), a
 center that is not finite or listed twice and spacing that is not
 uniform, naming the file and line. The reconstructed region is exact
 only up to rounding of the centers (a single column or row has no
@@ -17,7 +18,8 @@ ASCII grid layout follows the ESRI convention: six header lines
 (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value) and data
 rows written from the north edge downward. ``cellsize`` is a single
 number, so writing requires cells square up to rounding: the grid read
-back must have the same cell centers.
+back must have the same cell centers. The reader refuses ncols or nrows
+that are not positive integers.
 """
 
 from __future__ import annotations
@@ -101,19 +103,24 @@ def read_raster_csv(path: str | Path) -> Raster:
     lines: list[int] = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["x", "y", "value"]:
-            raise ValueError(f"{path}: expected header x,y,value, got {header}")
         try:
+            header = next(r, None)
+            if header is None or [h.strip().lower() for h in header[:3]] != ["x", "y", "value"]:
+                raise ValueError(f"{path}: expected header x,y,value, got {header}")
             for row in r:
                 if not row:
                     continue
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-                vs.append(float(row[2]))
+                try:
+                    xs.append(float(row[0]))
+                    ys.append(float(row[1]))
+                    vs.append(float(row[2]))
+                except (IndexError, ValueError) as exc:
+                    raise ValueError(
+                        f"{path}, line {r.line_num}: expected x,y,value numbers, got {row}"
+                    ) from exc
                 lines.append(r.line_num)
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}, line {r.line_num}: expected x,y,value numbers, got {row}") from exc
+        except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field
+            raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
     if not vs:
         raise ValueError(f"{path}: no data rows")
     centers = np.array([xs, ys])
@@ -194,6 +201,9 @@ def read_ascii_grid(path: str | Path) -> Raster:
     for need in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if need not in header:
             raise ValueError(f"{path}: missing ASCII grid header field {need}")
+    for need in ("ncols", "nrows"):
+        if not (header[need].is_integer() and header[need] >= 1):
+            raise ValueError(f"{path}: {need} must be a positive integer, got {header[need]!r}")
     nx = int(header["ncols"])
     ny = int(header["nrows"])
     cell = header["cellsize"]

@@ -31,7 +31,6 @@ from effortud.inference import (
     IntensityModel,
     LikelihoodData,
     _env_log_intensity,
-    eta,
     fit_mle,
     predict_intensity,
 )
@@ -288,7 +287,7 @@ class TestQuadraticDesign:
         d = QuadraticDesign(g)
         m = IntensityModel(grid=g, env=d.block())
         true = np.array([np.log(0.5), 0.8, -0.8, -2.0, -2.0, 0.0])
-        mu = eta(m, true).flat * g.cell_area
+        mu = predict_intensity(m, true).flat * g.cell_area
         rng = np.random.default_rng(77)
         counts = rng.poisson(mu).astype(float)
         fit = fit_mle(m, LikelihoodData.from_counts(g, counts))

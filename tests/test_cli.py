@@ -180,7 +180,7 @@ class TestEffort:
         )
         assert code == EXIT_OK
         grid = build_grid(StudyRegion(0, 100, 0, 100), 25, 25)
-        want = trip_grouped_effort(read_tracks_csv(tracks_csv, dt=1.0), grid, 30.0)
+        want = trip_grouped_effort(read_tracks_csv(tracks_csv, dt=1.0), grid, 30.0, "detection")
         got = read_raster_csv(out)
         assert got.grid == grid
         assert np.allclose(got.values, want.values, rtol=1e-12)
@@ -848,6 +848,241 @@ def test_predict_and_exceed_on_mutated_fit_json_exit_cleanly(tmp_path_factory, t
         out.unlink(missing_ok=True)
 
 
+# A model spec with a raster in every block (env, logistic detection, an
+# effort covariate as an ASCII grid, and a logged offset) on a 10 x 10 grid,
+# and encounters drawn from its intensity so that the seed spec fits.
+_SPEC_GRID = build_grid(StudyRegion(0.0, 100.0, 0.0, 100.0), 10, 10)
+_SPEC_SURFACES = {
+    "z.csv": lambda X, Y: (X - 50.0) / 50.0,
+    "vis.csv": lambda X, Y: (Y - 30.0) / 50.0,
+    "day.asc": lambda X, Y: Y / 100.0,
+    "eff.csv": lambda X, Y: 1.0 + X / 25.0,
+}
+_SPEC_DOC = {
+    "grid": {"nx": 10, "ny": 10},
+    "env": [{"name": "z", "path": "z.csv"}],
+    "detection": {"link": "logistic", "covariates": [{"name": "vis", "path": "vis.csv"}]},
+    "effort_covariates": [{"name": "day", "path": "day.asc"}],
+    "offset": {"path": "eff.csv", "log": True, "floor": 1e-6},
+}
+_SPEC_ENTRIES = [
+    ("env",), ("env", 0), ("env", 0, "name"), ("env", 0, "path"),
+    ("detection",), ("detection", "link"), ("detection", "covariates"),
+    ("detection", "covariates", 0, "name"), ("detection", "covariates", 0, "path"),
+    ("effort_covariates",), ("effort_covariates", 0, "name"), ("effort_covariates", 0, "path"),
+    ("offset",), ("offset", "path"), ("offset", "log"), ("offset", "floor"),
+]
+_SPEC_KEYS = [e for e in _SPEC_ENTRIES if e[-1] in ("name", "path")]
+_SPEC_DIRECTORIES = ["", ".", "sub", "sub/", ".."]
+_LONG_FIELD = "1" * 200_000  # past the csv module's field limit of 131072 characters
+
+
+def _spec_raster_rows(name):
+    """A seed raster as rows of tokens: ``x,y,value`` rows, or an ASCII grid's lines."""
+    values = raster_from_function(_SPEC_GRID, _SPEC_SURFACES[name]).values
+    if name.endswith(".csv"):
+        X, Y = _SPEC_GRID.center_arrays()
+        return [["x", "y", "value"]] + [
+            [repr(float(x)), repr(float(y)), repr(float(v))]
+            for x, y, v in zip(X.ravel(), Y.ravel(), values.ravel())
+        ]
+    header = [["NCOLS", "10"], ["NROWS", "10"], ["XLLCORNER", "0"], ["YLLCORNER", "0"],
+              ["CELLSIZE", "10"], ["NODATA_VALUE", "-9999"]]
+    return header + [[repr(float(v)) for v in row] for row in values[::-1]]
+
+
+def _spec_raster_text(name, rows):
+    sep = "," if name.endswith(".csv") else " "
+    return "".join(sep.join(r) + "\n" for r in rows)
+
+
+def _spec_raster_with(name, row, col, token):
+    rows = _spec_raster_rows(name)
+    rows[row][col] = token
+    return _spec_raster_text(name, rows)
+
+
+def _spec_encounters_text():
+    X, Y = _SPEC_GRID.center_arrays()
+    z, vis, day, eff = (raster_from_function(_SPEC_GRID, f).flat for f in _SPEC_SURFACES.values())
+    lam = np.exp(-6.3 + 0.8 * z + 0.5 * day) / (1.0 + np.exp(-1.5 * vis)) * eff
+    rng = np.random.default_rng(11)
+    counts = rng.poisson(lam * _SPEC_GRID.cell_area)
+    rows = []
+    for c in np.flatnonzero(counts):
+        for _ in range(counts[c]):
+            x, y = float(X.flat[c] + rng.uniform(-4.0, 4.0)), float(Y.flat[c] + rng.uniform(-4.0, 4.0))
+            rows.append(f"{len(rows)},1,{x!r},{y!r},,0\n")
+    return "trip,step,x,y,mark,observer\n" + "".join(rows)
+
+
+def _spec_parent(doc, entry):
+    """What holds ``entry``'s last key, or None when an earlier mutation removed the way there."""
+    *way, last = entry
+    for key in way:
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    if isinstance(doc, dict) and isinstance(last, str):
+        return doc
+    return doc if isinstance(doc, list) and isinstance(last, int) and last < len(doc) else None
+
+
+def _spec_set(doc, entry, value):
+    if (parent := _spec_parent(doc, entry)) is not None:
+        parent[entry[-1]] = value
+
+
+def _spec_drop(doc, entry):
+    if isinstance(parent := _spec_parent(doc, entry), dict):
+        parent.pop(entry[-1], None)
+
+
+@st.composite
+def mutated_model_spec(draw):
+    """A model spec and its rasters after up to three mutations of each kind.
+
+    Spec entries get another JSON type, lose their ``name`` or ``path``, or
+    point at a directory; the offset floor gets a NaN, infinite or negative
+    number. A raster's rows are truncated, duplicated or emptied, its values
+    and centers (an ASCII grid's header numbers) set to NaN, infinite,
+    negative, huge or non-numbers, a field made over-long; a raster may lie
+    on the wrong grid, hold only its header or be empty.
+    """
+    doc = json.loads(json.dumps(_SPEC_DOC))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        op = draw(st.sampled_from(["swap", "drop", "directory", "floor", "extra"]))
+        if op == "swap":
+            odd = json.loads(json.dumps(draw(st.sampled_from(_ODD_VALUES))))  # a copy to mutate
+            _spec_set(doc, draw(st.sampled_from(_SPEC_ENTRIES)), odd)
+        elif op == "drop":
+            _spec_drop(doc, draw(st.sampled_from(_SPEC_KEYS)))
+        elif op == "directory":
+            entry = draw(st.sampled_from([e for e in _SPEC_KEYS if e[-1] == "path"]))
+            _spec_set(doc, entry, draw(st.sampled_from(_SPEC_DIRECTORIES)))
+        elif op == "floor":
+            _spec_set(doc, ("offset", "floor"), draw(st.sampled_from(_ODD_NUMBERS)))
+        elif isinstance(doc.get("env"), list) and doc["env"]:
+            doc["env"].append(json.loads(json.dumps(doc["env"][0])))  # a name twice
+    texts = {name: _spec_raster_text(name, _spec_raster_rows(name)) for name in _SPEC_SURFACES}
+    names = draw(st.lists(st.sampled_from(sorted(_SPEC_SURFACES)), max_size=2, unique=True))
+    for name in names:
+        rows = _spec_raster_rows(name)
+        csv_file = name.endswith(".csv")
+        head = 1 if csv_file else 6
+        grid = draw(st.sampled_from(["same"] * 10 + ["empty", "header", "shift", "row", "column"]))
+        if grid == "empty":
+            texts[name] = ""
+            continue
+        if grid == "header":
+            rows = rows[:head]
+        elif grid == "shift" and csv_file:
+            rows = rows[:1] + [[repr(float(x) + 10.0), y, v] for x, y, v in rows[1:]]
+        elif grid == "shift":
+            rows[2][1] = "10"
+        elif grid == "row":
+            rows = rows[:-10] if csv_file else rows[:-1]
+        elif grid == "column":
+            rows = rows[:1] + [r for r in rows[1:] if float(r[0]) < 90.0] if csv_file else (
+                rows[:head] + [r[:-1] for r in rows[head:]])
+        for _ in range(draw(st.integers(1, 3)) if len(rows) > head else 0):
+            i = draw(st.integers(head, len(rows) - 1))
+            op = draw(st.sampled_from(["truncate", "duplicate", "empty", "value", "value", "value",
+                                       "value", "center", "center", "long"]))
+            if op == "truncate":
+                rows[i] = rows[i][: draw(st.integers(0, len(rows[i]) - 1))] if rows[i] else []
+            elif op == "duplicate":
+                rows.insert(i, list(rows[i]))
+            elif op == "empty":
+                rows.insert(i, [])
+            elif not rows[i]:
+                continue
+            elif op == "value":
+                j = len(rows[i]) - 1 if csv_file else draw(st.integers(0, len(rows[i]) - 1))
+                rows[i][j] = draw(st.sampled_from(_RASTER_VALUES))
+            elif op == "center" and csv_file:
+                rows[i][draw(st.integers(0, min(1, len(rows[i]) - 1)))] = draw(
+                    st.sampled_from(_COORDINATES))
+            elif op == "center":
+                rows[draw(st.integers(0, 5))][1] = draw(st.sampled_from(_COORDINATES + _RASTER_VALUES))
+            else:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = _LONG_FIELD
+        texts[name] = _spec_raster_text(name, rows)
+    return doc, texts
+
+
+def _spec_case(doc_changes=(), **texts):
+    """The seed spec and rasters with the given entries set and raster texts replaced."""
+    doc = json.loads(json.dumps(_SPEC_DOC))
+    for entry, value in doc_changes:
+        _spec_set(doc, entry, value)
+    seed = {n: _spec_raster_text(n, _spec_raster_rows(n)) for n in _SPEC_SURFACES}
+    return doc, {**seed, **{k.replace("_", "."): v for k, v in texts.items()}}
+
+
+def _write_spec(root, doc, texts):
+    (root / "sub").mkdir()
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    model = root / "model.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+def _quiet_main(argv):
+    """``main(argv)``, its standard error and the warnings it raised."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def spec_seed(tmp_path_factory):
+    """The seed spec's encounters and the fit of them, shared by the mutation test."""
+    root = tmp_path_factory.mktemp("spec-seed")
+    model = _write_spec(root, *_spec_case())
+    encounters = root / "encounters.csv"
+    encounters.write_text(_spec_encounters_text())
+    fit = root / "fit.json"
+    assert main(["fit", "--model", str(model), "--encounters", str(encounters),
+                 "--out", str(fit)]) == EXIT_OK
+    assert json.loads(fit.read_text())["converged"]
+    return {"encounters": encounters, "fit": fit}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=mutated_model_spec())
+@example(case=_spec_case([(("env", 0, "path"), "sub")]))  # IsADirectoryError traceback
+@example(case=_spec_case(z_csv=_spec_raster_with("z.csv", 5, 2, _LONG_FIELD)))  # csv.Error traceback
+@example(case=_spec_case(z_csv=_spec_raster_with("z.csv", 41, 2, "1e308")))  # overflow warnings
+@example(case=_spec_case(day_asc=_spec_raster_with("day.asc", 0, 1, "inf")))  # OverflowError traceback
+def test_fit_predict_exceed_on_mutated_model_spec_exit_cleanly(tmp_path_factory, spec_seed, case):
+    # every malformed model spec or raster it names is refused with an exit
+    # code, never a traceback or a warning; an output is written exactly when
+    # the command succeeds. predict and exceed read the spec's own fit when
+    # fit succeeds, else the seed spec's fit.
+    root = tmp_path_factory.mktemp("spec")
+    model = _write_spec(root, *case)
+    fit = root / "fit.json"
+    runs = [("fit", ["--encounters", str(spec_seed["encounters"])]),
+            ("predict", ["--fit", str(fit)]),
+            ("predict", ["--fit", str(fit), "--intensity"]),
+            ("exceed", ["--fit", str(fit), "--samples", "20"])]
+    for command, extra in runs:
+        out = root / f"{command}.csv" if command != "fit" else fit
+        code, err, caught = _quiet_main([command, "--model", str(model), "--out", str(out)] + extra)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC), (command, err)
+        assert "Traceback" not in err and caught == [], (command, err, caught)
+        assert out.exists() == (code == EXIT_OK), command
+        if command == "fit" and code != EXIT_OK:
+            fit.write_bytes(spec_seed["fit"].read_bytes())
+        elif command != "fit":
+            out.unlink(missing_ok=True)
+
+
 def _raster_rows(cells):
     return "x,y,value\n" + "".join(f"{x},{y},{v}\n" for x, y, v in cells)
 
@@ -904,6 +1139,36 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"point ({float(x)}, {float(y)}) has a non-finite coordinate" in err
         assert "outside region" not in err
+
+    def test_fit_out_is_a_directory_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"grid": {"nx": 2, "ny": 2}}))
+        enc = tmp_path / "enc.csv"
+        enc.write_text("trip,step,x,y,mark,observer\n0,3,25.0,25.0,,0\n")
+        code = main(["fit", "--model", str(model), "--encounters", str(enc), "--out", "."])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+
+    def test_covariate_path_is_a_directory_exit_3(self, tmp_path, capsys):
+        (tmp_path / "z").mkdir()
+        assert self._fit(tmp_path, {"env": [{"name": "z", "path": "z"}]}) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+
+    def test_over_long_covariate_field_exit_3(self, tmp_path, capsys):
+        (tmp_path / "z.csv").write_text(_raster_rows(GOOD_2X2[:3] + [(75, 75, "1" * 200_000)]))
+        assert self._fit(tmp_path, {"env": [{"name": "z", "path": "z.csv"}]}) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "z.csv, line 5: field larger than field limit" in err
+
+    def test_over_long_encounter_field_exit_3(self, tmp_path, capsys):
+        enc = tmp_path / "enc.csv"
+        enc.write_text("trip,step,x,y,mark,observer\n0,3,25.0,25.0," + "a" * 200_000 + ",0\n")
+        assert self._fit(tmp_path, {}, encounters=enc) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "enc.csv, line 2: field larger than field limit" in err
 
     def test_counts_off_the_model_grid_exit_3(self, tmp_path):
         (tmp_path / "n.csv").write_text(_raster_rows([(x + 1, y, 0.0) for x, y, _ in GOOD_2X2]))

@@ -300,26 +300,26 @@ class TestPathIntegralEffort:
 
     def test_empty_tracks(self):
         g = build_grid(REGION, 10, 10)
-        f = path_integral_effort([], g, 10.0)
+        f = path_integral_effort([], g, 10.0, "indicator")
         assert np.all(f.values == 0.0)
 
     def test_bad_range(self):
         g = build_grid(REGION, 10, 10)
         with pytest.raises(ValueError):
-            path_integral_effort([static_track(5, 5, 1)], g, 0.0)
+            path_integral_effort([static_track(5, 5, 1)], g, 0.0, "indicator")
 
     @pytest.mark.parametrize("kernel", [path_integral_effort, overlap_corrected_effort])
     @pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
     def test_non_finite_or_negative_range(self, kernel, radius):
         g = build_grid(REGION, 10, 10)
         with pytest.raises(ValueError, match="detection_range must be finite and positive"):
-            kernel([static_track(5, 5, 1)], g, radius)
+            kernel([static_track(5, 5, 1)], g, radius, "detection")
 
     def test_position_outside_region(self):
         g = build_grid(REGION, 10, 10)
         tr = Trajectory(positions=np.array([[50.0, 101.0]]), dt=1.0)
         with pytest.raises(OutOfDomainError):
-            path_integral_effort([tr], g, 10.0)
+            path_integral_effort([tr], g, 10.0, "indicator")
 
 
 class TestOverlapCorrectedEffort:
@@ -328,7 +328,7 @@ class TestOverlapCorrectedEffort:
         g = build_grid(REGION, 100, 100)
         t1 = static_track(45.5, 50.5, 1)
         t2 = static_track(45.5, 50.5, 1)
-        f = overlap_corrected_effort([t1, t2], g, 10.0)
+        f = overlap_corrected_effort([t1, t2], g, 10.0, "detection")
         assert f.values[50, 50] == pytest.approx(1.0 - 0.5 * 0.5, rel=1e-12)
 
     def test_single_observer_equals_plain_detection(self):
@@ -336,14 +336,14 @@ class TestOverlapCorrectedEffort:
         rng = np.random.default_rng(23)
         tr = Trajectory(positions=rng.uniform(10, 90, size=(25, 2)), dt=1.0)
         plain = path_integral_effort([tr], g, 10.0, mode="detection")
-        corr = overlap_corrected_effort([tr], g, 10.0)
+        corr = overlap_corrected_effort([tr], g, 10.0, "detection")
         assert np.allclose(corr.values, plain.values, rtol=1e-9, atol=1e-12)
 
     def test_twenty_colocated_observers(self):
         # p = 0.1 per observer at 9 units: joint coverage 1 - 0.9^20
         g = build_grid(REGION, 100, 100)
         tracks = [static_track(41.5, 50.5, 1) for _ in range(20)]
-        f = overlap_corrected_effort(tracks, g, 10.0)
+        f = overlap_corrected_effort(tracks, g, 10.0, "detection")
         assert f.values[50, 50] == pytest.approx(0.8784233454094307, rel=1e-10)
 
     def test_never_exceeds_plain_sum(self):
@@ -354,14 +354,14 @@ class TestOverlapCorrectedEffort:
             for _ in range(4)
         ]
         plain = path_integral_effort(tracks, g, 15.0, mode="detection")
-        corr = overlap_corrected_effort(tracks, g, 15.0)
+        corr = overlap_corrected_effort(tracks, g, 15.0, "detection")
         assert np.all(corr.values <= plain.values + 1e-9)
 
     def test_equality_when_coverage_disjoint(self):
         g = build_grid(REGION, 100, 100)
         tracks = [static_track(20.0, 20.0, 3), static_track(80.0, 80.0, 3)]
         plain = path_integral_effort(tracks, g, 10.0, mode="detection")
-        corr = overlap_corrected_effort(tracks, g, 10.0)
+        corr = overlap_corrected_effort(tracks, g, 10.0, "detection")
         assert np.allclose(corr.values, plain.values, rtol=1e-9, atol=1e-12)
 
 

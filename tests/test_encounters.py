@@ -10,7 +10,7 @@ from effortud.encounters import (
     Encounter,
     ObserverSpec,
     TripRecord,
-    detection_prob,
+    detection_kernel,
     read_encounters_csv,
     read_tracks_csv,
     run_study,
@@ -44,28 +44,24 @@ def mobile_observer(detection_range=10.0, mode="linear-decay"):
 
 class TestDetectionProb:
     def test_linear_decay_anchors(self):
-        assert detection_prob(0.0, 10.0, "linear-decay") == 1.0
-        assert detection_prob(10.0, 10.0, "linear-decay") == 0.0
-        assert detection_prob(5.0, 10.0, "linear-decay") == pytest.approx(0.5)
-        assert detection_prob(25.0, 10.0, "linear-decay") == 0.0
+        p = detection_kernel(np.array([0.0, 10.0, 5.0, 25.0]), 10.0, "linear-decay")
+        assert p.tolist() == [1.0, 0.0, 0.5, 0.0]
 
     def test_uniform(self):
-        assert detection_prob(9.99, 10.0, "uniform") == 1.0
-        assert detection_prob(10.0, 10.0, "uniform") == 1.0
-        assert detection_prob(10.01, 10.0, "uniform") == 0.0
+        p = detection_kernel(np.array([9.99, 10.0, 10.01]), 10.0, "uniform")
+        assert p.tolist() == [1.0, 1.0, 0.0]
 
     def test_vectorized(self):
         d = np.array([0.0, 2.5, 10.0])
-        p = detection_prob(d, 10.0, "linear-decay")
+        p = detection_kernel(d, 10.0, "linear-decay")
         assert p == pytest.approx([1.0, 0.75, 0.0])
 
     def test_invalid_arguments(self):
+        # the range and mode an observer detects with are checked where they are set
         with pytest.raises(ValueError):
-            detection_prob(1.0, 0.0)
+            ObserverSpec("mobile", observer_movement(), 0.0)
         with pytest.raises(ValueError):
-            detection_prob(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            detection_prob(1.0, 10.0, "gaussian")
+            ObserverSpec("mobile", observer_movement(), 10.0, "gaussian")
 
 
 def one_trip(observers, max_steps, seed):
@@ -192,14 +188,14 @@ def reference_trip(animal, observers, max_steps, seed, trip, mark=None):
             history.append(opos.copy())
             for i, o in enumerate(observers):
                 d = np.hypot(opos[i, 0] - apos[0, 0], opos[i, 1] - apos[0, 1])
-                if uniforms[s, i] < detection_prob(d, o.detection_range, o.detection_mode):
+                if uniforms[s, i] < detection_kernel(d, o.detection_range, o.detection_mode):
                     x, y = apos[0]
                     encounter = Encounter(Point(float(x), float(y)), t, i, mark)
                     break
             if encounter is not None:
                 break
     arr = np.asarray(history)
-    tracks = [Trajectory(arr[:, j].copy(), animal.dt) for j in range(len(observers))]
+    tracks = [Trajectory(arr[:, j].copy(), 1.0) for j in range(len(observers))]
     return TripRecord(trip=trip, tracks=tracks, encounter=encounter)
 
 
@@ -310,3 +306,11 @@ class TestDatasetFiles:
             read_encounters_csv(p)
         with pytest.raises(ValueError):
             read_tracks_csv(p)
+
+    @pytest.mark.parametrize("reader", [read_encounters_csv, read_tracks_csv])
+    def test_over_long_field_named_with_its_line(self, tmp_path, reader):
+        # past the csv module's field limit (131072 characters) a line cannot be split
+        p = tmp_path / "long.csv"
+        p.write_text("trip,observer,step,x,y,mark\n0,0,0,1.0,2.0,\n0,0,1,1.0," + "2" * 200_000 + ",\n")
+        with pytest.raises(ValueError, match="long.csv, line 3: field larger than field limit"):
+            reader(p)

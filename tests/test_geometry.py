@@ -235,3 +235,16 @@ class TestRasterFiles:
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_raster_csv(p)
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_csv_over_long_field_named_with_its_line(self, tmp_path, where):
+        # past the csv module's field limit (131072 characters) a line cannot be split
+        long = "1" * 200_000
+        p = tmp_path / "long.csv"
+        if where == "header":
+            p.write_text(f"x,y,{long}\n")
+        else:
+            p.write_text(f"x,y,value\n5,5,1\n15,5,{long}\n")
+        line = 1 if where == "header" else 3
+        with pytest.raises(ValueError, match=f"long.csv, line {line}: field larger than field limit"):
+            read_raster_csv(p)

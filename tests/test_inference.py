@@ -15,14 +15,15 @@ from effortud.inference import (
     IntensityModel,
     JointComponent,
     LikelihoodData,
-    eta,
     fit_joint,
     fit_mle,
     loglik,
     predict_intensity,
     _Design,
+    _design_blocks,
     _joint_designs,
     _joint_evaluate,
+    _log_eta,
 )
 
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
@@ -63,32 +64,34 @@ def finite_diff_gradient(fn, theta, h=1e-6):
     return out
 
 
+def eta(model, theta):
+    """The modeled intensity exp(log eta) on every cell of the model's grid, row-major."""
+    le, _ = _log_eta(_design_blocks(model), np.asarray(theta, dtype=float))
+    return np.exp(le)
+
+
 class TestEta:
     def test_identity(self):
         g = build_grid(REGION, 5, 5)
         m = IntensityModel(grid=g)
-        r = eta(m, np.array([0.0]))
-        assert np.all(r.values == 1.0)
+        assert np.all(eta(m, [0.0]) == 1.0)
 
     def test_intercept_log2(self):
         g = build_grid(REGION, 5, 5)
         m = IntensityModel(grid=g)
-        r = eta(m, np.array([np.log(2.0)]))
-        assert np.allclose(r.values, 2.0)
+        assert np.allclose(eta(m, [np.log(2.0)]), 2.0)
 
     def test_offset_passthrough(self):
         g = build_grid(REGION, 5, 5)
         m = IntensityModel(grid=g, log_effort_offset=constant_raster(g, np.log(3.0)))
-        r = eta(m, np.array([0.0]))
-        assert np.allclose(r.values, 3.0)
+        assert np.allclose(eta(m, [0.0]), 3.0)
 
     def test_detection_block_logistic(self):
         g = build_grid(REGION, 4, 4)
         det = CovariateBlock(["w"], [constant_raster(g, 1.0)])
         m = IntensityModel(grid=g, detection=det)
-        r = eta(m, np.array([0.0, 0.3]))
         expect = 1.0 / (1.0 + np.exp(-0.3))
-        assert np.allclose(r.values, expect)
+        assert np.allclose(eta(m, [0.0, 0.3]), expect)
 
 
 class TestRiemannLoglik:
@@ -163,7 +166,7 @@ class TestCountLoglik:
         env = xy_block(g)
         true = np.array([np.log(0.03), 0.8, -0.5])
         m = IntensityModel(grid=g, env=env)
-        mu = eta(m, true).flat * g.cell_area
+        mu = eta(m, true) * g.cell_area
         rng = np.random.default_rng(101)
         counts = rng.poisson(mu).astype(float)
         fit = fit_mle(m, LikelihoodData.from_counts(g, counts))
@@ -214,7 +217,7 @@ class TestPresenceLoglik:
         env = xy_block(g)
         true = np.array([np.log(0.02), 0.7, -0.4])
         m = IntensityModel(grid=g, env=env)
-        mu = eta(m, true).flat * g.cell_area
+        mu = eta(m, true) * g.cell_area
         rng = np.random.default_rng(55)
         counts = rng.poisson(mu).astype(float)
         fit_c = fit_mle(m, LikelihoodData.from_counts(g, counts))
@@ -230,7 +233,7 @@ class TestPresenceLoglik:
 
 class TestRiemannCountEquivalence:
     def test_up_to_factorial_constant(self):
-        # unit integration weights make the two likelihoods comparable
+        # cells of unit area make the two likelihoods comparable
         g = build_grid(StudyRegion(0, 8, 0, 8), 8, 8)
         env = CovariateBlock(
             ["z"], [raster_from_function(g, lambda X, Y: np.sin(X) + 0.1 * Y)]
@@ -243,9 +246,8 @@ class TestRiemannCountEquivalence:
             counts.astype(int),
             axis=0,
         )
-        w = np.ones(64)
-        d_pts = LikelihoodData.from_points(g, pts, weights=w)
-        d_cnt = LikelihoodData.from_counts(g, counts, weights=w)
+        d_pts = LikelihoodData.from_points(g, pts)
+        d_cnt = LikelihoodData.from_counts(g, counts)
         theta = np.array([-0.3, 0.2])
         lr = loglik(m, theta, d_pts)[0]
         lc = loglik(m, theta, d_cnt)[0]
@@ -258,7 +260,7 @@ class TestGradients:
         g = m.grid
         rng = np.random.default_rng(31)
         pts = rng.uniform(0, 100, size=(30, 2))
-        mu = eta(m, np.array([np.log(0.01), 0.5, -0.5, 0.2, 0.3])).flat * g.cell_area
+        mu = eta(m, np.array([np.log(0.01), 0.5, -0.5, 0.2, 0.3])) * g.cell_area
         counts = rng.poisson(np.clip(mu, 0, 20)).astype(float)
         datasets = {
             "points": LikelihoodData.from_points(g, pts),
@@ -291,7 +293,7 @@ class TestGradients:
         data = LikelihoodData.from_points(g, pts)
         theta = rng.normal(scale=0.3, size=5)
         grad = loglik(m, theta, data)[1]
-        expected = 12 - float((eta(m, theta).flat * g.cell_area).sum())
+        expected = 12 - float((eta(m, theta) * g.cell_area).sum())
         assert grad[0] == pytest.approx(expected, rel=1e-10)
 
 
@@ -300,7 +302,7 @@ def _all_kinds_designs():
     g = m.grid
     rng = np.random.default_rng(71)
     pts = rng.uniform(0, 100, size=(30, 2))
-    mu = eta(m, np.array([np.log(0.01), 0.5, -0.5, 0.2, 0.3])).flat * g.cell_area
+    mu = eta(m, np.array([np.log(0.01), 0.5, -0.5, 0.2, 0.3])) * g.cell_area
     counts = rng.poisson(np.clip(mu, 0, 20)).astype(float)
     datasets = [
         LikelihoodData.from_points(g, pts),
@@ -447,7 +449,7 @@ class TestFitMle:
         env = CovariateBlock(["u"], [raster_from_function(g, lambda X, Y: (X - 50.0) / 50.0)])
         det = CovariateBlock(["w"], [raster_from_function(g, lambda X, Y: (Y - 30.0) / 50.0)])
         m = IntensityModel(grid=g, env=env, detection=det)
-        mu = eta(m, np.array([np.log(0.02), 0.6, 1.5])).flat * g.cell_area
+        mu = eta(m, np.array([np.log(0.02), 0.6, 1.5])) * g.cell_area
         occ = (np.random.default_rng(9).poisson(mu) > 0).astype(float)
         data = LikelihoodData.from_presence(g, occ)
         start = np.array([0.0, 0.0, 4.0])
@@ -488,18 +490,6 @@ class TestJoint:
         theta = np.array([-3.0, 0.4, -0.2])
         single = loglik(a.model, theta, a.data)[0]
         assert joint_loglik([a, b], theta) == pytest.approx(2 * single, rel=1e-12)
-
-    def test_zero_weight_component_drops_out(self):
-        a = self._component(5)
-        g = a.model.grid
-        empty = JointComponent(
-            a.model,
-            LikelihoodData.from_points(g, np.empty((0, 2)), weights=np.zeros(g.ncells)),
-        )
-        theta = np.array([-3.0, 0.1, 0.2])
-        assert joint_loglik([a, empty], theta) == pytest.approx(
-            loglik(a.model, theta, a.data)[0], rel=1e-12
-        )
 
     def test_shared_slopes_separate_intercepts(self):
         a = self._component(7, rename={"env:intercept": "int_a"})

@@ -9,6 +9,7 @@ from scipy import stats
 from effortud.errors import DegenerateSpecError
 from effortud.geometry import Point, StudyRegion, build_grid, cells_of
 from effortud.movement import (
+    _REJECTION_CAP,
     BivariateNormalPotential,
     CustomPotential,
     HalfNormalYPotential,
@@ -156,9 +157,7 @@ def step_cases(draw):
     region = StudyRegion(x0, x0 + draw(st.floats(1.0, 200.0)), y0, y0 + draw(st.floats(1.0, 200.0)))
     coef = (draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)), draw(st.floats(1.0, 1e3)))
     kind = draw(st.sampled_from(sorted(POTENTIAL_KINDS)))
-    spec = MovementSpec(
-        POTENTIAL_KINDS[kind](coef), draw(st.floats(0.1, 500.0)), draw(st.floats(0.1, 3.0))
-    )
+    spec = MovementSpec(POTENTIAL_KINDS[kind](coef), draw(st.floats(0.1, 500.0)))
     fx = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     rows = draw(st.lists(st.tuples(fx, fx), min_size=1, max_size=8))
     f = np.array(rows)
@@ -175,8 +174,8 @@ def test_step_runs_the_tested_drift(case):
     for row, d in zip(P, D):
         assert np.array_equal(drift(spec, row), d)
         assert np.array_equal(drift(spec, Point(*row)), d)
-    # with zero noise a step is the drift step folded back into the region, axis by axis
-    moved = P + spec.dt * D
+    # with zero noise a unit step is the drift folded back into the region, axis by axis
+    moved = P + D
     want = np.column_stack(
         (
             reflect_into(moved[:, 0], region.xmin, region.xmax),
@@ -257,8 +256,8 @@ class TestSampleInitial:
 
     def test_mass_outside_region_is_degenerate(self):
         far = BivariateNormalPotential((500.0, 500.0), 1.0)
-        with pytest.raises(DegenerateSpecError, match="after 1000 attempts"):
-            sample_initial(far, REGION, np.random.default_rng(0), n=3, cap=1000)
+        with pytest.raises(DegenerateSpecError, match=f"after {_REJECTION_CAP} attempts"):
+            sample_initial(far, REGION, np.random.default_rng(0), n=3)
 
     def test_custom_potential_rejected(self):
         with pytest.raises(ValueError):

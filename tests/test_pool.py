@@ -165,7 +165,7 @@ def test_replicate_processes_after_a_threaded_stage():
         "from effortud import run_experiment, Trajectory\n"
         "g = build_grid(StudyRegion(0.0, 100.0, 0.0, 100.0), 200, 200)\n"
         "xy = np.random.default_rng(1).uniform(0, 100, size=(3000, 2))\n"
-        "path_integral_effort([Trajectory(positions=xy, dt=1.0)], g, 10.0)\n"
+        "path_integral_effort([Trajectory(positions=xy, dt=1.0)], g, 10.0, 'indicator')\n"
         "print(threading.active_count())\n"
         "cfg = config_from_dict({'grid': {'nx': 10, 'ny': 10}, 'study': {'n_trips': 4, "
         "'max_steps': 30}, 'replicates': 2})\n"
