@@ -21,15 +21,19 @@ an animal at that cell center during the step.
 
 Both fields come from one stencil (``_stencil_rows``) on a zero-padded
 frame around the grid, cropped to the grid, and their bytes depend on
-its order: positions in groups, one chunk per stencil row and group,
-rows in order. Summed effort runs its positions in cell order (a stable
-sort by row-major cell index); each chunk's weights and ``np.bincount``
-are computed on the stage threads (``pool.ordered_map``) and added to
-the field on the calling thread in that order, so the bytes do not
-depend on the thread count. The overlap correction runs its chunks
-inline, adding every entry's log(1 - p), zero weights included, to its
-step's cell in stencil order (``np.add.at``), then the steps'
-1 - prod terms in order.
+its order: positions in groups; per group, the stencil rows that reach
+the grid, in bands of consecutive rows; per band, rows, then positions,
+then columns, the order of one row at a time. Summed effort runs its
+positions in cell order (a stable sort by row-major cell index) in
+bands of one row; each band's weights and ``np.bincount`` are computed
+on the stage threads (``pool.ordered_map``) and added to the field on
+the calling thread in that order, so the bytes do not depend on the
+thread count. The overlap correction runs blocks of steps whose full
+stencil fits in half a position chunk, in bands of a quarter chunk,
+inline; a band adds every entry's log(1 - p), zero weights included,
+to its step's cell in stencil order (``np.add.at``), then the steps'
+1 - prod terms in order. Bands of half a chunk, live beside the block,
+page-faulted on every block and lost more than they saved.
 
 Summed effort over many trips is one pass over all their tracks (one dt);
 the overlap correction runs per trip. Fields are plain ``Raster``s.
@@ -62,63 +66,71 @@ def _frame(grid: Grid, radius: float) -> tuple[int, int, int, int]:
     return iw, mi, min(int(np.floor(radius / grid.dy + 0.5)), grid.ny - 1), grid.nx + 2 * mi
 
 
-def _stencil_rows(
-    grid: Grid, xs: np.ndarray, ys: np.ndarray, radius: float, mode: str, base: np.ndarray | int = 0
-) -> Iterator[Callable[[], tuple[int, np.ndarray, np.ndarray]]]:
-    """Yield one task per chunk of the positions' fields of view; a task returns ``(lo, key, weight)``.
+def _positions(grid: Grid, xs: np.ndarray, ys: np.ndarray, width: int) -> list[np.ndarray]:
+    """``[iy, origin, fx, fy]``: each position's cell row, frame origin ``iy * width + ix``
+    and offset from its cell center in cell units."""
+    ix, iy = cells_xy(grid, xs, ys)
+    fx = (xs - grid.region.xmin) / grid.dx - ix - 0.5
+    fy = (ys - grid.region.ymin) / grid.dy - iy - 0.5
+    return [iy, iy * width + ix, fx, fy]
 
+
+def _stencil_rows(
+    grid: Grid, at: Sequence[np.ndarray], radius: float, mode: str, band: int = 0
+) -> Iterator[Callable[[], tuple[int, np.ndarray, np.ndarray]]]:
+    """Yield one task per band of the positions' fields of view; a task returns ``(lo, key, weight)``.
+
+    ``at`` is the positions' ``_positions``, a base added to each origin;
     ``lo + key`` is a cell's row-major index in the padded frame
-    (``_frame``) plus the position's ``base``; keys start at 0, so a
-    chunk's ``np.bincount`` spans only the chunk. The positions run in
-    groups of at most ``_POSITION_CHUNK`` entries per full stencil row; a
-    group yields one chunk per stencil row its positions reach, rows in
-    order, each position's columns in turn, trimmed to the row's widest
-    chord. Zero weights and entries off the grid add nothing to the bytes.
-    A group's set-up runs as the tasks are drawn; the tasks only read it,
-    so they may run on other threads.
+    (``_frame``) plus that base, and keys start at 0, so a chunk's
+    ``np.bincount`` spans only the chunk. The positions run in groups of
+    at most ``_POSITION_CHUNK`` entries per full stencil row; a group's
+    bands hold as many rows as fit in ``band`` entries, at least one, each
+    position's columns trimmed to the band's widest chord. Zero weights
+    and entries off the grid add nothing to the bytes. A group's set-up
+    runs as the tasks are drawn; the tasks only read it, so they may run
+    on other threads.
     """
     if mode not in _EFFORT_KERNELS:
         raise ValueError(f"unknown effort mode {mode!r}")
     kernel = _EFFORT_KERNELS[mode]
-    dx, dy = grid.dx, grid.dy
     iw, mi, mj, width = _frame(grid, radius)
-    djs = np.arange(-mj, mj + 1)
     r2 = radius * radius
     step = max(1, _POSITION_CHUNK // (2 * iw + 1))
-    bases = np.broadcast_to(base, np.shape(xs))
-    for p in range(0, len(xs), step):
-        gx, gy = xs[p : p + step], ys[p : p + step]
-        ix, iy = cells_xy(grid, gx, gy)
-        # offset of the position from its cell center, in cell units
-        fx = (gx - grid.region.xmin) / dx - ix - 0.5
-        fy = (gy - grid.region.ymin) / dy - iy - 0.5
-        origin = bases[p : p + step] + iy * width + ix
+    for p in range(0, len(at[0]), step):
+        iy, origin, fx, fy = (a[p : p + step] for a in at)
         first = int(origin.min())
-        origin -= first
-        d2ys = (djs[:, None] - fy) * dy
+        origin = origin - first
+        # a row off the grid for every position lands only in the cropped margin
+        djs = np.arange(max(-mj, -int(iy.max())), min(mj, grid.ny - 1 - int(iy.min())) + 1)
+        d2ys = (djs[:, None] - fy) * grid.dy
         d2ys *= d2ys
-        # squared column offsets, once per group: each row takes its chord
-        d2xs = (np.arange(-mi, mi + 1) - fx[:, None]) * dx
+        near = d2ys.min(axis=1)
+        if not (reach := np.flatnonzero(near <= r2)).size:
+            continue
+        # columns a cell or more past a row's widest chord have weight 0
+        hs = np.minimum(mi, (np.sqrt(np.maximum(r2 - near, 0.0)) / grid.dx + 1.5).astype(int))
+        # squared column offsets, once per group: each band takes its chord
+        d2xs = (np.arange(-mi, mi + 1) - fx[:, None]) * grid.dx
         d2xs *= d2xs
-        full = (origin[:, None] + np.arange(2 * mi + 1)).ravel()
-        for dj, d2y in zip(djs.tolist(), d2ys):
-            if (near := d2y.min()) > r2:
-                continue
-            # columns a cell or more past the row's widest chord have weight 0
-            h = min(mi, int(np.sqrt(r2 - near) / dx + 1.5))
-            key = full if h == mi else None
-            lo = first + (mj + dj) * width + mi - h
-            yield partial(_stencil_row, lo, d2xs[:, mi - h : mi + h + 1], d2y, origin, key, radius, kernel)
+        rows = max(1, band // (len(origin) * (2 * mi + 1)))
+        full = (origin[:, None] + np.arange(2 * mi + 1)).ravel() if rows == 1 else None
+        for r0 in range(reach[0], reach[-1] + 1, rows):
+            r1 = min(r0 + rows, reach[-1] + 1)
+            h = int(hs[r0:r1].max())
+            lo = first + (mj + int(djs[r0])) * width + mi - h
+            yield partial(_stencil_band, lo, d2xs[:, mi - h : mi + h + 1], d2ys[r0:r1], origin,
+                          full if h == mi else None, radius, kernel, width)
 
 
-def _stencil_row(lo, d2xs, d2y, origin, key, radius, kernel) -> tuple[int, np.ndarray, np.ndarray]:
-    """One stencil row's chunk: the row's chord of the squared column offsets
-    plus its squared row offset, then ``sqrt`` and the kernel; ``key`` is
-    the group's full-width keys, or None to build the chord's."""
-    d = np.add(d2xs, d2y[:, None])
-    w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
+def _stencil_band(lo, d2xs, d2ys, origin, key, radius, kernel, width):
+    """One band's chunk: each row's squared row offsets plus the chord's squared column offsets,
+    ``sqrt`` and the kernel, in place; ``key`` is one row's full-width keys, or None to build them."""
+    d = np.add(d2ys[:, :, None], d2xs)
+    w = detection_kernel(np.sqrt(d, out=d), radius, kernel, out=d)
     if key is None:
-        key = (origin[:, None] + np.arange(d2xs.shape[1])).ravel()
+        starts = origin + np.arange(0, len(d2ys) * width, width)[:, None]
+        key = (starts[:, :, None] + np.arange(d2xs.shape[1])).ravel()
     return lo, key, w.ravel()
 
 
@@ -144,13 +156,12 @@ def path_integral_effort(
     dt = common_dt((t.dt for t in tracks), "tracks")
     _, mi, mj, width = _frame(grid, detection_range)
     acc = np.zeros((grid.ny + 2 * mj) * width)
-    xy = np.concatenate([t.positions for t in tracks])
-    ix, iy = cells_xy(grid, *xy.T)
+    at = _positions(grid, *np.concatenate([t.positions for t in tracks]).T, width)
     # in cell order, each chunk's bincount spans a few frame rows
-    xs, ys = xy[np.argsort(iy * grid.nx + ix, kind="stable")].T
-    del xy, ix, iy
-    # each chunk's bincount may run on another thread; the sums stay in order
-    for lo, chunk in ordered_map(_binned_row, _stencil_rows(grid, xs, ys, detection_range, mode)):
+    order = np.argsort(at[1], kind="stable")
+    at = [a[order] for a in at]
+    # one row per chunk, binned on the stage threads and summed in order
+    for lo, chunk in ordered_map(_binned_row, _stencil_rows(grid, at, detection_range, mode)):
         acc[lo : lo + chunk.size] += chunk
     return Raster(grid, acc.reshape(-1, width)[mj : mj + grid.ny, mi : mi + grid.nx] * dt)
 
@@ -175,27 +186,25 @@ def overlap_corrected_effort(
     if n_steps == 0:
         return constant_raster(grid, 0.0)
     dt = common_dt((t.dt for t in tracks), "tracks")
-    # positions step-major, observer-minor
     alive = np.arange(n_steps)[:, None] < lengths[None, :]
     stacked = np.zeros((n_steps, len(tracks), 2))
     for o, t in enumerate(tracks):
         stacked[: len(t), o] = t.positions
-    xs, ys = stacked[alive].T
-    step_of = np.nonzero(alive)[0]
     first = np.concatenate(([0], np.cumsum(alive.sum(axis=1))))
     iw, mi, mj, width = _frame(grid, detection_range)
-    iy = cells_xy(grid, xs, ys)[1]
+    # positions step-major, observer-minor, set up once per trip
+    at = _positions(grid, *stacked[alive].T, width)
     # a step's keys span the frame rows the trip's fields of view reach
-    top, bottom = int(iy.min()), int(iy.max()) + 2 * mj + 1
+    top, bottom = int(at[0].min()), int(at[0].max()) + 2 * mj + 1
     span = (bottom - top) * width
+    at[1] += np.nonzero(alive)[0] * span - top * width
     # the grid rows among them, cropped from each step's span
     g0, g1 = max(top - mj, 0), min(bottom - mj, grid.ny)
     rows = slice(g0 + mj - top, g1 + mj - top)
-    # a block's (step, cell) keys, and one stencil row's entries over the
-    # block, fit in a chunk; so a step never splits across position groups
-    # unless that step alone fills one, as it would one step at a time
-    entries_per_step = len(tracks) * (2 * iw + 1)
-    per_block = max(1, min(_POSITION_CHUNK // span, _POSITION_CHUNK // entries_per_step))
+    # a block's positions fit in one group, so a step splits across groups
+    # only when it alone fills one, as it would one step at a time
+    half, group = _POSITION_CHUNK // 2, _POSITION_CHUNK // (2 * iw + 1) // len(tracks)
+    per_block = max(1, min(half // span, group, half // (len(tracks) * (2 * mi + 1) * (2 * mj + 1))))
     acc = np.zeros((grid.ny, grid.nx))
     with np.errstate(divide="ignore"):
         for b0 in range(0, n_steps, per_block):
@@ -203,11 +212,10 @@ def overlap_corrected_effort(
             lo, hi = first[b0], first[b1]
             # log(1 - p) summed per (step, cell)
             block = np.zeros((b1 - b0) * span)
-            base = (step_of[lo:hi] - b0) * span - top * width
-            for row in _stencil_rows(grid, xs[lo:hi], ys[lo:hi], detection_range, mode, base):
-                k0, key, w = row()
+            for band in _stencil_rows(grid, [a[lo:hi] for a in at], detection_range, mode, half // 2):
+                k0, key, w = band()
                 # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
-                np.add.at(block, key + k0, np.log1p(np.negative(w, out=w), out=w))
+                np.add.at(block[k0 - b0 * span :], key, np.log1p(np.negative(w, out=w), out=w))
             # prod(1 - p) - 1, the step's coverage negated
             np.expm1(block, out=block)
             for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:

@@ -91,16 +91,18 @@ class EncounterDataset:
         return np.asarray(pts, dtype=float)
 
 
-def detection_kernel(d: np.ndarray, detection_range, mode: str) -> np.ndarray:
-    """Detection probability at distances ``d``, without argument checks.
+def detection_kernel(d: np.ndarray, detection_range, mode: str, out=None) -> np.ndarray:
+    """Detection probability at distances ``d >= 0``, without argument checks.
 
     linear-decay: 1 at distance 0 falling linearly to 0 at the range.
     uniform: 1 within the range (inclusive), 0 beyond.
-    ``detection_range`` may be an array broadcasting against ``d``.
+    ``detection_range`` may be an array broadcasting against ``d``; ``out`` receives the result.
     """
     if mode == "linear-decay":
-        return np.clip(1.0 - d / detection_range, 0.0, 1.0)
-    return (d <= detection_range).astype(float)
+        # max(1 - d/r, 0): for d >= 0 the bits of clip(1 - d/r, 0, 1)
+        p = np.subtract(1.0, np.divide(d, detection_range, out=out), out=out)
+        return np.maximum(p, 0.0, out=out)
+    return np.multiply(d <= detection_range, 1.0, out=out)
 
 
 def run_study(

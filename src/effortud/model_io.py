@@ -20,15 +20,17 @@ Raster paths are resolved relative to the model file; ".asc" files are
 read as ASCII grids, anything else as raster CSV, and every raster must
 lie on the spec's grid. The "env" section is
 either the built-in scaled quadratic surface or an explicit covariate
-list like the detection block. When "log" is true the offset raster is
-floored then logged; with a floor of 0 empty cells become -inf and drop
-out of the fitted integral. The optional "rename" map aliases qualified
-coefficient names so several components of a joint fit can share them.
+list like the detection block. When "log" is true the offset raster holds
+effort, which must not be negative; it is floored then logged, and with a
+floor of 0 empty cells become -inf and drop out of the fitted integral.
+The optional "rename" map aliases qualified coefficient names so several
+components of a joint fit can share them.
 Entries keep their JSON types: "intercept" and "log" are true or false,
 "maxiter" is an integer and "gtol" and "floor" are numbers.
 
 Fit results serialize to JSON carrying the coefficient estimates,
-standard errors, covariance, log likelihood, and convergence record.
+standard errors, covariance, log likelihood, and convergence record; a
+fit whose log likelihood is not finite is refused rather than written.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ import numpy as np
 
 from .analysis import QuadraticDesign, is_covariance
 from .effort import floored_log_offset
-from .errors import ConfigError, GridMismatchError, check_positive, config_entry, is_number
+from .errors import (
+    ConfigError,
+    GridMismatchError,
+    NotConvergedError,
+    check_positive,
+    config_entry,
+    is_number,
+)
 from .geometry import Grid, Raster, grid_from_doc
 from .inference import CovariateBlock, FitResult, IntensityModel, renamed_names
 from .raster_io import (
@@ -105,12 +114,16 @@ def _covariate_block(entries: Any, base: Path, grid: Grid, what: str) -> Covaria
 def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
     if not isinstance(doc, dict) or "path" not in doc:
         raise ConfigError("offset needs a 'path'")
-    raster = read_raster(base / str(doc["path"]), grid)
+    path = base / str(doc["path"])
+    raster = read_raster(path, grid)
     if not config_entry(doc, "log", True, bool):
         return raster
     floor = config_entry(doc, "floor", 0.0, float)
     if not 0 <= floor < float("inf"):
         raise ConfigError(f"offset floor must be finite and nonnegative, got {floor}")
+    if np.any(raster.values < 0.0):
+        low = float(np.nanmin(raster.values))
+        raise ValueError(f"{path}: effort to log must be nonnegative, got {low!r}")
     return floored_log_offset(raster, floor)
 
 
@@ -186,6 +199,9 @@ def read_model_spec(path: str | Path) -> ModelSpec:
 
 
 def write_fit_json(fit: FitResult, path: str | Path) -> None:
+    """Write ``fit`` as JSON; a fit whose log likelihood is not finite raises NotConvergedError."""
+    if not np.isfinite(fit.loglik):
+        raise NotConvergedError(f"fit has no finite log likelihood ({fit.loglik}); not written")
     se = fit.stderr()
     doc = {
         "names": list(fit.names),

@@ -19,7 +19,8 @@ ASCII grid layout follows the ESRI convention: six header lines
 rows written from the north edge downward. ``cellsize`` is a single
 number, so writing requires cells square up to rounding: the grid read
 back must have the same cell centers. The reader refuses ncols or nrows
-that are not positive integers.
+that are not positive integers, and names the file and line of a token
+that is not a number or a data row that does not hold ncols values.
 """
 
 from __future__ import annotations
@@ -186,18 +187,23 @@ def write_ascii_grid(raster: Raster, path: str | Path) -> None:
 def read_ascii_grid(path: str | Path) -> Raster:
     header: dict[str, float] = {}
     data_rows: list[list[float]] = []
+    lines: list[int] = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
             key = parts[0].lower()
-            if len(parts) == 2 and key in (
-                "ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value",
-            ):
-                header[key] = float(parts[1])
-            else:
-                data_rows.append([float(tok) for tok in parts])
+            try:
+                if len(parts) == 2 and key in (
+                    "ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value",
+                ):
+                    header[key] = float(parts[1])
+                else:
+                    data_rows.append([float(tok) for tok in parts])
+                    lines.append(n)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {n}: {exc}") from exc
     for need in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if need not in header:
             raise ValueError(f"{path}: missing ASCII grid header field {need}")
@@ -207,7 +213,12 @@ def read_ascii_grid(path: str | Path) -> Raster:
     nx = int(header["ncols"])
     ny = int(header["nrows"])
     cell = header["cellsize"]
-    vals = np.asarray(data_rows, dtype=float).reshape(ny, nx)
+    for n, row in zip(lines, data_rows):
+        if len(row) != nx:
+            raise ValueError(f"{path}, line {n}: expected ncols = {nx} values, got {len(row)}")
+    if len(data_rows) != ny:
+        raise ValueError(f"{path}: expected nrows = {ny} data rows, got {len(data_rows)}")
+    vals = np.array(data_rows)
     nodata = header.get("nodata_value")
     if nodata is not None:
         vals = np.where(vals == nodata, np.nan, vals)

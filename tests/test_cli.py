@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from effortud import cli
 from effortud.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from effortud.effort import trip_grouped_effort
 from effortud.encounters import read_tracks_csv
 from effortud.geometry import StudyRegion, build_grid, raster_from_function
+from effortud.model_io import write_fit_json
 from effortud.raster_io import read_raster_csv, write_raster_csv
 
 _DROP = object()  # marks a fit JSON entry to leave out
@@ -29,6 +31,25 @@ CONFIG = {
     "replicates": 2,
     "base_seed": 47,
 }
+
+
+def _not_json(constant):
+    # an AssertionError, which no exit code of main catches
+    raise AssertionError(f"fit JSON holds {constant}, which strict JSON parsers refuse")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def strict_fit_json():
+    """Every fit JSON a CLI command writes here must parse as strict JSON (no NaN or Infinity)."""
+
+    def write_strict(fit, path):
+        write_fit_json(fit, path)
+        with open(path) as fh:
+            json.load(fh, parse_constant=_not_json)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "write_fit_json", write_strict)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -1059,6 +1080,9 @@ def spec_seed(tmp_path_factory):
 @example(case=_spec_case(z_csv=_spec_raster_with("z.csv", 5, 2, _LONG_FIELD)))  # csv.Error traceback
 @example(case=_spec_case(z_csv=_spec_raster_with("z.csv", 41, 2, "1e308")))  # overflow warnings
 @example(case=_spec_case(day_asc=_spec_raster_with("day.asc", 0, 1, "inf")))  # OverflowError traceback
+@example(case=_spec_case(eff_csv=_spec_raster_with("eff.csv", 41, 2, "-1")))  # negative effort fitted
+@example(case=_spec_case(day_asc=_spec_raster_with("day.asc", 8, 3, "abc")))  # message without a line
+@example(case=_spec_case(day_asc=_spec_raster_with("day.asc", 8, 3, "")))  # a short row, no line
 def test_fit_predict_exceed_on_mutated_model_spec_exit_cleanly(tmp_path_factory, spec_seed, case):
     # every malformed model spec or raster it names is refused with an exit
     # code, never a traceback or a warning; an output is written exactly when
@@ -1116,6 +1140,37 @@ class TestMalformedFiles:
         (tmp_path / "eff.csv").write_text(body)
         assert self._fit(tmp_path, {"offset": {"path": "eff.csv"}}) == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("log", [True, False])
+    def test_negative_effort_in_offset(self, tmp_path, capsys, log):
+        # effort to log must not be negative; an offset already logged may be
+        (tmp_path / "eff.csv").write_text(_raster_rows(GOOD_2X2[:3] + [(75, 75, -1.0)]))
+        code = self._fit(tmp_path, {"offset": {"path": "eff.csv", "log": log}})
+        if log:
+            assert code == EXIT_DATA
+            assert "eff.csv: effort to log must be nonnegative, got -1.0" in capsys.readouterr().err
+        else:
+            assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1 abc", "could not convert string to float: 'abc'"),
+         ("1", "expected ncols = 2 values, got 1")],
+        ids=["not-a-number", "short-row"],
+    )
+    def test_bad_ascii_grid_row_exit_3(self, tmp_path, capsys, row, message):
+        header = "NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 50\nNODATA_VALUE -9999\n"
+        (tmp_path / "z.asc").write_text(header + "1 2\n" + row + "\n")
+        assert self._fit(tmp_path, {"env": [{"name": "z", "path": "z.asc"}]}) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"z.asc, line 8: {message}" in err
+
+    def test_fit_without_finite_loglik_exit_4(self, tmp_path, capsys):
+        # a covariate of 1e308 overflows the likelihood at the start
+        (tmp_path / "z.csv").write_text(_raster_rows(GOOD_2X2[:3] + [(75, 75, 1e308)]))
+        assert self._fit(tmp_path, {"env": [{"name": "z", "path": "z.csv"}]}) == EXIT_NUMERIC
+        assert "no finite log likelihood" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_short_encounter_row_exit_3(self, tmp_path, capsys):
         enc = tmp_path / "enc.csv"

@@ -394,10 +394,20 @@ def clustered_trip(n_steps, chunk):
     return g, tracks, 4.0, "detection", chunk
 
 
+def crowded_trip(n_steps, n_obs):
+    """Many observers with a range of 25 cells: one step's full stencil outgrows
+    half a position chunk, so its bands stop short of all its stencil rows."""
+    g = build_grid(REGION, 100, 100)
+    paths = np.random.default_rng(n_obs).uniform(20.0, 80.0, size=(n_steps, n_obs, 2))
+    tracks = [Trajectory(positions=paths[:, o], dt=1.0) for o in range(n_obs)]
+    return g, tracks, 25.0, "detection", effort._POSITION_CHUNK
+
+
 @settings(max_examples=120, deadline=None)
 @given(synchronized_trips())
 @example(clustered_trip(1, effort._POSITION_CHUNK))
 @example(clustered_trip(6, 64))
+@example(crowded_trip(3, 16))
 def test_overlap_bytes_match_the_per_step_loop(case):
     g, tracks, radius, mode, chunk = case
     with pytest.MonkeyPatch.context() as mp:

@@ -56,6 +56,28 @@ class TestDetectionProb:
         p = detection_kernel(d, 10.0, "linear-decay")
         assert p == pytest.approx([1.0, 0.75, 0.0])
 
+    @pytest.mark.parametrize("r", [10.0, 0.3, 2.5e-7, 1e300])
+    def test_kernel_in_place_matches_clip_bit_for_bit(self, r):
+        # max(1 - d/r, 0) into out=d has the bits of the clip it replaced, and
+        # the uniform kernel those of the comparison cast to float
+        d = np.array([0.0, r, np.nextafter(r, 0.0), np.nextafter(r, np.inf), 0.5 * r, 1e-300,
+                      (1.0 - 1e-16) * r, (1.0 + 1e-15) * r, 3.0 * r, 1e6 * r, np.inf])
+        for mode, old in (("linear-decay", np.clip(1.0 - d / r, 0.0, 1.0)),
+                          ("uniform", (d <= r).astype(float))):
+            assert detection_kernel(d, r, mode).tobytes() == old.tobytes()
+            out = d.copy()
+            assert detection_kernel(out, r, mode, out=out) is out
+            assert out.tobytes() == old.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20), r=st.floats(1e-6, 1e6))
+    def test_kernel_in_place_matches_clip_on_any_distance(self, d, r):
+        d = np.array(d)
+        for mode, old in (("linear-decay", np.clip(1.0 - d / r, 0.0, 1.0)),
+                          ("uniform", (d <= r).astype(float))):
+            out = d.copy()
+            assert detection_kernel(out, r, mode, out=out).tobytes() == old.tobytes()
+
     def test_invalid_arguments(self):
         # the range and mode an observer detects with are checked where they are set
         with pytest.raises(ValueError):

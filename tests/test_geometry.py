@@ -1,6 +1,7 @@
 """Grid construction, point-to-cell mapping, and raster file formats."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,30 @@ class TestRasterFiles:
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_raster_csv(p)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1 2\n3 abc\n", "r.asc, line 8: could not convert string to float: 'abc'"),
+            ("1 2\n3\n", "r.asc, line 8: expected ncols = 2 values, got 1"),
+            ("1 2\n3 4 5\n", "r.asc, line 8: expected ncols = 2 values, got 3"),
+            ("1 2\n", "r.asc: expected nrows = 2 data rows, got 1"),
+            ("1 2\n3 4\n5 6\n", "r.asc: expected nrows = 2 data rows, got 3"),
+        ],
+        ids=["not-a-number", "short-row", "long-row", "too-few-rows", "too-many-rows"],
+    )
+    def test_ascii_bad_data_named_with_its_line(self, tmp_path, rows, message):
+        p = tmp_path / "r.asc"
+        header = "NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VALUE -9999\n"
+        p.write_text(header + rows)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_ascii_grid(p)
+
+    def test_ascii_bad_header_value_named_with_its_line(self, tmp_path):
+        p = tmp_path / "r.asc"
+        p.write_text("NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER west\nCELLSIZE 1\n1 2\n")
+        with pytest.raises(ValueError, match="r.asc, line 4: could not convert string to float"):
+            read_ascii_grid(p)
 
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_csv_over_long_field_named_with_its_line(self, tmp_path, where):

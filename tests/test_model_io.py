@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from effortud.errors import ConfigError, GridMismatchError
+from effortud.errors import ConfigError, GridMismatchError, NotConvergedError
 from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
 from effortud.inference import (
     FitResult,
@@ -344,6 +344,14 @@ class TestFitJson:
         )
         with pytest.raises(ValueError, match="'theta'"):
             read_fit_json(tmp_path / "fit.json")
+
+    @pytest.mark.parametrize("loglik", [-np.inf, np.nan])
+    def test_fit_without_finite_loglik_not_written(self, tmp_path, loglik):
+        # json would write -Infinity or NaN, which strict parsers refuse
+        fit = FitResult(names=["a"], theta=np.zeros(1), loglik=loglik, converged=False, iterations=0)
+        with pytest.raises(NotConvergedError, match="no finite log likelihood"):
+            write_fit_json(fit, tmp_path / "fit.json")
+        assert not (tmp_path / "fit.json").exists()
 
     def test_round_trip_missing_covariance(self, tmp_path):
         fit = FitResult(
