@@ -22,18 +22,31 @@ an animal at that cell center during the step.
 Both fields come from one stencil (``_stencil_rows``) on a zero-padded
 frame around the grid, cropped to the grid, and their bytes depend on
 its order: positions in groups; per group, the stencil rows that reach
-the grid, in bands of consecutive rows; per band, rows, then positions,
-then columns, the order of one row at a time. Summed effort runs its
-positions in cell order (a stable sort by row-major cell index) in
-bands of one row; each band's weights and ``np.bincount`` are computed
-on the stage threads (``pool.ordered_map``) and added to the field on
-the calling thread in that order, so the bytes do not depend on the
-thread count. The overlap correction runs blocks of steps whose full
-stencil fits in half a position chunk, in bands of a quarter chunk,
-inline; a band adds every entry's log(1 - p), zero weights included,
-to its step's cell in stencil order (``np.add.at``), then the steps'
-1 - prod terms in order. Bands of half a chunk, live beside the block,
-page-faulted on every block and lost more than they saved.
+the grid; per cell, its entries in the order of one row at a time,
+positions, then columns.
+
+Summed effort runs its positions in cell order (a stable sort by
+row-major cell index) and each stencil row column-major. A group's
+squared column offsets and keys are (columns, positions) tables, built
+once, whose rows run from the stencil's right column to its left: a
+row's chord is a slice of them, so no key is built per entry, and in
+cell order each cell still takes its entries in position order. A
+stage-thread task (``pool.ordered_map``) runs several of a group's rows
+(about eight chunks of work, at most half the group): it computes each
+row's weights and ``np.bincount``, and the calling thread adds the rows
+to the field in stencil order, so the bytes do not depend on the thread
+count.
+
+The overlap correction keeps position-major bands of consecutive rows
+(rows, then positions, then columns): its cells take their entries in
+observer order within a step, which column-major order would turn into
+the order of the observers' columns, moving bytes. It runs blocks of
+steps whose full stencil fits in half a position chunk, in bands of a
+quarter chunk, inline; a band adds every entry's log(1 - p), zero
+weights included, to its step's cell in stencil order (``np.add.at``),
+then the steps' 1 - prod terms in order. Bands of half a chunk, live
+beside the block, page-faulted on every block and lost more than they
+saved.
 
 Summed effort over many trips is one pass over all their tracks (one dt);
 the overlap correction runs per trip. Fields are plain ``Raster``s.
@@ -77,19 +90,34 @@ def _positions(grid: Grid, xs: np.ndarray, ys: np.ndarray, width: int) -> list[n
 
 def _stencil_rows(
     grid: Grid, at: Sequence[np.ndarray], radius: float, mode: str, band: int = 0
-) -> Iterator[Callable[[], tuple[int, np.ndarray, np.ndarray]]]:
-    """Yield one task per band of the positions' fields of view; a task returns ``(lo, key, weight)``.
+) -> Iterator[Callable[[], Iterator[tuple[int, np.ndarray, np.ndarray]]]]:
+    """Yield the tasks of the positions' fields of view; a task yields ``(lo, key, weight)`` chunks.
 
     ``at`` is the positions' ``_positions``, a base added to each origin;
     ``lo + key`` is a cell's row-major index in the padded frame
-    (``_frame``) plus that base, and keys start at 0, so a chunk's
-    ``np.bincount`` spans only the chunk. The positions run in groups of
-    at most ``_POSITION_CHUNK`` entries per full stencil row; a group's
-    bands hold as many rows as fit in ``band`` entries, at least one, each
-    position's columns trimmed to the band's widest chord. Zero weights
-    and entries off the grid add nothing to the bytes. A group's set-up
-    runs as the tasks are drawn; the tasks only read it, so they may run
-    on other threads.
+    (``_frame``) plus that base, and keys start at most a stencil
+    half-width above 0, so a chunk's ``np.bincount`` spans little more
+    than the chunk. The positions run in groups of at most
+    ``_POSITION_CHUNK`` entries per full stencil row, and a row's columns
+    are trimmed to its widest chord.
+
+    With ``band`` 0 (summed effort) a group's entries run column-major: a
+    chunk is one stencil row, columns from the right edge of the stencil
+    to the left, then positions. With the positions in cell order, that
+    gives each cell its entries in position order, as one row at a time
+    position-major would. A task runs as many of a group's rows as hold
+    eight chunks of stencil entries and binned values together, at most
+    half the group's rows and at least one: one-row tasks queue on the
+    interpreter lock, which ``np.bincount`` holds, and tasks drawn ahead
+    into later groups keep those groups' tables alive.
+
+    With ``band`` > 0 a chunk is a band of as many rows as fit in ``band``
+    entries, at least one, each position's columns trimmed to the band's
+    widest chord, in rows, then positions, then columns.
+
+    Zero weights and entries off the grid add nothing to the bytes. A
+    group's set-up runs as the tasks are drawn; the tasks only read it, so
+    they may run on other threads.
     """
     if mode not in _EFFORT_KERNELS:
         raise ValueError(f"unknown effort mode {mode!r}")
@@ -110,33 +138,53 @@ def _stencil_rows(
             continue
         # columns a cell or more past a row's widest chord have weight 0
         hs = np.minimum(mi, (np.sqrt(np.maximum(r2 - near, 0.0)) / grid.dx + 1.5).astype(int))
+        if not band:
+            # squared column offsets and keys, once per group: row k is column mi - k
+            d2xs = (np.arange(mi, -mi - 1, -1)[:, None] - fx) * grid.dx
+            d2xs *= d2xs
+            keys = origin + np.arange(2 * mi, -1, -1)[:, None]
+            # per row: the stencil entries, and at most the keys' span of binned values
+            per_row = len(origin) * (2 * mi + 1) + int(origin.max()) + 2 * mi + 1
+            rows = max(1, min(8 * _POSITION_CHUNK // per_row, len(reach) // 2))
+            for r0 in range(reach[0], reach[-1] + 1, rows):
+                run = [(first + (mj + int(djs[r])) * width, int(hs[r]), d2ys[r])
+                       for r in range(r0, min(r0 + rows, reach[-1] + 1))]
+                yield partial(_column_rows, run, d2xs, keys, radius, kernel)
+            continue
         # squared column offsets, once per group: each band takes its chord
         d2xs = (np.arange(-mi, mi + 1) - fx[:, None]) * grid.dx
         d2xs *= d2xs
         rows = max(1, band // (len(origin) * (2 * mi + 1)))
-        full = (origin[:, None] + np.arange(2 * mi + 1)).ravel() if rows == 1 else None
         for r0 in range(reach[0], reach[-1] + 1, rows):
             r1 = min(r0 + rows, reach[-1] + 1)
             h = int(hs[r0:r1].max())
             lo = first + (mj + int(djs[r0])) * width + mi - h
             yield partial(_stencil_band, lo, d2xs[:, mi - h : mi + h + 1], d2ys[r0:r1], origin,
-                          full if h == mi else None, radius, kernel, width)
+                          radius, kernel, width)
 
 
-def _stencil_band(lo, d2xs, d2ys, origin, key, radius, kernel, width):
-    """One band's chunk: each row's squared row offsets plus the chord's squared column offsets,
-    ``sqrt`` and the kernel, in place; ``key`` is one row's full-width keys, or None to build them."""
+def _column_rows(run, d2xs, keys, radius, kernel):
+    """Column-major rows: per ``(lo, h, d2y)``, the chord's rows of the group's tables plus
+    the row's squared row offsets, ``sqrt`` and the kernel, in place."""
+    mi = len(keys) // 2
+    for lo, h, d2y in run:
+        chord = slice(mi - h, mi + h + 1)
+        d = np.add(d2xs[chord], d2y)
+        w = detection_kernel(np.sqrt(d, out=d), radius, kernel, out=d)
+        yield lo, keys[chord].ravel(), w.ravel()
+
+
+def _stencil_band(lo, d2xs, d2ys, origin, radius, kernel, width):
+    """One band: each row's squared row offsets plus the chord's squared column offsets,
+    ``sqrt`` and the kernel, in place, and the keys (rows, positions, columns)."""
     d = np.add(d2ys[:, :, None], d2xs)
     w = detection_kernel(np.sqrt(d, out=d), radius, kernel, out=d)
-    if key is None:
-        starts = origin + np.arange(0, len(d2ys) * width, width)[:, None]
-        key = (starts[:, :, None] + np.arange(d2xs.shape[1])).ravel()
-    return lo, key, w.ravel()
+    starts = origin + np.arange(0, len(d2ys) * width, width)[:, None]
+    yield lo, (starts[:, :, None] + np.arange(d2xs.shape[1])).ravel(), w.ravel()
 
 
-def _binned_row(task) -> tuple[int, np.ndarray]:
-    lo, key, w = task()
-    return lo, np.bincount(key, weights=w)
+def _binned(task) -> list[tuple[int, np.ndarray]]:
+    return [(lo, np.bincount(key, weights=w)) for lo, key, w in task()]
 
 
 def path_integral_effort(
@@ -160,9 +208,10 @@ def path_integral_effort(
     # in cell order, each chunk's bincount spans a few frame rows
     order = np.argsort(at[1], kind="stable")
     at = [a[order] for a in at]
-    # one row per chunk, binned on the stage threads and summed in order
-    for lo, chunk in ordered_map(_binned_row, _stencil_rows(grid, at, detection_range, mode)):
-        acc[lo : lo + chunk.size] += chunk
+    # runs of rows binned on the stage threads, each row summed in order
+    for run in ordered_map(_binned, _stencil_rows(grid, at, detection_range, mode)):
+        for lo, chunk in run:
+            acc[lo : lo + chunk.size] += chunk
     return Raster(grid, acc.reshape(-1, width)[mj : mj + grid.ny, mi : mi + grid.nx] * dt)
 
 
@@ -213,9 +262,9 @@ def overlap_corrected_effort(
             # log(1 - p) summed per (step, cell)
             block = np.zeros((b1 - b0) * span)
             for band in _stencil_rows(grid, [a[lo:hi] for a in at], detection_range, mode, half // 2):
-                k0, key, w = band()
-                # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
-                np.add.at(block[k0 - b0 * span :], key, np.log1p(np.negative(w, out=w), out=w))
+                for k0, key, w in band():
+                    # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
+                    np.add.at(block[k0 - b0 * span :], key, np.log1p(np.negative(w, out=w), out=w))
             # prod(1 - p) - 1, the step's coverage negated
             np.expm1(block, out=block)
             for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:

@@ -4,28 +4,29 @@ Both writers print floats with 17 significant digits so finite values
 survive a write/read cycle bit-exact.
 
 CSV layout: header ``x,y,value``, one row per cell center, x varying
-fastest, rows from the south edge upward. The reader reconstructs the
-grid from the center coordinates; it refuses a row it cannot parse (or
-the csv module cannot split, such as one with an over-long field), a
-center that is not finite or listed twice and spacing that is not
-uniform, naming the file and line. The reconstructed region is exact
-only up to rounding of the centers (a single column or row has no
-spacing at all), so callers that know the intended grid should compare
-centers against it with ``same_cell_centers``; ``model_io.read_raster``
-does.
+fastest, rows from the south edge upward. The reader parses the rows in
+bulk and reconstructs the grid from the center coordinates. It refuses
+a row it cannot parse (or the csv module cannot split, such as one with
+an over-long field), a center that is not finite or listed twice and
+spacing that is not uniform; any refusal reads the file again line by
+line, naming the file and line. The region is exact only up to rounding
+of the centers (a single column or row has no spacing at all), so
+callers that know the grid compare centers with ``same_cell_centers``.
 
 ASCII grid layout follows the ESRI convention: six header lines
 (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value) and data
 rows written from the north edge downward. ``cellsize`` is a single
 number, so writing requires cells square up to rounding: the grid read
-back must have the same cell centers. The reader refuses ncols or nrows
-that are not positive integers, and names the file and line of a token
-that is not a number or a data row that does not hold ncols values.
+back must have the same cell centers. The reader names the file of a
+header that gives no region or ncols or nrows that are not positive
+integers, and the file and line of a token that is not a number or a
+data row that does not hold ncols values.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,7 @@ from .geometry import Grid, Raster, StudyRegion
 
 _FMT = "%.17g"
 _NODATA = -9999.0  # written for missing (NaN) cells
-
-
-def _fmt(v: float) -> str:
-    return _FMT % v
+_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
 def write_raster_csv(raster: Raster, path: str | Path) -> None:
@@ -47,12 +45,12 @@ def write_raster_csv(raster: Raster, path: str | Path) -> None:
     lines end in ``\r\n``.
     """
     grid = raster.grid
-    template = "".join(f"{_fmt(x)},%s,{_FMT}\r\n" for x in grid.x_centers())
+    template = "".join(f"{_FMT % x},%s,{_FMT}\r\n" for x in grid.x_centers())
     fields: list = [None] * (2 * grid.nx)
     with open(path, "w", newline="") as fh:
         fh.write("x,y,value\r\n")
         for y, row in zip(grid.y_centers(), raster.values.tolist()):
-            fields[0::2] = [_fmt(y)] * grid.nx
+            fields[0::2] = [_FMT % y] * grid.nx
             fields[1::2] = row
             fh.write(template % tuple(fields))
 
@@ -98,59 +96,67 @@ def _axis(u: np.ndarray, path, name: str) -> tuple[np.ndarray, float]:
 
 
 def read_raster_csv(path: str | Path) -> Raster:
-    xs: list[float] = []
-    ys: list[float] = []
-    vs: list[float] = []
-    lines: list[int] = []
+    try:
+        return _csv_raster(path, bulk=True)
+    except ValueError:  # every refusal comes from the per-line reader, which names the line
+        return _csv_raster(path, bulk=False)
+
+
+def _csv_raster(path, bulk: bool) -> Raster:
+    """A CSV file's raster, its rows parsed by ``np.loadtxt`` when ``bulk`` and no line can hold
+    a field past the csv module's limit (which loadtxt would read), else line by line."""
+    if bulk:
+        with open(path, "rb") as fh:
+            data = np.frombuffer(fh.read(), np.uint8)
+        # a csv line ends at \n, \r or \r\n, and holds no more characters than bytes
+        longest = np.diff(np.flatnonzero(data == 10), prepend=-1, append=data.size).max()
+        bulk = longest <= csv.field_size_limit()
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:
             header = next(r, None)
             if header is None or [h.strip().lower() for h in header[:3]] != ["x", "y", "value"]:
                 raise ValueError(f"{path}: expected header x,y,value, got {header}")
-            for row in r:
-                if not row:
-                    continue
-                try:
-                    xs.append(float(row[0]))
-                    ys.append(float(row[1]))
-                    vs.append(float(row[2]))
-                except (IndexError, ValueError) as exc:
-                    raise ValueError(
-                        f"{path}, line {r.line_num}: expected x,y,value numbers, got {row}"
-                    ) from exc
-                lines.append(r.line_num)
+            if bulk:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # no data rows, refused below
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, usecols=(0, 1, 2), ndmin=2)
+                at = range(len(rows))  # no line numbers: a refusal reads again line by line
+            else:
+                rows, at = [], []
+                for row in filter(None, r):  # a blank line holds no row
+                    try:
+                        x, y, v = map(float, row[:3])
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{path}, line {r.line_num}: expected x,y,value numbers, got {row}"
+                        ) from exc
+                    rows.append((x, y, v))
+                    at.append(r.line_num)
         except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field
             raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
-    if not vs:
+    xs, ys, vs = np.reshape(rows, (-1, 3)).T
+    if not vs.size:
         raise ValueError(f"{path}: no data rows")
-    centers = np.array([xs, ys])
-    if not np.isfinite(centers).all():
-        i = int(np.argmin(np.isfinite(centers).all(axis=0)))
-        raise ValueError(f"{path}, line {lines[i]}: cell center ({xs[i]!r}, {ys[i]!r}) is not finite")
-    ux, dx = _axis(centers[0], path, "x")
-    uy, dy = _axis(centers[1], path, "y")
+    if not (finite := np.isfinite(xs) & np.isfinite(ys)).all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}, line {at[i]}: cell center {xs[i].item(), ys[i].item()} "
+                         "is not finite")
+    ux, dx = _axis(xs, path, "x")
+    uy, dy = _axis(ys, path, "y")
     nx, ny = len(ux), len(uy)
     if nx * ny != len(vs):
         raise ValueError(f"{path}: {len(vs)} rows do not fill a {nx}x{ny} grid")
-    ix = np.searchsorted(ux, xs)
-    iy = np.searchsorted(uy, ys)
+    ix, iy = np.searchsorted(ux, xs), np.searchsorted(uy, ys)
     flat = iy * nx + ix
-    seen = np.zeros(nx * ny, dtype=bool)
-    seen[flat] = True
-    if not np.all(seen):
-        # as many rows as cells, so some cell center is listed twice
+    if np.bincount(flat).max() > 1:  # as many rows as cells, so some cell is listed twice
         _, first = np.unique(flat, return_index=True)
         dup = np.setdiff1d(np.arange(len(flat)), first)[0]
         raise ValueError(
-            f"{path}, line {lines[dup]}: cell center ({xs[dup]!r}, {ys[dup]!r}) listed twice"
+            f"{path}, line {at[dup]}: cell center {xs[dup].item(), ys[dup].item()} listed twice"
         )
-    region = StudyRegion(
-        xmin=float(ux[0] - dx / 2.0),
-        xmax=float(ux[-1] + dx / 2.0),
-        ymin=float(uy[0] - dy / 2.0),
-        ymax=float(uy[-1] + dy / 2.0),
-    )
+    region = StudyRegion(float(ux[0] - dx / 2.0), float(ux[-1] + dx / 2.0),
+                         float(uy[0] - dy / 2.0), float(uy[-1] + dy / 2.0))
     values = np.empty((ny, nx))
     values[iy, ix] = vs
     return Raster(Grid(region, nx, ny), values)
@@ -172,16 +178,13 @@ def write_ascii_grid(raster: Raster, path: str | Path) -> None:
     if np.any(raster.values == _NODATA):
         raise ValueError(f"a cell holds the NODATA value {_NODATA!r}, which reads back as missing")
     vals = np.where(np.isnan(raster.values), _NODATA, raster.values)
+    row = " ".join([_FMT] * grid.nx) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"NCOLS {grid.nx}\n")
-        fh.write(f"NROWS {grid.ny}\n")
-        fh.write(f"XLLCORNER {_fmt(grid.region.xmin)}\n")
-        fh.write(f"YLLCORNER {_fmt(grid.region.ymin)}\n")
-        fh.write(f"CELLSIZE {_fmt(cell)}\n")
-        fh.write(f"NODATA_VALUE {_fmt(_NODATA)}\n")
-        for iy in range(grid.ny - 1, -1, -1):
-            fh.write(" ".join(_fmt(v) for v in vals[iy]))
-            fh.write("\n")
+        fh.write(f"NCOLS {grid.nx}\nNROWS {grid.ny}\n")
+        fh.write(f"XLLCORNER {_FMT}\nYLLCORNER {_FMT}\nCELLSIZE {_FMT}\nNODATA_VALUE {_FMT}\n"
+                 % (r.xmin, r.ymin, cell, _NODATA))
+        for values in vals[::-1].tolist():  # one % per row, north to south
+            fh.write(row % tuple(values))
 
 
 def read_ascii_grid(path: str | Path) -> Raster:
@@ -195,23 +198,20 @@ def read_ascii_grid(path: str | Path) -> Raster:
                 continue
             key = parts[0].lower()
             try:
-                if len(parts) == 2 and key in (
-                    "ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value",
-                ):
+                if len(parts) == 2 and key in _HEADER:
                     header[key] = float(parts[1])
                 else:
                     data_rows.append([float(tok) for tok in parts])
                     lines.append(n)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {n}: {exc}") from exc
-    for need in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+    for need in _HEADER[:5]:
         if need not in header:
             raise ValueError(f"{path}: missing ASCII grid header field {need}")
     for need in ("ncols", "nrows"):
         if not (header[need].is_integer() and header[need] >= 1):
             raise ValueError(f"{path}: {need} must be a positive integer, got {header[need]!r}")
-    nx = int(header["ncols"])
-    ny = int(header["nrows"])
+    nx, ny = int(header["ncols"]), int(header["nrows"])
     cell = header["cellsize"]
     for n, row in zip(lines, data_rows):
         if len(row) != nx:
@@ -219,14 +219,12 @@ def read_ascii_grid(path: str | Path) -> Raster:
     if len(data_rows) != ny:
         raise ValueError(f"{path}: expected nrows = {ny} data rows, got {len(data_rows)}")
     vals = np.array(data_rows)
-    nodata = header.get("nodata_value")
-    if nodata is not None:
+    if (nodata := header.get("nodata_value")) is not None:
         vals = np.where(vals == nodata, np.nan, vals)
-    region = StudyRegion(
-        xmin=header["xllcorner"],
-        xmax=header["xllcorner"] + nx * cell,
-        ymin=header["yllcorner"],
-        ymax=header["yllcorner"] + ny * cell,
-    )
+    try:
+        region = StudyRegion(header["xllcorner"], header["xllcorner"] + nx * cell,
+                             header["yllcorner"], header["yllcorner"] + ny * cell)
+    except ValueError as exc:  # the header gives no region: a cell size of 0, say
+        raise ValueError(f"{path}: {exc}") from exc
     # rows are stored north to south
     return Raster(Grid(region, nx, ny), vals[::-1].copy())

@@ -1083,6 +1083,7 @@ def spec_seed(tmp_path_factory):
 @example(case=_spec_case(eff_csv=_spec_raster_with("eff.csv", 41, 2, "-1")))  # negative effort fitted
 @example(case=_spec_case(day_asc=_spec_raster_with("day.asc", 8, 3, "abc")))  # message without a line
 @example(case=_spec_case(day_asc=_spec_raster_with("day.asc", 8, 3, "")))  # a short row, no line
+@example(case=_spec_case(day_asc=_spec_raster_with("day.asc", 4, 1, "0")))  # no region, no file named
 def test_fit_predict_exceed_on_mutated_model_spec_exit_cleanly(tmp_path_factory, spec_seed, case):
     # every malformed model spec or raster it names is refused with an exit
     # code, never a traceback or a warning; an output is written exactly when
@@ -1164,6 +1165,17 @@ class TestMalformedFiles:
         assert self._fit(tmp_path, {"env": [{"name": "z", "path": "z.asc"}]}) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"z.asc, line 8: {message}" in err
+
+    @pytest.mark.parametrize("key, value", [("CELLSIZE", "0"), ("CELLSIZE", "-1"), ("CELLSIZE", "nan"),
+                                            ("CELLSIZE", "inf"), ("XLLCORNER", "nan")])
+    def test_ascii_grid_header_without_a_region_exit_3(self, tmp_path, capsys, key, value):
+        header = {"NCOLS": "2", "NROWS": "2", "XLLCORNER": "0", "YLLCORNER": "0", "CELLSIZE": "50",
+                  "NODATA_VALUE": "-9999", key: value}
+        text = "".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n"
+        (tmp_path / "z.asc").write_text(text)
+        assert self._fit(tmp_path, {"env": [{"name": "z", "path": "z.asc"}]}) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "z.asc: degenerate or unbounded region" in err
 
     def test_fit_without_finite_loglik_exit_4(self, tmp_path, capsys):
         # a covariate of 1e308 overflows the likelihood at the start

@@ -438,8 +438,35 @@ def test_overlap_effort_is_at_most_summed_effort(case, data):
             assert np.allclose(permuted, summed, rtol=1e-12, atol=0.0)
 
 
+def one_cell_crowd():
+    """A dozen positions in one cell at distinct sub-cell offsets, over two tracks.
+
+    A range of 3 cells puts 9 positions in a group of a 64-entry chunk, so a
+    group boundary falls inside the crowd; the cell sort keeps list order.
+    """
+    g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
+    where = np.array([5.0, 6.0]) + np.random.default_rng(5).uniform(0.05, 0.95, size=(12, 2))
+    tracks = [Trajectory(positions=where[:7], dt=1.0), Trajectory(positions=where[7:], dt=1.0)]
+    return g, tracks, 3.0, "detection", 64
+
+
+def row_run():
+    """Positions along one grid row, two or three a cell, one track each way along it.
+
+    The cell sort interleaves the tracks, and with a 64-entry chunk group
+    boundaries fall inside the run.
+    """
+    g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
+    xs = np.linspace(0.3, 11.6, 17)
+    east = Trajectory(positions=np.column_stack([xs, np.full(17, 6.4)]), dt=1.0)
+    west = Trajectory(positions=np.column_stack([xs[::-1] + 0.2, np.full(17, 6.7)]), dt=1.0)
+    return g, [east, west], 3.0, "detection", 64
+
+
 @settings(max_examples=150, deadline=None)
 @given(ragged_track_sets())
+@example(one_cell_crowd())
+@example(row_run())
 def test_path_integral_bytes_match_the_compacting_loop(case):
     # zero weights and entries on the padded frame's margins add nothing:
     # every byte equals the compacting stencil's full-grid bincount over the

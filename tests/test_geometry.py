@@ -5,7 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from effortud import raster_io
 from effortud.errors import OutOfDomainError
 from effortud.geometry import (
     Grid,
@@ -170,6 +173,19 @@ def csv_writer_reference(raster, path):
                 w.writerow(["%.17g" % x, "%.17g" % y, "%.17g" % raster.values[iy, ix]])
 
 
+def ascii_writer_reference(raster, path):
+    """The ASCII grid with one ``%.17g`` call per value, joined row by row; cells must be square."""
+    grid = raster.grid
+    vals = np.where(np.isnan(raster.values), -9999.0, raster.values)
+    with open(path, "w") as fh:
+        fh.write(f"NCOLS {grid.nx}\nNROWS {grid.ny}\n")
+        for key, v in (("XLLCORNER", grid.region.xmin), ("YLLCORNER", grid.region.ymin),
+                       ("CELLSIZE", grid.dx), ("NODATA_VALUE", -9999.0)):
+            fh.write(f"{key} {'%.17g' % v}\n")
+        for iy in range(grid.ny - 1, -1, -1):
+            fh.write(" ".join("%.17g" % v for v in vals[iy]) + "\n")
+
+
 class TestRasterFiles:
     @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (6, 1), (5, 4)])
     def test_csv_bytes_match_csv_writer(self, tmp_path, nx, ny):
@@ -185,6 +201,20 @@ class TestRasterFiles:
             write_raster_csv(raster, tmp_path / "got.csv")
             csv_writer_reference(raster, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (6, 1), (5, 4)])
+    def test_ascii_bytes_match_the_per_value_join(self, tmp_path, nx, ny):
+        g = build_grid(StudyRegion(-2.5, -2.5 + 0.75 * nx, 1e5, 1e5 + 0.75 * ny), nx, ny)
+        special = [np.nan, -0.0, 5e-324, 1e308, np.inf, 0.0, -1.5e300, 1.0 / 3.0]
+        rng = np.random.default_rng(nx * 10 + ny)
+        for k in range(len(special)):
+            values = rng.normal(size=(ny, nx)) * 1e3
+            n = min(g.ncells, len(special))
+            values.flat[:n] = np.roll(special, -k)[:n]
+            raster = Raster(g, values)
+            write_ascii_grid(raster, tmp_path / "got.asc")
+            ascii_writer_reference(raster, tmp_path / "want.asc")
+            assert (tmp_path / "got.asc").read_bytes() == (tmp_path / "want.asc").read_bytes()
 
     def _random_raster(self):
         g = build_grid(StudyRegion(-2.0, 6.0, 1.0, 9.0), 8, 8)
@@ -273,3 +303,74 @@ class TestRasterFiles:
         line = 1 if where == "header" else 3
         with pytest.raises(ValueError, match=f"long.csv, line {line}: field larger than field limit"):
             read_raster_csv(p)
+
+    @pytest.mark.parametrize("cellsize, xll", [("0", "0"), ("-1", "0"), ("nan", "0"), ("inf", "0"),
+                                               ("1", "nan")])
+    def test_ascii_header_without_a_region_named(self, tmp_path, cellsize, xll):
+        p = tmp_path / "r.asc"
+        p.write_text(f"NCOLS 2\nNROWS 1\nXLLCORNER {xll}\nYLLCORNER 0\nCELLSIZE {cellsize}\n1 2\n")
+        with pytest.raises(ValueError, match="r.asc: degenerate or unbounded region"):
+            read_ascii_grid(p)
+
+
+# tokens a raster CSV field may be mutated to: numbers Python's float() and
+# np.loadtxt may read apart, blanks, quotes, comments and over-long fields
+_CSV_TOKENS = [
+    "1_0", " 2.5", "2.5 ", "+1", ".5", "1.", "-0", "5e-324", "1e308", "1e500", "-1e500", "nan",
+    "NaN", "inf", "-Infinity", "0x10", "\uff11", "1\x0b", "1\x1c", "\xa02", "1\x00", "", "   ",
+    "abc", '"1"', '"1,5"', "1 2", "1e", "#1", "5", "15", "0" * 200_000, "1" * 200_000,
+]
+
+
+@st.composite
+def mutated_raster_csvs(draw):
+    """A 3 x 2 raster CSV after up to four mutations, with \\n, \\r\\n or \\r line ends.
+
+    A field (the header's too) becomes an odd token, a row gains or loses a
+    field, is repeated or deleted, or a blank or whitespace line is added.
+    """
+    cells = [(x, y) for y in (5.0, 15.0) for x in (5.0, 15.0, 25.0)]
+    values = np.random.default_rng(draw(st.integers(0, 9))).normal(size=len(cells))
+    rows = [["x", "y", "value"]] + [[repr(x), repr(y), repr(float(v))]
+                                    for (x, y), v in zip(cells, values)]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["token", "token", "extra", "drop", "blank", "space", "repeat",
+                                   "delete"]))
+        if op == "token" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_CSV_TOKENS))
+        elif op == "extra":
+            rows[i].append(draw(st.sampled_from(_CSV_TOKENS)))
+        elif op == "drop" and rows[i]:
+            rows[i].pop()
+        elif op in ("blank", "space"):
+            rows.insert(i, [] if op == "blank" else ["   "])
+        elif op == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif op == "delete" and len(rows) > 1:
+            del rows[i]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(",".join(r) for r in rows) + draw(st.sampled_from([end, ""]))
+
+
+def _csv_outcome(read, path):
+    try:
+        r = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return r.grid, r.values.tobytes()
+
+
+def _per_line_read(path):
+    return raster_io._csv_raster(path, bulk=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_raster_csvs())
+@example("x,y,value\n5,5,1\n15,5," + "1" * 200_000 + "\n")  # loadtxt reads inf, csv refuses
+@example("x,y,value\n5,5,1\n\n15,5,1\n5,15,1\n15,15,inf")  # a blank line; no line end
+def test_bulk_csv_read_matches_the_per_line_reader(tmp_path_factory, text):
+    # the bulk read returns the per-line reader's bytes, or its very message
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    path.write_bytes(text.encode())
+    assert _csv_outcome(read_raster_csv, path) == _csv_outcome(_per_line_read, path)
