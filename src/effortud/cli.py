@@ -105,9 +105,10 @@ def cmd_effort(args: argparse.Namespace) -> int:
     region = {"xmin": args.xmin, "xmax": args.xmax, "ymin": args.ymin, "ymax": args.ymax}
     grid = grid_from_doc({"region": region, "grid": {"nx": args.nx, "ny": args.ny}})
     check_positive(args.range, "--range", ConfigError)
-    check_positive(args.dt, "--dt", ConfigError)
-    tracks = read_tracks_csv(args.tracks, dt=args.dt)
+    check_positive(args.step_time, "--dt", ConfigError)
+    tracks = read_tracks_csv(args.tracks)
     field = trip_grouped_effort(tracks, grid, args.range, mode=args.mode, overlap=args.overlap)
+    field.values *= args.step_time  # effort comes in recorded steps
     write_raster(field, args.out)
     print(f"effort raster written to {args.out} (total {field.values.sum():.6g})")
     return EXIT_OK
@@ -138,7 +139,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_model_fit(args: argparse.Namespace):
-    """The model spec and a converged fit whose coefficients match the model's names."""
+    """The model spec and a converged fit matching its names; the ``--fix-*`` values must be finite."""
+    for flag, value in (("--fix-effort", args.fix_effort), ("--fix-detection", args.fix_detection)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     ms = read_model_spec(args.model)
     fit = read_fit_json(args.fit)
     expected = ms.parameter_names()
@@ -228,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--range", type=float, required=True, help="detection range")
     pe.add_argument("--mode", choices=["indicator", "detection"], default="detection")
     pe.add_argument("--overlap", action="store_true", help="joint coverage per trip")
-    pe.add_argument("--dt", type=float, default=1.0, help="time between recorded positions")
+    pe.add_argument("--dt", type=float, default=1.0, dest="step_time",
+                    help="time between recorded positions: scales the raster")
     pe.add_argument("--xmin", type=float, default=0.0)
     pe.add_argument("--xmax", type=float, default=100.0)
     pe.add_argument("--ymin", type=float, default=0.0)

@@ -8,7 +8,7 @@ receives a contribution for that time step:
     detection mode:  the detection probability at the center's distance
                      (linear decay from 1 at distance 0 to 0 at the range)
 
-summed over steps and observers, then multiplied by the step duration.
+summed over steps and observers, so effort counts recorded steps.
 
 When several observers cover the same cell simultaneously, summing
 their contributions counts the overlap twice. The overlap-corrected
@@ -48,8 +48,8 @@ then the steps' 1 - prod terms in order. Bands of half a chunk, live
 beside the block, page-faulted on every block and lost more than they
 saved.
 
-Summed effort over many trips is one pass over all their tracks (one dt);
-the overlap correction runs per trip. Fields are plain ``Raster``s.
+Summed effort over many trips is one pass over all their tracks; the
+overlap correction runs per trip. Fields are plain ``Raster``s.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 from .encounters import detection_kernel
 from .errors import check_positive
 from .geometry import Grid, Raster, cells_xy, constant_raster
-from .movement import Trajectory, common_dt
+from .movement import Trajectory
 from .pool import ordered_map
 
 _POSITION_CHUNK = 65536
@@ -201,7 +201,6 @@ def path_integral_effort(
     check_positive(detection_range, "detection_range")
     if not tracks:
         return constant_raster(grid, 0.0)
-    dt = common_dt((t.dt for t in tracks), "tracks")
     _, mi, mj, width = _frame(grid, detection_range)
     acc = np.zeros((grid.ny + 2 * mj) * width)
     at = _positions(grid, *np.concatenate([t.positions for t in tracks]).T, width)
@@ -212,7 +211,8 @@ def path_integral_effort(
     for run in ordered_map(_binned, _stencil_rows(grid, at, detection_range, mode)):
         for lo, chunk in run:
             acc[lo : lo + chunk.size] += chunk
-    return Raster(grid, acc.reshape(-1, width)[mj : mj + grid.ny, mi : mi + grid.nx] * dt)
+    # a copy: a view would keep the padded frame alive
+    return Raster(grid, acc.reshape(-1, width)[mj : mj + grid.ny, mi : mi + grid.nx].copy())
 
 
 def overlap_corrected_effort(
@@ -234,7 +234,6 @@ def overlap_corrected_effort(
     n_steps = int(lengths.max(initial=0))
     if n_steps == 0:
         return constant_raster(grid, 0.0)
-    dt = common_dt((t.dt for t in tracks), "tracks")
     alive = np.arange(n_steps)[:, None] < lengths[None, :]
     stacked = np.zeros((n_steps, len(tracks), 2))
     for o, t in enumerate(tracks):
@@ -269,7 +268,7 @@ def overlap_corrected_effort(
             np.expm1(block, out=block)
             for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:
                 acc[g0:g1] -= minus_cover
-    return Raster(grid, acc * dt)
+    return Raster(grid, acc)
 
 
 def trip_grouped_effort(
@@ -281,8 +280,8 @@ def trip_grouped_effort(
 ) -> Raster:
     """Total effort over many trips.
 
-    Summed effort is one pass over every trip's tracks, which must share
-    dt; the overlap correction applies per trip.
+    Summed effort is one pass over every trip's tracks; the overlap
+    correction applies per trip.
     """
     if not overlap:
         tracks = [t for trip in tracks_by_trip.values() for t in trip]

@@ -28,6 +28,7 @@ from .movement import (
     sample_initial,
     step_positions,
 )
+from .raster_io import _FMT
 
 DETECTION_MODES = ("linear-decay", "uniform")
 BLOCK_STEPS = 16  # steps of random draws a trip takes from its generator at a time
@@ -214,12 +215,9 @@ def run_study(
     for k in range(n_trips):
         arr = np.concatenate(chunks[k], axis=1)
         chunks[k] = []  # free the pieces trip by trip: peak memory stays near the output's
-        tracks = [Trajectory(positions=arr[j], dt=1.0) for j in range(n_obs)]
+        tracks = [Trajectory(positions=arr[j]) for j in range(n_obs)]
         trips.append(TripRecord(trip=k, tracks=tracks, encounter=encounters[k]))
     return EncounterDataset(trips=trips)
-
-
-_F = "%.17g"
 
 
 def write_encounters_csv(dataset: EncounterDataset, path: str | Path) -> None:
@@ -229,7 +227,7 @@ def write_encounters_csv(dataset: EncounterDataset, path: str | Path) -> None:
         w.writerow(["trip", "step", "x", "y", "mark", "observer"])
         for trip, enc in dataset.encounters():
             w.writerow(
-                [trip, enc.step, _F % enc.point.x, _F % enc.point.y, enc.mark or "", enc.observer]
+                [trip, enc.step, _FMT % enc.point.x, _FMT % enc.point.y, enc.mark or "", enc.observer]
             )
 
 
@@ -280,15 +278,15 @@ def write_tracks_csv(dataset: EncounterDataset, path: str | Path) -> None:
         for rec in dataset.trips:
             for j, traj in enumerate(rec.tracks):
                 for s, (x, y) in enumerate(traj.positions):
-                    w.writerow([rec.trip, j, s, _F % x, _F % y])
+                    w.writerow([rec.trip, j, s, _FMT % x, _FMT % y])
 
 
-def read_tracks_csv(path: str | Path, dt: float = 1.0) -> dict[int, list[Trajectory]]:
+def read_tracks_csv(path: str | Path) -> dict[int, list[Trajectory]]:
     """Rebuild observer trajectories from a tracks CSV, grouped by trip.
 
     Within a trip the returned trajectories are observer-ordered and
     step-aligned (they were recorded simultaneously). The file carries
-    no time spacing, so ``dt`` must be supplied.
+    steps, not times: the time a step takes is the caller's scale.
     """
     parsed = _read_csv_rows(
         path,
@@ -308,5 +306,5 @@ def read_tracks_csv(path: str | Path, dt: float = 1.0) -> dict[int, list[Traject
         if steps != list(range(len(steps))):
             raise ValueError(f"trip {trip} observer {obs}: steps not contiguous from 0")
         arr = np.array([(x, y) for _, x, y in pts])
-        by_trip.setdefault(trip, []).append(Trajectory(positions=arr, dt=dt))
+        by_trip.setdefault(trip, []).append(Trajectory(positions=arr))
     return by_trip

@@ -11,14 +11,15 @@ scores both against the animal's true stationary density:
 Replicates are independent (seed = base_seed XOR replicate index) and
 run in a process pool; the worker count comes from the ``workers``
 argument, the EFFORTUD_WORKERS environment variable, or the CPU count,
-in that order (``pool.resolve_workers``). Worker processes run their
-stages on one thread. The count is not part of the config: it changes
-no result.
+in that order (``pool.resolve_workers``). Worker processes set
+EFFORTUD_WORKERS to 1, so they run their stages on one thread. The count
+is not part of the config: it changes no result.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +41,7 @@ from .geometry import Grid, StudyRegion, build_grid, grid_from_doc
 from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
 from .movement import BivariateNormalPotential, HalfNormalYPotential, MovementSpec, analytic_ud
-from .pool import resolve_workers, single_threaded
+from .pool import WORKERS_ENV, resolve_workers
 
 # Bias presets pair the observers' step variance with the spread of their
 # long-run density. Slow observers (step variance 2) concentrate search
@@ -303,6 +304,11 @@ def summarize(records: list[dict[str, Any]], overlap: bool) -> dict[str, RobustI
     return out
 
 
+def _one_stage_thread() -> None:
+    """A replicate worker's initializer: its stages run on one thread."""
+    os.environ[WORKERS_ENV] = "1"
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run all replicates of one setting, in parallel where possible."""
     n_workers = resolve_workers(workers)
@@ -311,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         records = [run_replicate(cfg, r) for r in reps]
     else:
         n = min(n_workers, cfg.replicates)
-        with ProcessPoolExecutor(max_workers=n, initializer=single_threaded) as pool:
+        with ProcessPoolExecutor(max_workers=n, initializer=_one_stage_thread) as pool:
             records = list(pool.map(run_replicate, [cfg] * len(reps), reps))
     return ExperimentResult(
         config=cfg, records=records, summaries=summarize(records, cfg.overlap)

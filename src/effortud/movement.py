@@ -14,7 +14,7 @@ followed by coordinate-wise reflection back into the rectangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -98,28 +98,18 @@ class MovementSpec:
 
 @dataclass
 class Trajectory:
-    """A sequence of positions at fixed time spacing."""
+    """Positions recorded one step apart; the time a step takes scales a whole dataset."""
 
     positions: np.ndarray
-    dt: float
 
     def __post_init__(self) -> None:
         p = np.asarray(self.positions, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"positions must be (n, 2), got {p.shape}")
-        check_positive(self.dt, "dt")
         self.positions = p
 
     def __len__(self) -> int:
         return len(self.positions)
-
-
-def common_dt(dts: Iterable[float], what: str) -> float:
-    """The one time step shared by ``what``; ValueError if they differ."""
-    distinct = set(dts)
-    if len(distinct) != 1:
-        raise ValueError(f"{what} must share dt, got {sorted(distinct)}")
-    return distinct.pop()
 
 
 def drift(spec: MovementSpec, p: np.ndarray | tuple[float, float]) -> np.ndarray:
@@ -180,7 +170,7 @@ def simulate_trajectory(
     for i in range(n_steps):
         pos = step_positions(spec, pos, region, noise[i])
         out[i + 1] = pos[0]
-    return Trajectory(positions=out, dt=1.0)
+    return Trajectory(positions=out)
 
 
 def _rejection_sample(propose: Callable[[int], np.ndarray], region: StudyRegion, n: int) -> np.ndarray:

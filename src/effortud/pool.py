@@ -6,9 +6,8 @@ runs replicates in that many processes. Within a process, a stage that
 splits into independent pieces (summed-effort stencil rows, blocks of
 exceedance draws) runs them on as many threads through ``ordered_map``;
 the caller reduces the results in submission order, so no output depends
-on the count. Replicate worker processes run their stages on one thread
-(``single_threaded`` is their pool initializer), so processes do not
-multiply threads.
+on the count. Replicate worker processes set EFFORTUD_WORKERS to 1, so
+they run their stages on one thread and processes do not multiply threads.
 
 A thread pool lives for one ``ordered_map`` call, never from import: a
 forked process inherits a pool's bookkeeping but none of its threads.
@@ -28,8 +27,6 @@ WORKERS_ENV = "EFFORTUD_WORKERS"
 T = TypeVar("T")
 R = TypeVar("R")
 
-_single_threaded = False
-
 
 def resolve_workers(workers: int | None = None) -> int:
     """``workers`` if given, else EFFORTUD_WORKERS, else the CPU count; at least 1."""
@@ -44,25 +41,14 @@ def resolve_workers(workers: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def single_threaded() -> None:
-    """Run this process's stages on one thread (a replicate worker's initializer)."""
-    global _single_threaded
-    _single_threaded = True
-
-
-def stage_threads() -> int:
-    """Threads a stage runs on: 1 in a replicate worker, else ``resolve_workers()``."""
-    return 1 if _single_threaded else resolve_workers()
-
-
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
-    """``map(fn, items)`` with the calls on ``stage_threads()`` threads.
+    """``map(fn, items)`` with the calls on ``resolve_workers()`` threads.
 
     Results come in the order of ``items``, which is drawn on the calling
     thread as results are taken; at most threads + 1 calls are submitted
     and not yet taken. With one thread it is a plain loop.
     """
-    n = stage_threads()
+    n = resolve_workers()
     if n == 1:
         yield from map(fn, items)
         return

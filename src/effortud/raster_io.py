@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import Grid, Raster, StudyRegion
 
-_FMT = "%.17g"
+_FMT = "%.17g"  # every float written to a file: finite ones read back bit-exact
 _NODATA = -9999.0  # written for missing (NaN) cells
 _HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 

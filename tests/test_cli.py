@@ -201,11 +201,24 @@ class TestEffort:
         )
         assert code == EXIT_OK
         grid = build_grid(StudyRegion(0, 100, 0, 100), 25, 25)
-        want = trip_grouped_effort(read_tracks_csv(tracks_csv, dt=1.0), grid, 30.0, "detection")
+        want = trip_grouped_effort(read_tracks_csv(tracks_csv), grid, 30.0, "detection")
         got = read_raster_csv(out)
         assert got.grid == grid
         assert np.allclose(got.values, want.values, rtol=1e-12)
         assert got.values.sum() > 0
+
+    def test_dt_scaling(self, sim, tmp_path):
+        # effort comes in recorded steps, and --dt multiplies the finished raster
+        got = {}
+        for dt in ("1", "0.3"):
+            out = tmp_path / f"effort-{dt}.csv"
+            code = main(["effort", "--tracks", str(sim["out"] / "tracks_r000.csv"),
+                         "--out", str(out), "--range", "30", "--nx", "25", "--ny", "25",
+                         "--dt", dt])
+            assert code == EXIT_OK
+            got[dt] = read_raster_csv(out).values
+        assert got["1"].sum() > 0
+        assert got["0.3"].tobytes() == (0.3 * got["1"]).tobytes()
 
     def test_missing_tracks_exit_3(self, tmp_path):
         code = main(
@@ -298,7 +311,7 @@ def test_effort_on_mutated_tracks_exits_cleanly(tmp_path_factory, text, mode):
             assert not out.exists()
             continue
         want = trip_grouped_effort(
-            read_tracks_csv(tracks, dt=1.0), grid, 15.0, mode=mode, overlap=overlap
+            read_tracks_csv(tracks), grid, 15.0, mode=mode, overlap=overlap
         )
         assert read_raster_csv(out).values.tobytes() == want.values.tobytes()
 
@@ -767,6 +780,28 @@ class TestExceed:
                      "--samples", "0"])
         assert code == EXIT_CONFIG
 
+
+@pytest.mark.parametrize("command", ["predict", "exceed"])
+@pytest.mark.parametrize("flag", ["--fix-effort", "--fix-detection"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_fix_value_exit_2(tmp_path, capsys, command, flag, value):
+    # a value put in for covariates must be finite: `predict --intensity
+    # --fix-effort nan` would write all NaN, and -inf all zeros
+    model = TestExceed._distinct_model(tmp_path)
+    g = build_grid(StudyRegion(0, 100, 0, 100), 10, 10)
+    write_raster_csv(raster_from_function(g, lambda X, Y: Y / 100.0), tmp_path / "day.csv")
+    day = [{"name": "day", "path": "day.csv"}]
+    model.write_text(json.dumps({**json.loads(model.read_text()), "effort_covariates": day}))
+    names = ["env:intercept", "env:z", "eff:day"]
+    covariance = np.diag([0.01, 1e-6, 0.01]).tolist()
+    fit = TestExceed()._fit_json(tmp_path, covariance, names=names, theta=[0.0, 0.001, 0.5])
+    out = tmp_path / "out.csv"
+    args = [command, "--model", str(model), "--fit", str(fit), "--out", str(out)]
+    args += ["--intensity"] if command == "predict" else ["--samples", "20"]
+    assert main(args + [f"{flag}={value}"]) == EXIT_CONFIG
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + [f"{flag}=0.5"]) == EXIT_OK
 
 
 _FIT_DOC = {

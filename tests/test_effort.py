@@ -19,8 +19,8 @@ from effortud.movement import Trajectory
 REGION = StudyRegion(0.0, 100.0, 0.0, 100.0)
 
 
-def static_track(x, y, n_steps, dt=1.0):
-    return Trajectory(positions=np.tile([float(x), float(y)], (n_steps, 1)), dt=dt)
+def static_track(x, y, n_steps):
+    return Trajectory(positions=np.tile([float(x), float(y)], (n_steps, 1)))
 
 
 def brute_force_weight(grid, x, y, radius, mode):
@@ -38,7 +38,7 @@ def brute_force_effort(tracks, grid, radius, mode):
     for t in tracks:
         for x, y in t.positions:
             acc += brute_force_weight(grid, x, y, radius, mode)
-    return acc * tracks[0].dt
+    return acc
 
 
 def brute_force_overlap(tracks, grid, radius, mode):
@@ -50,7 +50,7 @@ def brute_force_overlap(tracks, grid, radius, mode):
             if len(t) > s:
                 miss *= 1.0 - brute_force_weight(grid, *t.positions[s], radius, mode)
         acc += 1.0 - miss
-    return acc * tracks[0].dt
+    return acc
 
 
 def _coordinate(lo, hi, n):
@@ -80,7 +80,7 @@ def effort_cases(draw):
     ys = _coordinate(region.ymin, region.ymax, g.ny)
     n_obs = draw(st.integers(1, 3))
     tracks = [
-        Trajectory(positions=draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=5)), dt=1.0)
+        Trajectory(positions=draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=5)))
         for _ in range(n_obs)
     ]
     mode = draw(st.sampled_from(["indicator", "detection"]))
@@ -156,7 +156,7 @@ def compacting_path_integral(tracks, grid, radius, mode, cell_order=True):
         xs, ys = xs[order], ys[order]
     for flat, w in compacting_stencil(grid, xs, ys, radius, mode):
         acc += np.bincount(flat, weights=w, minlength=acc.size)
-    return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
+    return acc.reshape(grid.ny, grid.nx)
 
 
 def per_step_overlap(tracks, grid, radius, mode, row_sums=False):
@@ -182,7 +182,7 @@ def per_step_overlap(tracks, grid, radius, mode, row_sums=False):
                 np.add.at(step_acc, flat, logmiss)
         touched = np.nonzero(step_acc)[0]
         acc[touched] += -np.expm1(step_acc[touched])
-    return (acc * tracks[0].dt).reshape(grid.ny, grid.nx)
+    return acc.reshape(grid.ny, grid.nx)
 
 
 def assert_overlap_matches_per_step(got, tracks, grid, radius, mode):
@@ -205,9 +205,8 @@ def ragged_track_sets(draw):
     r = g.region
     corner = st.sampled_from([(x, y) for x in (r.xmin, r.xmax) for y in (r.ymin, r.ymax)])
     inside = st.tuples(_coordinate(r.xmin, r.xmax, g.nx), _coordinate(r.ymin, r.ymax, g.ny))
-    dt = draw(st.sampled_from([1.0, 0.25]))
     points = st.lists(st.one_of(corner, inside), min_size=1, max_size=12)
-    tracks = [Trajectory(positions=draw(points), dt=dt) for _ in range(draw(st.integers(1, 4)))]
+    tracks = [Trajectory(positions=draw(points)) for _ in range(draw(st.integers(1, 4)))]
     mode = draw(st.sampled_from(["indicator", "detection"]))
     chunk = draw(st.sampled_from([effort._POSITION_CHUNK, 1000, 64]))
     return g, tracks, radius, mode, chunk
@@ -256,7 +255,7 @@ def synchronized_trips(draw):
                 path[s] = (x0, y0)
             elif follow == "near":
                 path[s] = (min(max(x0 + ox, r.xmin), r.xmax), min(max(y0 + oy, r.ymin), r.ymax))
-    tracks = [Trajectory(positions=path, dt=1.0) for path in paths]
+    tracks = [Trajectory(positions=path) for path in paths]
     mode = draw(st.sampled_from(["indicator", "detection"]))
     chunk = draw(st.sampled_from([effort._POSITION_CHUNK, 1000, 64]))
     return g, tracks, radius, mode, chunk
@@ -284,19 +283,12 @@ class TestPathIntegralEffort:
         g = build_grid(REGION, 40, 40)
         rng = np.random.default_rng(19)
         tracks = [
-            Trajectory(positions=rng.uniform(5, 95, size=(30, 2)), dt=1.0)
+            Trajectory(positions=rng.uniform(5, 95, size=(30, 2)))
             for _ in range(2)
         ]
         fast = path_integral_effort(tracks, g, 10.0, mode=mode)
         slow = brute_force_effort(tracks, g, 10.0, mode)
         assert np.allclose(fast.values, slow, rtol=1e-10, atol=1e-12)
-
-    def test_dt_scaling(self):
-        g = build_grid(REGION, 20, 20)
-        tr = static_track(50.0, 50.0, 4, dt=0.25)
-        f = path_integral_effort([tr], g, 10.0, mode="indicator")
-        f1 = path_integral_effort([static_track(50.0, 50.0, 4, dt=1.0)], g, 10.0, "indicator")
-        assert np.allclose(f.values, 0.25 * f1.values)
 
     def test_empty_tracks(self):
         g = build_grid(REGION, 10, 10)
@@ -317,7 +309,7 @@ class TestPathIntegralEffort:
 
     def test_position_outside_region(self):
         g = build_grid(REGION, 10, 10)
-        tr = Trajectory(positions=np.array([[50.0, 101.0]]), dt=1.0)
+        tr = Trajectory(positions=np.array([[50.0, 101.0]]))
         with pytest.raises(OutOfDomainError):
             path_integral_effort([tr], g, 10.0, "indicator")
 
@@ -334,7 +326,7 @@ class TestOverlapCorrectedEffort:
     def test_single_observer_equals_plain_detection(self):
         g = build_grid(REGION, 50, 50)
         rng = np.random.default_rng(23)
-        tr = Trajectory(positions=rng.uniform(10, 90, size=(25, 2)), dt=1.0)
+        tr = Trajectory(positions=rng.uniform(10, 90, size=(25, 2)))
         plain = path_integral_effort([tr], g, 10.0, mode="detection")
         corr = overlap_corrected_effort([tr], g, 10.0, "detection")
         assert np.allclose(corr.values, plain.values, rtol=1e-9, atol=1e-12)
@@ -350,7 +342,7 @@ class TestOverlapCorrectedEffort:
         g = build_grid(REGION, 40, 40)
         rng = np.random.default_rng(29)
         tracks = [
-            Trajectory(positions=rng.uniform(20, 80, size=(15, 2)), dt=1.0)
+            Trajectory(positions=rng.uniform(20, 80, size=(15, 2)))
             for _ in range(4)
         ]
         plain = path_integral_effort(tracks, g, 15.0, mode="detection")
@@ -390,7 +382,7 @@ def clustered_trip(n_steps, chunk):
     g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
     where = np.random.default_rng(n_steps).uniform(4.0, 8.0, size=(n_steps, 1, 2))
     paths = where + [[0.1, 0.2], [0.7, 0.3], [-0.2, 1.4], [0.4, -0.9]]
-    tracks = [Trajectory(positions=paths[:, o], dt=1.0) for o in range(4)]
+    tracks = [Trajectory(positions=paths[:, o]) for o in range(4)]
     return g, tracks, 4.0, "detection", chunk
 
 
@@ -399,7 +391,7 @@ def crowded_trip(n_steps, n_obs):
     half a position chunk, so its bands stop short of all its stencil rows."""
     g = build_grid(REGION, 100, 100)
     paths = np.random.default_rng(n_obs).uniform(20.0, 80.0, size=(n_steps, n_obs, 2))
-    tracks = [Trajectory(positions=paths[:, o], dt=1.0) for o in range(n_obs)]
+    tracks = [Trajectory(positions=paths[:, o]) for o in range(n_obs)]
     return g, tracks, 25.0, "detection", effort._POSITION_CHUNK
 
 
@@ -446,7 +438,7 @@ def one_cell_crowd():
     """
     g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
     where = np.array([5.0, 6.0]) + np.random.default_rng(5).uniform(0.05, 0.95, size=(12, 2))
-    tracks = [Trajectory(positions=where[:7], dt=1.0), Trajectory(positions=where[7:], dt=1.0)]
+    tracks = [Trajectory(positions=where[:7]), Trajectory(positions=where[7:])]
     return g, tracks, 3.0, "detection", 64
 
 
@@ -458,8 +450,8 @@ def row_run():
     """
     g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
     xs = np.linspace(0.3, 11.6, 17)
-    east = Trajectory(positions=np.column_stack([xs, np.full(17, 6.4)]), dt=1.0)
-    west = Trajectory(positions=np.column_stack([xs[::-1] + 0.2, np.full(17, 6.7)]), dt=1.0)
+    east = Trajectory(positions=np.column_stack([xs, np.full(17, 6.4)]))
+    west = Trajectory(positions=np.column_stack([xs[::-1] + 0.2, np.full(17, 6.7)]))
     return g, [east, west], 3.0, "detection", 64
 
 
@@ -493,7 +485,7 @@ def test_range_far_wider_than_the_grid(mode):
     rng = np.random.default_rng(41)
     corners = [[0.0, 0.0], [3.0, 2.0]]
     tracks = [
-        Trajectory(positions=np.vstack([corners, rng.uniform((0, 0), (3, 2), (n, 2))]), dt=1.0)
+        Trajectory(positions=np.vstack([corners, rng.uniform((0, 0), (3, 2), (n, 2))]))
         for n in (6, 2, 4)
     ]
     fast = path_integral_effort(tracks, g, radius, mode=mode).values
@@ -513,7 +505,7 @@ def test_overlap_bytes_when_chunks_end_inside_a_step(monkeypatch):
         g = build_grid(StudyRegion(0.0, nx, 0.0, ny), nx, ny)
         n_steps = int(rng.integers(2, 9))
         tracks = [
-            Trajectory(positions=rng.uniform((0, 0), (nx, ny), size=(n_steps, 2)), dt=1.0)
+            Trajectory(positions=rng.uniform((0, 0), (nx, ny), size=(n_steps, 2)))
             for _ in range(int(rng.integers(2, 7)))
         ]
         radius = rng.uniform(1.5, 3.5)
@@ -527,7 +519,7 @@ class TestTripGroupedEffort:
         rng = np.random.default_rng(31)
         trips = {
             k: [
-                Trajectory(positions=rng.uniform(10, 90, size=(n, 2)), dt=0.5)
+                Trajectory(positions=rng.uniform(10, 90, size=(n, 2)))
                 for n in rng.integers(1, 15, size=k + 1)
             ]
             for k in range(4)
@@ -552,12 +544,6 @@ class TestTripGroupedEffort:
         monkeypatch.setattr(effort, "path_integral_effort", counted)
         trip_grouped_effort(trips, g, 10.0, mode="detection")
         assert calls == [5]
-
-    def test_trips_must_share_dt(self):
-        g = build_grid(REGION, 10, 10)
-        trips = {0: [static_track(50.0, 50.0, 3, dt=1.0)], 1: [static_track(50.0, 50.0, 3, dt=0.5)]}
-        with pytest.raises(ValueError, match="share dt"):
-            trip_grouped_effort(trips, g, 10.0, mode="detection", overlap=False)
 
     def test_overlap_applied_within_trip(self):
         g = build_grid(REGION, 100, 100)

@@ -217,7 +217,7 @@ def reference_trip(animal, observers, max_steps, seed, trip, mark=None):
             if encounter is not None:
                 break
     arr = np.asarray(history)
-    tracks = [Trajectory(arr[:, j].copy(), 1.0) for j in range(len(observers))]
+    tracks = [Trajectory(arr[:, j].copy()) for j in range(len(observers))]
     return TripRecord(trip=trip, tracks=tracks, encounter=encounter)
 
 
@@ -226,7 +226,6 @@ def assert_same_record(a: TripRecord, b: TripRecord) -> None:
     assert a.encounter == b.encounter
     assert len(a.tracks) == len(b.tracks)
     for ta, tb in zip(a.tracks, b.tracks):
-        assert ta.dt == tb.dt
         assert ta.positions.tobytes() == tb.positions.tobytes()
 
 
@@ -313,7 +312,7 @@ class TestDatasetFiles:
         ds = self._dataset()
         p = tmp_path / "tracks.csv"
         write_tracks_csv(ds, p)
-        by_trip = read_tracks_csv(p, dt=1.0)
+        by_trip = read_tracks_csv(p)
         assert set(by_trip) == {rec.trip for rec in ds.trips}
         for rec in ds.trips:
             back = by_trip[rec.trip]

@@ -14,7 +14,6 @@ from effortud.movement import (
     CustomPotential,
     HalfNormalYPotential,
     MovementSpec,
-    Trajectory,
     analytic_ud,
     drift,
     reflect_into,
@@ -214,11 +213,6 @@ class TestSimulateTrajectory:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             simulate_trajectory(MovementSpec(ANIMAL_POT, 2.0), Point(-5, 50), 10, REGION, rng)
-
-    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_dt_rejected(self, dt):
-        with pytest.raises(ValueError, match="dt must be finite and positive"):
-            Trajectory(positions=np.zeros((3, 2)), dt=dt)
 
 
 class TestSampleInitial:

@@ -73,13 +73,6 @@ class TestOrderedMap:
             list(pool.ordered_map(fail_at_three, range(20)))
         assert threading.active_count() == before
 
-    def test_replicate_workers_run_one_thread(self, monkeypatch):
-        _threads(monkeypatch, 3)
-        assert pool.stage_threads() == 3
-        monkeypatch.setattr(pool, "_single_threaded", False)
-        pool.single_threaded()
-        assert pool.stage_threads() == 1
-
     def test_bad_worker_count_is_a_config_error(self, monkeypatch):
         monkeypatch.setenv(pool.WORKERS_ENV, "two")
         with pytest.raises(ConfigError, match="EFFORTUD_WORKERS must be an integer"):
@@ -102,7 +95,7 @@ def _walk_tracks(seed, n_tracks, n_steps, lo=5.0, hi=95.0):
     start = rng.uniform(lo, hi, size=(n_tracks, 1, 2))
     steps = rng.normal(0.0, 1.5, size=(n_tracks, n_steps - 1, 2))
     paths = np.clip(np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1), 0.0, 100.0)
-    return [Trajectory(positions=p, dt=0.5) for p in paths]
+    return [Trajectory(positions=p) for p in paths]
 
 
 @pytest.mark.parametrize("mode", ["indicator", "detection"])
@@ -156,19 +149,30 @@ def test_import_starts_no_thread():
 
 
 def test_replicate_processes_after_a_threaded_stage():
-    # a pool lives for one stage, so a fork after it inherits no stage threads
+    # a pool lives for one stage, so a fork after it inherits no stage threads;
+    # each replicate worker runs its stages inline, whatever EFFORTUD_WORKERS
+    # the calling process has, and prints so for each ordered_map call
     code = (
         "import os, sys, threading; sys.path.insert(0, sys.argv[1]); "
         "os.environ['EFFORTUD_WORKERS'] = '2'\n"
         "import numpy as np\n"
         "from effortud import build_grid, StudyRegion, path_integral_effort, config_from_dict\n"
-        "from effortud import run_experiment, Trajectory\n"
+        "from effortud import run_experiment, Trajectory, effort\n"
         "g = build_grid(StudyRegion(0.0, 100.0, 0.0, 100.0), 200, 200)\n"
         "xy = np.random.default_rng(1).uniform(0, 100, size=(3000, 2))\n"
-        "path_integral_effort([Trajectory(positions=xy, dt=1.0)], g, 10.0, 'indicator')\n"
+        "path_integral_effort([Trajectory(positions=xy)], g, 10.0, 'indicator')\n"
         "print(threading.active_count())\n"
+        "caller = os.getpid()\n"
+        "def ordered_map(fn, items, inner=effort.ordered_map):\n"
+        "    ran_on = set()\n"
+        "    yield from inner(lambda i: ran_on.add(threading.get_ident()) or fn(i), items)\n"
+        "    inline = ran_on == {threading.get_ident()}\n"
+        "    print('worker' if os.getpid() != caller else 'caller', inline, flush=True)\n"
+        "effort.ordered_map = ordered_map\n"
         "cfg = config_from_dict({'grid': {'nx': 10, 'ny': 10}, 'study': {'n_trips': 4, "
         "'max_steps': 30}, 'replicates': 2})\n"
         "print(len(run_experiment(cfg, workers=2).records))\n"
     )
-    assert _run(code).split() == ["1", "2"]
+    first, *stages, last = _run(code).splitlines()
+    assert (first, last) == ("1", "2")
+    assert stages and set(stages) == {"worker True"}
