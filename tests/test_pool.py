@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import effortud
-from effortud import analysis, effort, pool
+from effortud import analysis, effort, experiment, pool
 from effortud.analysis import QuadraticDesign, exceedance_map
 from effortud.effort import overlap_corrected_effort, path_integral_effort
 from effortud.errors import ConfigError
@@ -72,6 +72,14 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match="three"):
             list(pool.ordered_map(fail_at_three, range(20)))
         assert threading.active_count() == before
+
+    def test_replicate_workers_run_one_thread(self, monkeypatch):
+        _threads(monkeypatch, 3)
+        assert pool.resolve_workers() == 3
+        experiment._one_stage_thread()
+        assert pool.resolve_workers() == 1
+        ran_on = set(pool.ordered_map(lambda i: threading.get_ident(), range(5)))
+        assert ran_on == {threading.get_ident()}
 
     def test_bad_worker_count_is_a_config_error(self, monkeypatch):
         monkeypatch.setenv(pool.WORKERS_ENV, "two")
