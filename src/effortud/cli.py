@@ -108,9 +108,13 @@ def cmd_effort(args: argparse.Namespace) -> int:
     check_positive(args.step_time, "--dt", ConfigError)
     tracks = read_tracks_csv(args.tracks)
     field = trip_grouped_effort(tracks, grid, args.range, mode=args.mode, overlap=args.overlap)
-    field.values *= args.step_time  # effort comes in recorded steps
+    with np.errstate(over="ignore"):
+        field.values *= args.step_time  # effort comes in recorded steps
+        total = field.values.sum()
+    if (overflowed := int(np.sum(field.values == np.inf))) > 0:
+        raise ValueError(f"effort times --dt overflows to inf in {overflowed} cells")
     write_raster(field, args.out)
-    print(f"effort raster written to {args.out} (total {field.values.sum():.6g})")
+    print(f"effort raster written to {args.out} (total {total:.6g})")
     return EXIT_OK
 
 

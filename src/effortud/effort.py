@@ -19,34 +19,32 @@ field instead accumulates, per time step,
 which is the probability that at least one observer would have detected
 an animal at that cell center during the step.
 
-Both fields come from one stencil (``_stencil_rows``) on a zero-padded
-frame around the grid, cropped to the grid, and their bytes depend on
-its order: positions in groups; per group, the stencil rows that reach
-the grid; per cell, its entries in the order of one row at a time,
-positions, then columns.
+Both fields sum the same stencil entries on a zero-padded frame around
+the grid, cropped to the grid, and their bytes depend on each cell's
+order of entries: positions in groups of at most ``_POSITION_CHUNK``
+entries per full stencil row; per group, one stencil row at a time;
+per row, positions, then columns.
 
-Summed effort runs its positions in cell order (a stable sort by
-row-major cell index) and each stencil row column-major. A group's
-squared column offsets and keys are (columns, positions) tables, built
-once, whose rows run from the stencil's right column to its left: a
-row's chord is a slice of them, so no key is built per entry, and in
-cell order each cell still takes its entries in position order. A
-stage-thread task (``pool.ordered_map``) runs several of a group's rows
-(about eight chunks of work, at most half the group): it computes each
-row's weights and ``np.bincount``, and the calling thread adds the rows
-to the field in stencil order, so the bytes do not depend on the thread
-count.
+Summed effort (``_stencil_rows``) runs its positions in cell order (a
+stable sort by row-major cell index) and each stencil row column-major.
+A group's squared column offsets and keys are (columns, positions)
+tables, built once, whose rows run from the stencil's right column to
+its left: a row's chord is a slice of them, so no key is built per
+entry, and in cell order each cell still takes its entries in position
+order. A stage-thread task (``pool.ordered_map``) runs several of a
+group's rows (about eight chunks of work, at most half the group): it
+computes each row's weights and ``np.bincount``, and the calling thread
+adds the rows to the field in stencil order, so the bytes do not depend
+on the thread count.
 
-The overlap correction keeps position-major bands of consecutive rows
-(rows, then positions, then columns): its cells take their entries in
-observer order within a step, which column-major order would turn into
-the order of the observers' columns, moving bytes. It runs blocks of
-steps whose full stencil fits in half a position chunk, in bands of a
-quarter chunk, inline; a band adds every entry's log(1 - p), zero
-weights included, to its step's cell in stencil order (``np.add.at``),
-then the steps' 1 - prod terms in order. Bands of half a chunk, live
-beside the block, page-faulted on every block and lost more than they
-saved.
+The overlap correction sorts each step's observers by position group,
+then cell row from the top, ties in observer order: a cell then takes
+its entries in position order, so each position's whole stencil is
+added at once (position-major). It runs blocks of steps whose (step,
+cell) sums fit in half a position chunk, and in each block pieces of
+positions, from per-trip tables of squared row and column offsets; a
+piece adds every entry's log(1 - p), zero weights included, to its
+step's cell (``np.add.at``), then the steps' 1 - prod terms in order.
 
 Summed effort over many trips is one pass over all their tracks; the
 overlap correction runs per trip. Fields are plain ``Raster``s.
@@ -79,6 +77,12 @@ def _frame(grid: Grid, radius: float) -> tuple[int, int, int, int]:
     return iw, mi, min(int(np.floor(radius / grid.dy + 0.5)), grid.ny - 1), grid.nx + 2 * mi
 
 
+def _kernel(mode: str) -> str:
+    if mode not in _EFFORT_KERNELS:
+        raise ValueError(f"unknown effort mode {mode!r}")
+    return _EFFORT_KERNELS[mode]
+
+
 def _positions(grid: Grid, xs: np.ndarray, ys: np.ndarray, width: int) -> list[np.ndarray]:
     """``[iy, origin, fx, fy]``: each position's cell row, frame origin ``iy * width + ix``
     and offset from its cell center in cell units."""
@@ -89,39 +93,28 @@ def _positions(grid: Grid, xs: np.ndarray, ys: np.ndarray, width: int) -> list[n
 
 
 def _stencil_rows(
-    grid: Grid, at: Sequence[np.ndarray], radius: float, mode: str, band: int = 0
+    grid: Grid, at: Sequence[np.ndarray], radius: float, mode: str
 ) -> Iterator[Callable[[], Iterator[tuple[int, np.ndarray, np.ndarray]]]]:
-    """Yield the tasks of the positions' fields of view; a task yields ``(lo, key, weight)`` chunks.
+    """Yield summed-effort tasks; a task yields ``(lo, key, weight)`` chunks, one stencil
+    row each, column-major (module docstring).
 
-    ``at`` is the positions' ``_positions``, a base added to each origin;
-    ``lo + key`` is a cell's row-major index in the padded frame
-    (``_frame``) plus that base, and keys start at most a stencil
-    half-width above 0, so a chunk's ``np.bincount`` spans little more
-    than the chunk. The positions run in groups of at most
-    ``_POSITION_CHUNK`` entries per full stencil row, and a row's columns
-    are trimmed to its widest chord.
-
-    With ``band`` 0 (summed effort) a group's entries run column-major: a
-    chunk is one stencil row, columns from the right edge of the stencil
-    to the left, then positions. With the positions in cell order, that
-    gives each cell its entries in position order, as one row at a time
-    position-major would. A task runs as many of a group's rows as hold
-    eight chunks of stencil entries and binned values together, at most
-    half the group's rows and at least one: one-row tasks queue on the
-    interpreter lock, which ``np.bincount`` holds, and tasks drawn ahead
-    into later groups keep those groups' tables alive.
-
-    With ``band`` > 0 a chunk is a band of as many rows as fit in ``band``
-    entries, at least one, each position's columns trimmed to the band's
-    widest chord, in rows, then positions, then columns.
+    ``at`` is the positions' ``_positions``, in cell order; ``lo + key``
+    is a cell's row-major index in the padded frame (``_frame``), and keys
+    start at most a stencil half-width above 0, so a chunk's
+    ``np.bincount`` spans little more than the chunk. Rows that put every
+    position of a group off the grid or out of range are skipped, and a
+    row's columns are trimmed to its widest chord. A task runs as many of
+    a group's rows as hold eight chunks of stencil entries and binned
+    values together, at most half the group's rows and at least one:
+    one-row tasks queue on the interpreter lock, which ``np.bincount``
+    holds, and tasks drawn ahead into later groups keep those groups'
+    tables alive.
 
     Zero weights and entries off the grid add nothing to the bytes. A
     group's set-up runs as the tasks are drawn; the tasks only read it, so
     they may run on other threads.
     """
-    if mode not in _EFFORT_KERNELS:
-        raise ValueError(f"unknown effort mode {mode!r}")
-    kernel = _EFFORT_KERNELS[mode]
+    kernel = _kernel(mode)
     iw, mi, mj, width = _frame(grid, radius)
     r2 = radius * radius
     step = max(1, _POSITION_CHUNK // (2 * iw + 1))
@@ -138,29 +131,17 @@ def _stencil_rows(
             continue
         # columns a cell or more past a row's widest chord have weight 0
         hs = np.minimum(mi, (np.sqrt(np.maximum(r2 - near, 0.0)) / grid.dx + 1.5).astype(int))
-        if not band:
-            # squared column offsets and keys, once per group: row k is column mi - k
-            d2xs = (np.arange(mi, -mi - 1, -1)[:, None] - fx) * grid.dx
-            d2xs *= d2xs
-            keys = origin + np.arange(2 * mi, -1, -1)[:, None]
-            # per row: the stencil entries, and at most the keys' span of binned values
-            per_row = len(origin) * (2 * mi + 1) + int(origin.max()) + 2 * mi + 1
-            rows = max(1, min(8 * _POSITION_CHUNK // per_row, len(reach) // 2))
-            for r0 in range(reach[0], reach[-1] + 1, rows):
-                run = [(first + (mj + int(djs[r])) * width, int(hs[r]), d2ys[r])
-                       for r in range(r0, min(r0 + rows, reach[-1] + 1))]
-                yield partial(_column_rows, run, d2xs, keys, radius, kernel)
-            continue
-        # squared column offsets, once per group: each band takes its chord
-        d2xs = (np.arange(-mi, mi + 1) - fx[:, None]) * grid.dx
+        # squared column offsets and keys, once per group: row k is column mi - k
+        d2xs = (np.arange(mi, -mi - 1, -1)[:, None] - fx) * grid.dx
         d2xs *= d2xs
-        rows = max(1, band // (len(origin) * (2 * mi + 1)))
+        keys = origin + np.arange(2 * mi, -1, -1)[:, None]
+        # per row: the stencil entries, and at most the keys' span of binned values
+        per_row = len(origin) * (2 * mi + 1) + int(origin.max()) + 2 * mi + 1
+        rows = max(1, min(8 * _POSITION_CHUNK // per_row, len(reach) // 2))
         for r0 in range(reach[0], reach[-1] + 1, rows):
-            r1 = min(r0 + rows, reach[-1] + 1)
-            h = int(hs[r0:r1].max())
-            lo = first + (mj + int(djs[r0])) * width + mi - h
-            yield partial(_stencil_band, lo, d2xs[:, mi - h : mi + h + 1], d2ys[r0:r1], origin,
-                          radius, kernel, width)
+            run = [(first + (mj + int(djs[r])) * width, int(hs[r]), d2ys[r])
+                   for r in range(r0, min(r0 + rows, reach[-1] + 1))]
+            yield partial(_column_rows, run, d2xs, keys, radius, kernel)
 
 
 def _column_rows(run, d2xs, keys, radius, kernel):
@@ -172,15 +153,6 @@ def _column_rows(run, d2xs, keys, radius, kernel):
         d = np.add(d2xs[chord], d2y)
         w = detection_kernel(np.sqrt(d, out=d), radius, kernel, out=d)
         yield lo, keys[chord].ravel(), w.ravel()
-
-
-def _stencil_band(lo, d2xs, d2ys, origin, radius, kernel, width):
-    """One band: each row's squared row offsets plus the chord's squared column offsets,
-    ``sqrt`` and the kernel, in place, and the keys (rows, positions, columns)."""
-    d = np.add(d2ys[:, :, None], d2xs)
-    w = detection_kernel(np.sqrt(d, out=d), radius, kernel, out=d)
-    starts = origin + np.arange(0, len(d2ys) * width, width)[:, None]
-    yield lo, (starts[:, :, None] + np.arange(d2xs.shape[1])).ravel(), w.ravel()
 
 
 def _binned(task) -> list[tuple[int, np.ndarray]]:
@@ -226,10 +198,12 @@ def overlap_corrected_effort(
     The given tracks must be step-aligned (observers of one trip). Per
     step, a cell receives 1 - prod(1 - p) over the observers covering
     it, so simultaneous overlapping coverage is not double counted. The
-    steps run in blocks, one stencil pass each; a step's entries keep the
-    stencil order they have one step at a time (module docstring).
+    steps run in blocks, their positions in pieces, each position's
+    whole stencil at once; a step's cells keep the summation order they
+    have one step at a time (module docstring).
     """
     check_positive(detection_range, "detection_range")
+    kernel = _kernel(mode)
     lengths = np.array([len(t) for t in tracks], dtype=int)
     n_steps = int(lengths.max(initial=0))
     if n_steps == 0:
@@ -238,32 +212,44 @@ def overlap_corrected_effort(
     stacked = np.zeros((n_steps, len(tracks), 2))
     for o, t in enumerate(tracks):
         stacked[: len(t), o] = t.positions
+    steps = np.nonzero(alive)[0]
     first = np.concatenate(([0], np.cumsum(alive.sum(axis=1))))
     iw, mi, mj, width = _frame(grid, detection_range)
     # positions step-major, observer-minor, set up once per trip
-    at = _positions(grid, *stacked[alive].T, width)
+    iy, origin, fx, fy = _positions(grid, *stacked[alive].T, width)
+    # per step: position group, then cell row from the top; a cell then
+    # takes its entries in the order of one step at a time
+    group = max(1, _POSITION_CHUNK // (2 * iw + 1))
+    order = np.lexsort((-iy, (np.arange(len(steps)) - first[steps]) // group, steps))
+    iy, origin, fx, fy = iy[order], origin[order], fx[order], fy[order]
     # a step's keys span the frame rows the trip's fields of view reach
-    top, bottom = int(at[0].min()), int(at[0].max()) + 2 * mj + 1
+    top, bottom = int(iy.min()), int(iy.max()) + 2 * mj + 1
     span = (bottom - top) * width
-    at[1] += np.nonzero(alive)[0] * span - top * width
+    origin += steps * span - top * width
     # the grid rows among them, cropped from each step's span
     g0, g1 = max(top - mj, 0), min(bottom - mj, grid.ny)
     rows = slice(g0 + mj - top, g1 + mj - top)
-    # a block's positions fit in one group, so a step splits across groups
-    # only when it alone fills one, as it would one step at a time
-    half, group = _POSITION_CHUNK // 2, _POSITION_CHUNK // (2 * iw + 1) // len(tracks)
-    per_block = max(1, min(half // span, group, half // (len(tracks) * (2 * mi + 1) * (2 * mj + 1))))
+    # each position's squared row and column offsets over the stencil, and its keys' offsets
+    d2ys = (np.arange(-mj, mj + 1) - fy[:, None]) * grid.dy
+    d2ys *= d2ys
+    d2xs = (np.arange(-mi, mi + 1) - fx[:, None]) * grid.dx
+    d2xs *= d2xs
+    stencil = (np.arange(0, (2 * mj + 1) * width, width)[:, None] + np.arange(2 * mi + 1)).ravel()
+    half = _POSITION_CHUNK // 2
+    per_block, piece = max(1, half // span), max(1, half // stencil.size)
     acc = np.zeros((grid.ny, grid.nx))
     with np.errstate(divide="ignore"):
         for b0 in range(0, n_steps, per_block):
             b1 = min(b0 + per_block, n_steps)
-            lo, hi = first[b0], first[b1]
             # log(1 - p) summed per (step, cell)
             block = np.zeros((b1 - b0) * span)
-            for band in _stencil_rows(grid, [a[lo:hi] for a in at], detection_range, mode, half // 2):
-                for k0, key, w in band():
-                    # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
-                    np.add.at(block[k0 - b0 * span :], key, np.log1p(np.negative(w, out=w), out=w))
+            for p in range(first[b0], first[b1], piece):
+                q = min(p + piece, first[b1])
+                d = np.add(d2ys[p:q, :, None], d2xs[p:q, None, :])
+                w = detection_kernel(np.sqrt(d, out=d), detection_range, kernel, out=d)
+                # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
+                np.log1p(np.negative(w, out=w), out=w)
+                np.add.at(block, ((origin[p:q, None] - b0 * span) + stencil).ravel(), w.ravel())
             # prod(1 - p) - 1, the step's coverage negated
             np.expm1(block, out=block)
             for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -219,6 +220,21 @@ class TestEffort:
             got[dt] = read_raster_csv(out).values
         assert got["1"].sum() > 0
         assert got["0.3"].tobytes() == (0.3 * got["1"]).tobytes()
+
+    @pytest.mark.parametrize("overlap", [[], ["--overlap"]], ids=["summed", "overlap"])
+    def test_overflowing_dt_exit_3(self, tmp_path, capsys, overlap):
+        # three steps on one cell center give its cells effort above 1.8, so 1e308 times it
+        # overflows; no cell is written and no RuntimeWarning escapes
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("trip,observer,step,x,y\n"
+                          + "".join(f"0,{o},{s},50.5,50.5\n" for s in range(3) for o in range(2)))
+        out = tmp_path / "e.csv"
+        code = main(["effort", "--tracks", str(tracks), "--out", str(out), "--range", "5",
+                     "--dt", "1e308", *overlap])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: effort times --dt overflows to inf in [1-9]\d* cells\n", err)
 
     def test_missing_tracks_exit_3(self, tmp_path):
         code = main(

@@ -387,12 +387,24 @@ def clustered_trip(n_steps, chunk):
 
 
 def crowded_trip(n_steps, n_obs):
-    """Many observers with a range of 25 cells: one step's full stencil outgrows
-    half a position chunk, so its bands stop short of all its stencil rows."""
+    """Many observers with a range of 25 cells: one step's observers outgrow a
+    piece of half a position chunk of stencil entries, so pieces end inside steps."""
     g = build_grid(REGION, 100, 100)
     paths = np.random.default_rng(n_obs).uniform(20.0, 80.0, size=(n_steps, n_obs, 2))
     tracks = [Trajectory(positions=paths[:, o]) for o in range(n_obs)]
     return g, tracks, 25.0, "detection", effort._POSITION_CHUNK
+
+
+def climbing_groups(n_steps):
+    """Six observers a step, two to a position group (range 3 and a 14-entry chunk),
+    on cell rows 5, 5, 6, 6, 7, 7: a group's entries come before those of a later
+    group on a higher row, and all six cover the middle cells with distinct weights."""
+    g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
+    rise = [[0.0, 5.3], [0.3, 5.6], [0.1, 6.4], [-0.2, 6.2], [0.2, 7.3], [-0.1, 7.6]]
+    jitter = np.random.default_rng(n_steps).uniform(-0.2, 0.2, size=(n_steps, 6, 2))
+    paths = [6.0, 0.0] + np.array(rise) + jitter
+    tracks = [Trajectory(positions=paths[:, o]) for o in range(6)]
+    return g, tracks, 3.0, "detection", 14
 
 
 @settings(max_examples=120, deadline=None)
@@ -400,6 +412,7 @@ def crowded_trip(n_steps, n_obs):
 @example(clustered_trip(1, effort._POSITION_CHUNK))
 @example(clustered_trip(6, 64))
 @example(crowded_trip(3, 16))
+@example(climbing_groups(4))
 def test_overlap_bytes_match_the_per_step_loop(case):
     g, tracks, radius, mode, chunk = case
     with pytest.MonkeyPatch.context() as mp:
