@@ -104,13 +104,14 @@ def read_raster_csv(path: str | Path) -> Raster:
 
 def _csv_raster(path, bulk: bool) -> Raster:
     """A CSV file's raster, its rows parsed by ``np.loadtxt`` when ``bulk`` and no line can hold
-    a field past the csv module's limit (which loadtxt would read), else line by line."""
+    a field past the csv module's limit (which loadtxt would read) or a byte 0x1c-0x1f (which
+    loadtxt strips as blank around a number and ``float`` refuses), else line by line."""
     if bulk:
         with open(path, "rb") as fh:
             data = np.frombuffer(fh.read(), np.uint8)
         # a csv line ends at \n, \r or \r\n, and holds no more characters than bytes
         longest = np.diff(np.flatnonzero(data == 10), prepend=-1, append=data.size).max()
-        bulk = longest <= csv.field_size_limit()
+        bulk = longest <= csv.field_size_limit() and not ((data >= 0x1c) & (data <= 0x1f)).any()
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:

@@ -369,6 +369,7 @@ def _per_line_read(path):
 @given(mutated_raster_csvs())
 @example("x,y,value\n5,5,1\n15,5," + "1" * 200_000 + "\n")  # loadtxt reads inf, csv refuses
 @example("x,y,value\n5,5,1\n\n15,5,1\n5,15,1\n15,15,inf")  # a blank line; no line end
+@example("x,y,value\n5,5,1\x1c\n15,5,1\n5,15,1\n15,15,1\n")  # loadtxt strips \x1c, float refuses
 def test_bulk_csv_read_matches_the_per_line_reader(tmp_path_factory, text):
     # the bulk read returns the per-line reader's bytes, or its very message
     path = tmp_path_factory.mktemp("csv") / "r.csv"
