@@ -10,7 +10,6 @@ from .analysis import (
     QuadraticDesign,
     RobustInterval,
     exceedance_map,
-    mark_probability,
     mspe,
     normalize_ud,
     robust_interval,
@@ -37,7 +36,6 @@ from .errors import (
     NonConcaveFitError,
     OutOfDomainError,
     SingularCovarianceError,
-    UndefinedProbabilityError,
 )
 from .geometry import (
     Grid,

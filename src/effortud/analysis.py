@@ -2,9 +2,8 @@
 
 A utilization distribution (UD) is an intensity surface rescaled to a
 probability density over the region: cell values times cell area sum
-to one. Downstream summaries include per-mark allocation probabilities,
-exceedance (core-area) maps with sampling uncertainty, and scalar
-accuracy metrics for simulation studies.
+to one. Downstream summaries include exceedance (core-area) maps with
+sampling uncertainty, and scalar accuracy metrics for simulation studies.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .errors import (
     GridMismatchError,
     NonConcaveFitError,
     SingularCovarianceError,
-    UndefinedProbabilityError,
 )
 from .geometry import Grid, Point, Raster, raster_from_function
 from .inference import CovariateBlock, FitResult, IntensityModel, _env_block, _env_log_intensity
@@ -42,29 +40,6 @@ def normalize_ud(intensity: Raster) -> Raster:
     if total <= 0:
         raise ValueError("cannot normalize an all-zero intensity")
     return Raster(intensity.grid, v / total)
-
-
-def mark_probability(intensities: list[Raster]) -> list[Raster]:
-    """Cellwise allocation probabilities across marks.
-
-    Given one intensity raster per mark, returns rasters whose values
-    at each cell are intensity_k / sum_j intensity_j. Every cell must
-    have positive total intensity.
-    """
-    if not intensities:
-        raise ValueError("no mark intensities")
-    grid = intensities[0].grid
-    for r in intensities[1:]:
-        if r.grid != grid:
-            raise GridMismatchError("mark intensities on different grids")
-    stack = np.stack([r.values for r in intensities])
-    if np.any(stack < 0) or not np.all(np.isfinite(stack)):
-        raise ValueError("mark intensities must be finite and nonnegative")
-    total = stack.sum(axis=0)
-    if np.any(total <= 0):
-        bad = int(np.count_nonzero(total <= 0))
-        raise UndefinedProbabilityError(f"{bad} cells have zero total intensity")
-    return [Raster(grid, m / total) for m in stack]
 
 
 @dataclass

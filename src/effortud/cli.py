@@ -183,6 +183,8 @@ def cmd_exceed(args: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.cutoff is not None and not 0 <= args.cutoff <= 1:
         raise ConfigError(f"--cutoff must be in [0, 1], got {args.cutoff}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ms, fit = _read_model_fit(args)
     rng = np.random.default_rng(args.seed)
     emap = exceedance_map(
@@ -211,8 +213,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.out_summary:
         with open(args.out_summary, "w") as fh:
             fh.write(table)
-            if not table.endswith("\n"):
-                fh.write("\n")
     print(table)
     return EXIT_OK
 

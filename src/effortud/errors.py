@@ -32,10 +32,6 @@ class GridMismatchError(ValueError):
     """Two rasters or fields do not share the same grid."""
 
 
-class UndefinedProbabilityError(ValueError):
-    """A probability is requested where every component is zero."""
-
-
 class DegenerateSpecError(RuntimeError):
     """A sampler or procedure cannot make progress under the given spec."""
 

@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_trips must be >= 1, got {self.n_trips}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         bad = [k for k, v in vars(self).items() if isinstance(v, float) and not np.isfinite(v)]
         if not np.all(np.isfinite(self.animal_center)):
             bad.append("animal_center")

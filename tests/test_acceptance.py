@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from effortud.analysis import exceedance_map, mark_probability
+from effortud.analysis import exceedance_map
 from effortud.experiment import ExperimentConfig, run_experiment, write_metrics_json
 from effortud.geometry import Raster, StudyRegion, build_grid, cells_of, raster_from_function
 from effortud.inference import (
@@ -303,13 +303,6 @@ def test_c8_numerical_core():
     if eq_err > 1e-10:
         problems.append(f"riemann vs count off by {eq_err:.2e}")
 
-    # mark allocation probabilities are a partition of one
-    marks = [Raster(g8, rng.uniform(0.1, 3.0, size=(8, 8))) for _ in range(3)]
-    total = sum(r.values for r in mark_probability(marks))
-    mark_err = float(np.max(np.abs(total - 1.0)))
-    if mark_err > 1e-12:
-        problems.append(f"mark probabilities sum off by {mark_err:.2e}")
-
     # scaling the effort offset by c shifts only the intercept, by -log c
     g50 = build_grid(REGION, 50, 50)
     env50 = CovariateBlock(
@@ -343,7 +336,7 @@ def test_c8_numerical_core():
         not problems,
         "; ".join(problems) if problems else f"worst gradient rel {worst:.1e}, "
         f"rate err {rate_err:.1e}, equivalence err {eq_err:.1e}, "
-        f"marks err {mark_err:.1e}, offset err {off_err:.1e}",
+        f"offset err {off_err:.1e}",
     )
 
 

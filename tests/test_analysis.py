@@ -1,4 +1,4 @@
-"""UD normalization, mark allocation, exceedance maps, and study metrics."""
+"""UD normalization, exceedance maps, and study metrics."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from effortud.analysis import (
     _count_above,
     _order_statistics,
     exceedance_map,
-    mark_probability,
     mspe,
     normalize_ud,
     robust_interval,
@@ -22,7 +21,6 @@ from effortud.errors import (
     GridMismatchError,
     NonConcaveFitError,
     SingularCovarianceError,
-    UndefinedProbabilityError,
 )
 from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
 from effortud.inference import (
@@ -102,58 +100,6 @@ class TestNormalizeUd:
         g = build_grid(REGION, 2, 2)
         with pytest.raises(ValueError):
             normalize_ud(Raster(g, np.array([[1.0, np.nan], [1.0, 1.0]])))
-
-
-class TestMarkProbability:
-    def test_equal_split(self):
-        g = build_grid(REGION, 4, 4)
-        out = mark_probability([constant_raster(g, 2.0)] * 3)
-        for r in out:
-            assert np.allclose(r.values, 1.0 / 3.0)
-
-    def test_proportional_split(self):
-        g = build_grid(REGION, 4, 4)
-        out = mark_probability(
-            [constant_raster(g, 2.0), constant_raster(g, 1.0), constant_raster(g, 1.0)]
-        )
-        assert np.allclose(out[0].values, 0.5)
-        assert np.allclose(out[1].values, 0.25)
-        assert np.allclose(out[2].values, 0.25)
-
-    def test_common_factor_cancels(self):
-        g = build_grid(REGION, 6, 6)
-        rng = np.random.default_rng(3)
-        a = Raster(g, rng.uniform(0.5, 2.0, size=(6, 6)))
-        b = Raster(g, rng.uniform(0.5, 2.0, size=(6, 6)))
-        plain = mark_probability([a, b])
-        scaled = mark_probability([Raster(g, 5.0 * a.values), Raster(g, 5.0 * b.values)])
-        for p, s in zip(plain, scaled):
-            assert np.allclose(p.values, s.values, rtol=1e-13)
-
-    def test_sums_to_one_everywhere(self):
-        g = build_grid(REGION, 8, 8)
-        rng = np.random.default_rng(4)
-        rs = [Raster(g, rng.uniform(0.01, 3.0, size=(8, 8))) for _ in range(4)]
-        out = mark_probability(rs)
-        total = sum(r.values for r in out)
-        assert np.max(np.abs(total - 1.0)) < 1e-12
-
-    def test_zero_total_cell_rejected(self):
-        g = build_grid(REGION, 2, 2)
-        a = Raster(g, np.array([[1.0, 0.0], [1.0, 1.0]]))
-        b = Raster(g, np.array([[1.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(UndefinedProbabilityError):
-            mark_probability([a, b])
-
-    def test_grid_mismatch_rejected(self):
-        a = constant_raster(build_grid(REGION, 2, 2), 1.0)
-        b = constant_raster(build_grid(REGION, 3, 3), 1.0)
-        with pytest.raises(GridMismatchError):
-            mark_probability([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mark_probability([])
 
 
 class TestMspe:

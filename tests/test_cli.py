@@ -147,6 +147,7 @@ class TestSimulate:
         ("observers", {"mobile": 1.7}),
         ("base_seed", 1.5),
         ("grid", {"nx": 10.9}),
+        ("base_seed", -5),
     ],
     ids=[
         "detection-mode", "no-trips", "no-columns", "negative-variance", "negative-observers",
@@ -154,7 +155,7 @@ class TestSimulate:
         "nan-animal-variance", "nan-effort-floor", "nan-assumed-range", "nan-observer-center",
         "nan-animal-center", "infinite-trips", "string-overlap", "string-detection-modeled",
         "one-number-center", "three-number-center", "section-not-an-object",
-        "fractional-observers", "fractional-seed", "fractional-columns",
+        "fractional-observers", "fractional-seed", "fractional-columns", "negative-seed",
     ],
 )
 def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry):
@@ -166,6 +167,18 @@ def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry
         "--out-metrics", str(tmp_path / "m.json")]
     assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_negative_seed_override_exit_2(tmp_path, capsys, command):
+    # --seed replaces the config's base_seed, so it is refused as base_seed is
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    out = ["--out", str(tmp_path / "sim")] if command == "simulate" else [
+        "--out-metrics", str(tmp_path / "m.json")]
+    assert main([command, "--config", str(cfg), *out, "--seed", "-3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "base_seed" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -776,9 +789,11 @@ class TestExceed:
             ("--cutoff", "2"),
             ("--cutoff", "-0.5"),
             ("--cutoff", "inf"),
+            ("--seed", "-1"),
         ],
         ids=["percentile-0", "percentile-100", "percentile-nan", "percentile-inf", "samples-0",
-             "samples-negative", "cutoff-nan", "cutoff-2", "cutoff-negative", "cutoff-inf"],
+             "samples-negative", "cutoff-nan", "cutoff-2", "cutoff-negative", "cutoff-inf",
+             "seed-negative"],
     )
     def test_bad_option_exit_2(self, tmp_path, capsys, option, value):
         model = self._distinct_model(tmp_path)
@@ -787,7 +802,8 @@ class TestExceed:
         code = main(["exceed", "--model", str(model), "--fit", str(fit),
                      "--out", str(out), option, value])
         assert code == EXIT_CONFIG
-        assert option in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
         assert not out.exists()
 
     def test_options_checked_before_files_are_read(self, tmp_path):
@@ -1378,15 +1394,17 @@ class TestMalformedFiles:
         assert json.loads((tmp_path / "fit.json").read_text())["converged"]
 
 class TestExperiment:
-    def test_metrics_deterministic_and_summarized(self, sim, tmp_path):
+    def test_metrics_deterministic_and_summarized(self, sim, tmp_path, capsys):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
         s1 = tmp_path / "summary.txt"
+        printed = []
         for metrics, extra in ((m1, ["--out-summary", str(s1)]), (m2, [])):
             code = main(
                 ["experiment", "--config", str(sim["config"]),
                  "--out-metrics", str(metrics), "--workers", "2"] + extra
             )
             assert code == EXIT_OK
+            printed.append(capsys.readouterr().out)
         assert m1.read_bytes() == m2.read_bytes()
         doc = json.loads(m1.read_text())
         assert doc["setting"] == "cli-toy"
@@ -1394,3 +1412,5 @@ class TestExperiment:
         assert "mspe_corrected" in doc["summaries"]
         text = s1.read_text()
         assert "cli-toy" in text and "bias_uncorrected" in text
+        # the summary file holds the table as printed, less print's own newline
+        assert printed[0] == printed[1] == text + "\n"
