@@ -213,7 +213,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.out_summary:
         with open(args.out_summary, "w") as fh:
             fh.write(table)
-    print(table)
+    print(table, end="")
     return EXIT_OK
 
 

@@ -252,6 +252,8 @@ def _read_csv_rows(path: str | Path, need: set[str], parse) -> list:
                     raise ValueError(f"{path}, line {r.line_num}: cannot read row {fields}") from exc
         except csv.Error as exc:  # r.line_num counts only the rows it returned
             raise ValueError(f"{path}, line {r.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded in chunks, so the line is not known
+            raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     return out
 
 

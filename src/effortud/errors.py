@@ -4,7 +4,9 @@ All data-shaped failures derive from ValueError so generic callers can catch
 broadly, while the CLI can still map specific classes to exit codes.
 """
 
+import json
 import sys
+from pathlib import Path
 from typing import Any
 
 
@@ -81,3 +83,18 @@ def config_entry(doc: dict, path: str, default: Any, kind: type) -> Any:
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def read_json_object(path: str | Path, what: str, error: type[ValueError] = ConfigError) -> dict:
+    """The object in the JSON file at ``path``, which holds a ``what`` ("model spec", say).
+
+    A file that is not UTF-8 JSON or holds no object raises ``error`` naming the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise error(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc

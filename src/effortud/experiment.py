@@ -14,6 +14,9 @@ argument, the EFFORTUD_WORKERS environment variable, or the CPU count,
 in that order (``pool.resolve_workers``). Worker processes set
 EFFORTUD_WORKERS to 1, so they run their stages on one thread. The count
 is not part of the config: it changes no result.
+
+Each plain study-config entry is written once, in ``_ENTRIES``, the
+table that reads and writes the entries and checks their lower bounds.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .analysis import (
     ud_center_bias,
 )
 from .encounters import EncounterDataset, ObserverSpec, run_study
-from .errors import ConfigError, NonConcaveFitError, check_positive, config_entry, is_number
+from .errors import (ConfigError, NonConcaveFitError, check_positive, config_entry, is_number,
+                     read_json_object)
 from .geometry import Grid, StudyRegion, build_grid, grid_from_doc
 from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
@@ -49,7 +53,31 @@ from .pool import WORKERS_ENV, resolve_workers
 # over most of the region. Realized coverage, not step length, is what
 # drives how strongly raw encounter locations over-represent the north,
 # so the two must move together.
-_BIAS_PRESETS = {"high": (2.0, 400.0), "low": (8.0, 1600.0)}
+_BIAS_PRESETS = {"high": {"observer_bm_variance": 2.0, "observer_potential_variance": 400.0},
+                 "low": {"observer_bm_variance": 8.0, "observer_potential_variance": 1600.0}}
+
+# (field, "section.key" path, default, JSON type, lowest allowed value or None)
+# in field order, which config_to_dict writes; config_from_dict fills in the None
+# defaults: the assumed range from the true one, the rest from the bias preset.
+_ENTRIES = (
+    ("animal_potential_variance", "animal.potential_variance", 200.0, float, None),
+    ("animal_bm_variance", "animal.bm_variance", 2.0, float, None),
+    ("n_mobile", "observers.mobile", 1, int, 0),
+    ("n_static", "observers.static", 0, int, 0),
+    ("observer_bm_variance", "observers.bm_variance", None, float, None),
+    ("observer_center_y", "observers.potential_center_y", 100.0, float, None),
+    ("observer_potential_variance", "observers.potential_variance", None, float, None),
+    ("true_range", "detection.range", 10.0, float, None),
+    ("true_mode", "detection.mode", "linear-decay", str, None),
+    ("n_trips", "study.n_trips", 150, int, 1),
+    ("max_steps", "study.max_steps", 500, int, 0),
+    ("assumed_range", "analyst.assumed_range", None, float, None),
+    ("detection_modeled", "analyst.detection_modeled", True, bool, None),
+    ("overlap", "analyst.overlap", False, bool, None),
+    ("effort_floor", "analyst.effort_floor", 1e-6, float, 0),
+    ("replicates", "replicates", 1, int, 1),
+    ("base_seed", "base_seed", 0, int, 0),
+)
 
 
 @dataclass(frozen=True)
@@ -80,25 +108,16 @@ class ExperimentConfig:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.n_mobile < 0 or self.n_static < 0:
-            raise ConfigError(f"observer counts must be >= 0, got {self.n_mobile}, {self.n_static}")
+        for name, path, _, _, low in _ENTRIES:
+            if low is not None and getattr(self, name) < low:
+                raise ConfigError(f"{path} must be >= {low}, got {getattr(self, name)}")
         if self.n_mobile + self.n_static < 1:
             raise ConfigError("need at least one observer")
-        if self.n_trips < 1:
-            raise ConfigError(f"n_trips must be >= 1, got {self.n_trips}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         bad = [k for k, v in vars(self).items() if isinstance(v, float) and not np.isfinite(v)]
         if not np.all(np.isfinite(self.animal_center)):
             bad.append("animal_center")
         if bad:
             raise ConfigError(f"{', '.join(bad)} must be finite")
-        if self.effort_floor < 0:
-            raise ConfigError("effort_floor must be nonnegative")
         # the grid and the movement and observer specs check their own values
         try:
             check_positive(self.assumed_range, "assumed_range")
@@ -144,39 +163,21 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
         center = config_entry(doc, "animal.center", [50.0, 50.0], list)
         if len(center) != 2 or not all(is_number(c) for c in center):
             raise ConfigError(f"animal.center must be a list of two numbers, got {center!r}")
-        bm = config_entry(doc, "observers.bm_variance", None, float)
-        pot = config_entry(doc, "observers.potential_variance", None, float)
-        if bm is None or pot is None:
+        values = {name: config_entry(doc, *entry) for name, *entry, _ in _ENTRIES}
+        if values["assumed_range"] is None:
+            values["assumed_range"] = values["true_range"]
+        if unset := [name for name, value in values.items() if value is None]:
             bias = config_entry(doc, "observers.bias", "high", str)
             if bias not in _BIAS_PRESETS:
                 raise ConfigError(f"observers.bias must be high or low, got {bias!r}")
-            preset_bm, preset_pot = _BIAS_PRESETS[bias]
-            bm = preset_bm if bm is None else bm
-            pot = preset_pot if pot is None else pot
-        true_range = config_entry(doc, "detection.range", 10.0, float)
+            values.update((name, _BIAS_PRESETS[bias][name]) for name in unset)
         return ExperimentConfig(
             label=config_entry(doc, "label", "experiment", str),
             region=grid.region,
             nx=grid.nx,
             ny=grid.ny,
             animal_center=(float(center[0]), float(center[1])),
-            animal_potential_variance=config_entry(doc, "animal.potential_variance", 200.0, float),
-            animal_bm_variance=config_entry(doc, "animal.bm_variance", 2.0, float),
-            n_mobile=config_entry(doc, "observers.mobile", 1, int),
-            n_static=config_entry(doc, "observers.static", 0, int),
-            observer_bm_variance=bm,
-            observer_center_y=config_entry(doc, "observers.potential_center_y", 100.0, float),
-            observer_potential_variance=pot,
-            true_range=true_range,
-            true_mode=config_entry(doc, "detection.mode", "linear-decay", str),
-            n_trips=config_entry(doc, "study.n_trips", 150, int),
-            max_steps=config_entry(doc, "study.max_steps", 500, int),
-            assumed_range=config_entry(doc, "analyst.assumed_range", true_range, float),
-            detection_modeled=config_entry(doc, "analyst.detection_modeled", True, bool),
-            overlap=config_entry(doc, "analyst.overlap", False, bool),
-            effort_floor=config_entry(doc, "analyst.effort_floor", 1e-6, float),
-            replicates=config_entry(doc, "replicates", 1, int),
-            base_seed=config_entry(doc, "base_seed", 0, int),
+            **values,
         )
     except OverflowError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
@@ -184,44 +185,20 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     r = cfg.region
-    return {
+    doc: dict[str, Any] = {
         "label": cfg.label,
         "region": {"xmin": r.xmin, "xmax": r.xmax, "ymin": r.ymin, "ymax": r.ymax},
         "grid": {"nx": cfg.nx, "ny": cfg.ny},
-        "animal": {
-            "center": list(cfg.animal_center),
-            "potential_variance": cfg.animal_potential_variance,
-            "bm_variance": cfg.animal_bm_variance,
-        },
-        "observers": {
-            "mobile": cfg.n_mobile,
-            "static": cfg.n_static,
-            "bm_variance": cfg.observer_bm_variance,
-            "potential_center_y": cfg.observer_center_y,
-            "potential_variance": cfg.observer_potential_variance,
-        },
-        "detection": {"range": cfg.true_range, "mode": cfg.true_mode},
-        "study": {"n_trips": cfg.n_trips, "max_steps": cfg.max_steps},
-        "analyst": {
-            "assumed_range": cfg.assumed_range,
-            "detection_modeled": cfg.detection_modeled,
-            "overlap": cfg.overlap,
-            "effort_floor": cfg.effort_floor,
-        },
-        "replicates": cfg.replicates,
-        "base_seed": cfg.base_seed,
+        "animal": {"center": list(cfg.animal_center)},
     }
+    for name, path, *_ in _ENTRIES:
+        *section, key = path.split(".")
+        (doc.setdefault(section[0], {}) if section else doc)[key] = getattr(cfg, name)
+    return doc
 
 
 def read_experiment_config(path: str | Path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return config_from_dict(doc)
+    return config_from_dict(read_json_object(path, "config"))
 
 
 def simulate_replicate(cfg: ExperimentConfig, replicate: int) -> EncounterDataset:

@@ -51,6 +51,7 @@ from .errors import (
     check_positive,
     config_entry,
     is_number,
+    read_json_object,
 )
 from .geometry import Grid, Raster, grid_from_doc
 from .inference import CovariateBlock, FitResult, IntensityModel, renamed_names
@@ -130,13 +131,7 @@ def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
 def read_model_spec(path: str | Path) -> ModelSpec:
     """Parse and load a model-spec JSON file, reading referenced rasters."""
     path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: model spec must be a JSON object")
+    doc = read_json_object(path, "model spec")
     base = path.parent
     try:
         grid = grid_from_doc(doc)
@@ -232,13 +227,11 @@ _REQUIRED = object()
 def read_fit_json(path: str | Path) -> FitResult:
     """Read a fit written by ``write_fit_json``.
 
-    A missing or ill-typed entry, a non-finite theta or a covariance that is
-    not (finite and) symmetric positive semidefinite raises ValueError naming its key.
+    A file that is not UTF-8 JSON or holds no object raises ValueError naming the
+    file; a missing or ill-typed entry, a non-finite theta or a covariance that is not
+    (finite and) symmetric positive semidefinite raises ValueError naming its key.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: fit JSON must be an object")
+    doc = read_json_object(path, "fit JSON", ValueError)
 
     def entry(key: str, ok, default: Any = _REQUIRED) -> Any:
         if key not in doc:

@@ -9,18 +9,19 @@ bulk and reconstructs the grid from the center coordinates. It refuses
 a row it cannot parse (or the csv module cannot split, such as one with
 an over-long field), a center that is not finite or listed twice and
 spacing that is not uniform; any refusal reads the file again line by
-line, naming the file and line. The region is exact only up to rounding
-of the centers (a single column or row has no spacing at all), so
-callers that know the grid compare centers with ``same_cell_centers``.
+line, naming the file and line (only the file, for bytes that do not
+decode). The region is exact only up to rounding of the centers (a
+single column or row has no spacing at all), so callers that know the
+grid compare centers with ``same_cell_centers``.
 
 ASCII grid layout follows the ESRI convention: six header lines
 (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value) and data
 rows written from the north edge downward. ``cellsize`` is a single
 number, so writing requires cells square up to rounding: the grid read
 back must have the same cell centers. The reader names the file of a
-header that gives no region or ncols or nrows that are not positive
-integers, and the file and line of a token that is not a number or a
-data row that does not hold ncols values.
+header that gives no region, ncols or nrows that are not positive
+integers or bytes that do not decode, and the file and line of a token
+that is not a number or a data row that does not hold ncols values.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ def _csv_raster(path, bulk: bool) -> Raster:
                     at.append(r.line_num)
         except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field
             raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded in chunks, so the line is not known
+            raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     xs, ys, vs = np.reshape(rows, (-1, 3)).T
     if not vs.size:
         raise ValueError(f"{path}: no data rows")
@@ -193,19 +196,22 @@ def read_ascii_grid(path: str | Path) -> Raster:
     data_rows: list[list[float]] = []
     lines: list[int] = []
     with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            key = parts[0].lower()
-            try:
-                if len(parts) == 2 and key in _HEADER:
-                    header[key] = float(parts[1])
-                else:
-                    data_rows.append([float(tok) for tok in parts])
-                    lines.append(n)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {n}: {exc}") from exc
+        try:
+            for n, line in enumerate(fh, 1):
+                parts = line.split()
+                if not parts:
+                    continue
+                key = parts[0].lower()
+                try:
+                    if len(parts) == 2 and key in _HEADER:
+                        header[key] = float(parts[1])
+                    else:
+                        data_rows.append([float(tok) for tok in parts])
+                        lines.append(n)
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {n}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded in chunks, so the line is not known
+            raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     for need in _HEADER[:5]:
         if need not in header:
             raise ValueError(f"{path}: missing ASCII grid header field {need}")

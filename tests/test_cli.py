@@ -181,6 +181,17 @@ def test_negative_seed_override_exit_2(tmp_path, capsys, command):
     assert "base_seed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_non_utf8_study_config_exit_2(tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"label": "\xff"}')
+    out = ["--out", str(tmp_path / "sim")] if command == "simulate" else [
+        "--out-metrics", str(tmp_path / "m.json")]
+    assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}: not valid JSON" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--xmin", "100", "--xmax", "0"], ["--nx", "0"], ["--xmax", "inf"]]
@@ -658,6 +669,15 @@ class TestPredict:
                      "--out", str(tmp_path / "ud.csv")])
         assert code == EXIT_DATA
         assert "'theta'" in capsys.readouterr().err
+
+    def test_fit_json_that_is_not_json_exit_3(self, homog_fit, tmp_path, capsys):
+        fit = tmp_path / "fit.json"
+        fit.write_text("{not json")
+        code = main(["predict", "--model", str(homog_fit["model"]), "--fit", str(fit),
+                     "--out", str(tmp_path / "ud.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{fit}: not valid JSON" in err and "Traceback" not in err
 
 
 class TestExceed:
@@ -1304,6 +1324,44 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "enc.csv, line 2: field larger than field limit" in err
 
+    @pytest.mark.parametrize("name", ["tracks.csv", "enc.csv", "n.csv", "z.asc"],
+                             ids=["effort-tracks", "fit-encounters", "fit-counts", "asc-covariate"])
+    def test_undecodable_input_exit_3(self, tmp_path, capsys, name):
+        # a valid file but for a last line holding byte 0xff, which no UTF-8 text holds
+        path = tmp_path / name
+        path.write_bytes({
+            "tracks.csv": b"trip,observer,step,x,y\n0,0,0,50.0,50.0\n",
+            "enc.csv": b"trip,step,x,y,mark,observer\n0,3,25.0,25.0,,0\n",
+            "n.csv": _raster_rows(GOOD_2X2).encode(),
+            "z.asc": b"NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 50\n1 2\n3 4\n",
+        }[name] + b"\xff\n")
+        if name == "tracks.csv":
+            code = main(["effort", "--tracks", str(path), "--out", str(tmp_path / "e.csv"),
+                         "--range", "5"])
+        elif name == "n.csv":
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({"grid": {"nx": 2, "ny": 2}}))
+            code = main(["fit", "--model", str(model), "--counts", str(path),
+                         "--out", str(tmp_path / "fit.json")])
+        elif name == "enc.csv":
+            code = self._fit(tmp_path, {}, encounters=path)
+        else:
+            code = self._fit(tmp_path, {"env": [{"name": "z", "path": name}]})
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}: not utf-8 text" in err
+
+    def test_non_utf8_model_spec_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"grid": {"nx": 2, "ny": 2}, "\xff": 1}')
+        enc = tmp_path / "enc.csv"
+        enc.write_text("trip,step,x,y,mark,observer\n0,3,25.0,25.0,,0\n")
+        code = main(["fit", "--model", str(model), "--encounters", str(enc),
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{model}: not valid JSON" in err and "Traceback" not in err
+
     def test_counts_off_the_model_grid_exit_3(self, tmp_path):
         (tmp_path / "n.csv").write_text(_raster_rows([(x + 1, y, 0.0) for x, y, _ in GOOD_2X2]))
         model = tmp_path / "model.json"
@@ -1412,5 +1470,5 @@ class TestExperiment:
         assert "mspe_corrected" in doc["summaries"]
         text = s1.read_text()
         assert "cli-toy" in text and "bias_uncorrected" in text
-        # the summary file holds the table as printed, less print's own newline
-        assert printed[0] == printed[1] == text + "\n"
+        # the summary file holds the table as printed
+        assert printed[0] == printed[1] == text

@@ -142,6 +142,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             toy_config(n_mobile=3, n_static=-1)
 
+    def test_bound_message_names_the_json_path(self):
+        with pytest.raises(ConfigError, match=r"^study\.n_trips must be >= 1, got 0$"):
+            toy_config(n_trips=0)
+
     def test_worker_count_is_not_configured(self):
         # the worker count changes no result, so a config neither holds nor writes one
         assert config_from_dict({"workers": 3}) == config_from_dict({})
@@ -150,6 +154,56 @@ class TestConfigParsing:
     def test_bad_types_become_config_errors(self):
         with pytest.raises(ConfigError):
             config_from_dict({"grid": {"nx": "many"}})
+
+
+# every entry, in another order than config_to_dict writes them, most numbers whole
+EVERY_ENTRY = {
+    "base_seed": 101,
+    "replicates": 3,
+    "analyst": {"effort_floor": 0.001, "overlap": True, "detection_modeled": False,
+                "assumed_range": 9},
+    "study": {"max_steps": 40, "n_trips": 12},
+    "detection": {"mode": "uniform", "range": 7.5},
+    "observers": {"potential_variance": 700, "potential_center_y": 35, "bm_variance": 4,
+                  "static": 3, "mobile": 2},
+    "animal": {"bm_variance": 1.5, "potential_variance": 150, "center": [20, 25.5]},
+    "grid": {"ny": 3, "nx": 7},
+    "region": {"ymax": 40, "ymin": 10, "xmax": 60, "xmin": -3.5},
+    "label": "every",
+}
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        (
+            {},
+            '{"label": "experiment", "region": {"xmin": 0.0, "xmax": 100.0, "ymin": 0.0, '
+            '"ymax": 100.0}, "grid": {"nx": 100, "ny": 100}, "animal": {"center": [50.0, 50.0], '
+            '"potential_variance": 200.0, "bm_variance": 2.0}, "observers": {"mobile": 1, '
+            '"static": 0, "bm_variance": 2.0, "potential_center_y": 100.0, '
+            '"potential_variance": 400.0}, "detection": {"range": 10.0, "mode": "linear-decay"}, '
+            '"study": {"n_trips": 150, "max_steps": 500}, "analyst": {"assumed_range": 10.0, '
+            '"detection_modeled": true, "overlap": false, "effort_floor": 1e-06}, '
+            '"replicates": 1, "base_seed": 0}',
+        ),
+        (
+            EVERY_ENTRY,
+            '{"label": "every", "region": {"xmin": -3.5, "xmax": 60.0, "ymin": 10.0, '
+            '"ymax": 40.0}, "grid": {"nx": 7, "ny": 3}, "animal": {"center": [20.0, 25.5], '
+            '"potential_variance": 150.0, "bm_variance": 1.5}, "observers": {"mobile": 2, '
+            '"static": 3, "bm_variance": 4.0, "potential_center_y": 35.0, '
+            '"potential_variance": 700.0}, "detection": {"range": 7.5, "mode": "uniform"}, '
+            '"study": {"n_trips": 12, "max_steps": 40}, "analyst": {"assumed_range": 9.0, '
+            '"detection_modeled": false, "overlap": true, "effort_floor": 0.001}, '
+            '"replicates": 3, "base_seed": 101}',
+        ),
+    ],
+    ids=["empty", "every-entry"],
+)
+def test_written_config_bytes(doc, text):
+    # every metrics JSON and simulate manifest holds these bytes, key order included
+    assert json.dumps(config_to_dict(config_from_dict(doc))) == text
 
 
 def _entries(doc, path=()):
