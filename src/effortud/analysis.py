@@ -73,15 +73,15 @@ def is_covariance(C: np.ndarray) -> bool:
 
 
 def _order_statistics(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Each row's values at sorted positions ``lo <= hi``, as ``np.partition`` places them.
+    """Each finite row's values at sorted positions ``lo <= hi``, as ``np.partition`` places them.
 
     Every ``_BAND_STRIDE``-th cell of a row is a sample; two of its order
     statistics, a few standard errors either side of the ranks, give
-    values ``tl <= th`` of the row. The row's cells below ``tl`` are
-    counted and those in [tl, th] (its band) partitioned on their own; a
-    row whose band does not hold both ranks is partitioned whole. Order
-    statistics are values, so both ways give the same bits. Returns a
-    rows x 2 array.
+    values ``tl <= th`` of the row. One mask, ``row >= tl``, counts the
+    cells below and picks those in [tl, th] (its band), partitioned on
+    their own; a row whose band does not hold both ranks is partitioned
+    whole. Order statistics are values, so both ways give the same bits.
+    Returns a rows x 2 array.
     """
     n = P.shape[1]
     S = P[:, ::_BAND_STRIDE]
@@ -90,51 +90,50 @@ def _order_statistics(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
     margin = 2 * math.isqrt(m) + 1
     sl, sh = max(lo * m // n - margin, 0), min(hi * m // n + margin, m - 1)
     S = np.partition(S, [sl, sh], axis=1)
-    below = P < S[:, sl, None]
-    band = (P <= S[:, sh, None]) ^ below  # below implies <= th, as tl <= th
     out = np.empty((len(P), 2))
-    sizes = zip(np.count_nonzero(below, axis=1).tolist(), np.count_nonzero(band, axis=1).tolist())
-    for i, (c, size) in enumerate(sizes):
-        if c <= lo and hi < c + size:
-            out[i] = np.partition(P[i][band[i]], [lo - c, hi - c])[[lo - c, hi - c]]
+    for i, (row, tl, th) in enumerate(zip(P, S[:, sl], S[:, sh])):
+        ge = row >= tl
+        c = n - int(np.count_nonzero(ge))
+        band = row[ge & (row <= th)]
+        if c <= lo and hi < c + band.size:
+            out[i] = np.partition(band, [lo - c, hi - c])[[lo - c, hi - c]]
         else:
-            out[i] = np.partition(P[i], [lo, hi])[[lo, hi]]
+            out[i] = np.partition(row, [lo, hi])[[lo, hi]]
     return out
 
 
 def _count_above(V: np.ndarray, q: float, fixed_thr: float | None = None):
     """Per-cell counts of the rows of ``V`` whose finite value exceeds the row's threshold.
 
-    The threshold is ``fixed_thr`` when given, else each row's
-    ``np.quantile(row[finite], q)`` (numpy's linear method). Rows whose
-    finite cells are exactly the cells finite in every row take the order
-    statistics around (n - 1) q (``_order_statistics``) and numpy's
-    interpolation rule; any other row calls ``np.quantile`` itself.
-    Returns the counts and the cells finite in some row.
+    ``V`` holds intensities (never -inf): a mask of finite cells is built
+    only when its maximum is NaN or inf. The threshold is ``fixed_thr``
+    when given, else each row's ``np.quantile(row[finite], q)`` (numpy's
+    linear method) from the order statistics around (n - 1) q of its n
+    finite cells (``_order_statistics``). One mask per row adds the row
+    into counts whose type holds the row count. Returns the counts and
+    the cells finite in some row.
     """
-    finite = np.isfinite(V)
-    thr = fixed_thr
-    if thr is None:
-        if not finite.any(axis=1).all():
-            raise ValueError("a coefficient draw gives no cell a finite intensity")
-        common = finite.all(axis=0)
-        batch = (finite == common).all(axis=1)
-        thr = np.empty((len(V), 1))
-        if batch.any():
-            n = int(np.count_nonzero(common))
-            pos = (n - 1) * q
-            lo = math.floor(pos)
-            hi = lo + 1
-            if pos >= n - 1:
-                lo = hi = n - 1
+    finite = None if np.isfinite(V.max()) else np.isfinite(V)
+    counts = np.zeros(V.shape[1], dtype=np.min_scalar_type(len(V)))
+    above = np.empty(V.shape[1], dtype=bool)
+    for i, row in enumerate(V):
+        thr = fixed_thr
+        if thr is None:
+            f = row if finite is None else row[finite[i]]
+            if not f.size:
+                raise ValueError("a coefficient draw gives no cell a finite intensity")
+            pos = (f.size - 1) * q
+            lo = min(math.floor(pos), f.size - 1)
+            hi = min(lo + 1, f.size - 1)
             g = pos - lo
-            P = V if n == V.shape[1] else V[np.ix_(batch, common)]
-            a, b = _order_statistics(P, lo, hi).T
+            a, b = _order_statistics(f[None], lo, hi)[0]
             d = b - a
-            thr[batch, 0] = b - d * (1 - g) if g >= 0.5 else a + d * g
-        for i in np.flatnonzero(~batch):
-            thr[i] = np.quantile(V[i][finite[i]], q)
-    return np.count_nonzero(finite & (V > thr), axis=0), finite.any(axis=0)
+            thr = b - d * (1 - g) if g >= 0.5 else a + d * g
+        np.greater(row, thr, out=above)
+        if finite is not None:
+            above &= finite[i]
+        counts += above
+    return counts, np.ones(V.shape[1], dtype=bool) if finite is None else finite.any(axis=0)
 
 
 def exceedance_map(
@@ -164,8 +163,8 @@ def exceedance_map(
     integers, added on the calling thread, so the map does not depend on
     the thread count. Beyond the environment block and the per-cell
     counts, each thread's block holds its values (4 MiB at most), one
-    row's partitioned copy, a few boolean masks and its counts, whatever
-    ``n_samples`` is.
+    row's partitioned copy, a mask of finite cells when some cell is not,
+    one row's masks and its counts, whatever ``n_samples`` is.
     """
     if not 0.0 < percentile < 100.0:
         raise ValueError(f"percentile must be in (0, 100), got {percentile}")

@@ -113,14 +113,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{path} must be >= {low}, got {getattr(self, name)}")
         if self.n_mobile + self.n_static < 1:
             raise ConfigError("need at least one observer")
-        bad = [k for k, v in vars(self).items() if isinstance(v, float) and not np.isfinite(v)]
-        if not np.all(np.isfinite(self.animal_center)):
-            bad.append("animal_center")
+        bad = [] if np.all(np.isfinite(self.animal_center)) else ["animal.center"]
+        bad += [path for name, path, _, kind, _ in _ENTRIES
+                if kind is float and not np.isfinite(getattr(self, name))]
         if bad:
             raise ConfigError(f"{', '.join(bad)} must be finite")
         # the grid and the movement and observer specs check their own values
         try:
-            check_positive(self.assumed_range, "assumed_range")
+            check_positive(self.true_range, "detection.range")
+            check_positive(self.assumed_range, "analyst.assumed_range")
             build_grid(self.region, self.nx, self.ny)
             self.animal_spec()
             self.observer_specs()

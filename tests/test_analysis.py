@@ -522,6 +522,15 @@ def test_blocked_exceedance_matches_per_draw_loop(monkeypatch, kind, mode, chunk
         assert np.allclose(L, old, rtol=1e-12, atol=0.0, equal_nan=True)
 
 
+@pytest.mark.parametrize("mode", ["per-draw", "fixed"])
+@pytest.mark.parametrize("kind", ["env", "overflow"])
+def test_block_of_more_draws_than_a_byte_counts(kind, mode):
+    # 600 draws at 13 x 11 are one block of the default size: no count may wrap at 255
+    model, fit = _random_model(kind, seed=MODEL_KINDS.index(kind))
+    got = exceedance_map(model, fit, np.random.default_rng(3), n_samples=600, threshold_mode=mode)
+    assert_exceedance_matches_reference(got.probabilities.values, model, fit, 3, 70.0, 600, mode)
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_block_rows_keep_single_draw_bits(kind):
     # a block's rows are one product over the block, and a single draw

@@ -1,6 +1,7 @@
 """Simulation-study harness: configs, replicates, and summaries."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from effortud.errors import ConfigError
 from effortud.experiment import (
+    _ENTRIES,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -145,6 +147,33 @@ class TestConfigParsing:
     def test_bound_message_names_the_json_path(self):
         with pytest.raises(ConfigError, match=r"^study\.n_trips must be >= 1, got 0$"):
             toy_config(n_trips=0)
+
+    @pytest.mark.parametrize(
+        "path", ["animal.center"] + [path for _, path, _, kind, _ in _ENTRIES if kind is float]
+    )
+    def test_finite_message_names_the_json_path(self, path):
+        # the analyst's range is given, so a NaN true range is the only entry named
+        doc = {"analyst": {"assumed_range": 5.0}}
+        section, key = path.split(".")
+        nan = float("nan")
+        doc.setdefault(section, {})[key] = [nan, 1.0] if path == "animal.center" else nan
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be finite$"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"detection": {"range": 0}}, "detection.range"),
+            ({"detection": {"range": 0}, "analyst": {"assumed_range": 5}}, "detection.range"),
+            ({"analyst": {"assumed_range": 0}}, "analyst.assumed_range"),
+        ],
+        ids=["assumed-from-true", "assumed-given", "assumed-zero"],
+    )
+    def test_range_message_names_the_json_path(self, doc, path):
+        # the analyst's range defaults to the true one, so the true one is checked first
+        want = rf"^bad experiment config: {re.escape(path)} must be finite and positive, got 0\.0$"
+        with pytest.raises(ConfigError, match=want):
+            config_from_dict(doc)
 
     def test_worker_count_is_not_configured(self):
         # the worker count changes no result, so a config neither holds nor writes one
