@@ -37,17 +37,24 @@ computes each row's weights and ``np.bincount``, and the calling thread
 adds the rows to the field in stencil order, so the bytes do not depend
 on the thread count.
 
-The overlap correction sorts each step's observers by position group,
-then cell row from the top, ties in observer order: a cell then takes
-its entries in position order, so each position's whole stencil is
-added at once (position-major). It runs blocks of steps whose (step,
-cell) sums fit in half a position chunk, and in each block pieces of
-positions, from per-trip tables of squared row and column offsets; a
-piece adds every entry's log(1 - p), zero weights included, to its
-step's cell (``np.add.at``), then the steps' 1 - prod terms in order.
+The overlap correction runs every trip of a replicate in one pass. It
+tabulates every trip's step positions once and sorts each (trip, step)
+slot's observers by position group, then cell row from the top, ties in
+observer order: a cell then takes its entries in position order, so each
+position's whole stencil is added at once (position-major). A slot's
+keys span the frame rows its own trip's fields of view reach (a span
+over the whole replicate would bin far more cells). Blocks of
+consecutive slots, whose (slot, cell) sums and stencil entries each fit
+in half a position chunk (a slot past either budget is a block of its
+own), build their squared row and column offsets and add every entry's
+log(m) to its slot's cell with one ``np.bincount``: m = 1 - p is the
+miss probability (``encounters.miss_probability``), and a zero weight
+adds log(1) = 0, which leaves every sum's bits. Each slot then subtracts its prod - 1
+from its trip's field, steps in order, and the trips' fields are added
+in trip order: the bytes of one trip at a time and one step at a time.
 
-Summed effort over many trips is one pass over all their tracks; the
-overlap correction runs per trip. Fields are plain ``Raster``s.
+Summed effort over many trips is one pass over all their tracks, and so
+is the overlap correction. Fields are plain ``Raster``s.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .encounters import detection_kernel
+from .encounters import detection_kernel, miss_probability
 from .errors import check_positive
 from .geometry import Grid, Raster, cells_xy, constant_raster
 from .movement import Trajectory
@@ -187,6 +194,93 @@ def path_integral_effort(
     return Raster(grid, acc.reshape(-1, width)[mj : mj + grid.ny, mi : mi + grid.nx].copy())
 
 
+def _overlap_effort(
+    trips: Sequence[Sequence[Trajectory]], grid: Grid, detection_range: float, mode: str
+) -> Raster:
+    """Joint coverage effort of each trip's step-aligned tracks, summed in trip order.
+
+    One pass over every trip's (trip, step) slots (module docstring): each
+    slot's keys span its trip's own frame rows, blocks of consecutive
+    slots take one ``np.bincount`` of their entries' log miss
+    probabilities, each trip's steps are added on their own and the trips
+    then in order.
+    """
+    check_positive(detection_range, "detection_range")
+    kernel = _kernel(mode)
+    iw, mi, mj, width = _frame(grid, detection_range)
+    xy, per_slot, steps = [], [], []
+    for tracks in trips:
+        lengths = np.array([len(t) for t in tracks], dtype=int)
+        n_steps = int(lengths.max(initial=0))
+        if n_steps == 0:
+            continue
+        alive = np.arange(n_steps)[:, None] < lengths[None, :]
+        stacked = np.zeros((n_steps, len(tracks), 2))
+        for o, t in enumerate(tracks):
+            stacked[: len(t), o] = t.positions
+        # positions step-major, observer-minor
+        xy.append(stacked[alive])
+        per_slot.append(alive.sum(axis=1))
+        steps.append(n_steps)
+    if not xy:
+        return constant_raster(grid, 0.0)
+    per_slot = np.concatenate(per_slot)
+    slot_trip = np.repeat(np.arange(len(steps)), steps)
+    slot = np.repeat(np.arange(len(per_slot)), per_slot)
+    first = np.concatenate(([0], np.cumsum(per_slot)))
+    iy, origin, fx, fy = _positions(grid, *np.concatenate(xy).T, width)
+    # per slot: position group, then cell row from the top; a cell then
+    # takes its entries in the order of one step at a time
+    group = max(1, _POSITION_CHUNK // (2 * iw + 1))
+    order = np.lexsort((-iy, (np.arange(len(slot)) - first[slot]) // group, slot))
+    iy, origin, fx, fy = iy[order], origin[order], fx[order], fy[order]
+    # a slot's keys span the frame rows its trip's fields of view reach
+    trip_first = first[np.concatenate(([0], np.cumsum(steps)[:-1]))]
+    top = np.minimum.reduceat(iy, trip_first)
+    bottom = np.maximum.reduceat(iy, trip_first) + 2 * mj + 1
+    start = np.concatenate(([0], np.cumsum(((bottom - top) * width)[slot_trip])))
+    origin += start[slot] - top[slot_trip[slot]] * width
+    # per trip: the grid rows among them, cropped from each slot's span
+    g0, g1 = np.maximum(top - mj, 0).tolist(), np.minimum(bottom - mj, grid.ny).tolist()
+    crops = [(slice(a, b), slice(a + mj - t, b + mj - t)) for a, b, t in zip(g0, g1, top.tolist())]
+    djs, dis = np.arange(-mj, mj + 1), np.arange(-mi, mi + 1)
+    stencil = (np.arange(0, (2 * mj + 1) * width, width)[:, None] + np.arange(2 * mi + 1)).ravel()
+    # a block's (slot, cell) sums and its stencil entries each fit in half a position chunk
+    half = _POSITION_CHUNK // 2
+    piece = max(1, half // stencil.size)
+    total = np.zeros((grid.ny, grid.nx))
+    acc, trip = np.zeros_like(total), 0
+    s0 = 0
+    with np.errstate(divide="ignore"):
+        while s0 < len(per_slot):
+            s1 = min(np.searchsorted(start, start[s0] + half, "right"),
+                     np.searchsorted(first, first[s0] + piece, "right")) - 1
+            s1 = max(int(s1), s0 + 1)
+            p, q = first[s0], first[s1]
+            d2ys = (djs - fy[p:q, None]) * grid.dy
+            d2ys *= d2ys
+            d2xs = (dis - fx[p:q, None]) * grid.dx
+            d2xs *= d2xs
+            d = np.add(d2ys[:, :, None], d2xs[:, None, :])
+            m = miss_probability(np.sqrt(d, out=d), detection_range, kernel, out=d)
+            # log(miss) summed per (slot, cell); a zero weight adds log(1) = 0.0
+            keys = (origin[p:q, None] - start[s0]) + stencil
+            block = np.bincount(keys.ravel(), weights=np.log(m, out=m).ravel(),
+                                minlength=start[s1] - start[s0])
+            # prod(miss) - 1, the step's coverage negated
+            np.expm1(block, out=block)
+            at = (start[s0 : s1 + 1] - start[s0]).tolist()
+            for k, t in enumerate(slot_trip[s0:s1].tolist()):
+                if t != trip:
+                    total += acc
+                    acc, trip = np.zeros_like(total), t
+                rows, span_rows = crops[t]
+                acc[rows] -= block[at[k] : at[k + 1]].reshape(-1, width)[span_rows, mi : mi + grid.nx]
+            s0 = s1
+    total += acc
+    return Raster(grid, total)
+
+
 def overlap_corrected_effort(
     tracks: Sequence[Trajectory],
     grid: Grid,
@@ -197,64 +291,10 @@ def overlap_corrected_effort(
 
     The given tracks must be step-aligned (observers of one trip). Per
     step, a cell receives 1 - prod(1 - p) over the observers covering
-    it, so simultaneous overlapping coverage is not double counted. The
-    steps run in blocks, their positions in pieces, each position's
-    whole stencil at once; a step's cells keep the summation order they
-    have one step at a time (module docstring).
+    it, so simultaneous overlapping coverage is not double counted. It is
+    the one-trip case of ``trip_grouped_effort(..., overlap=True)``.
     """
-    check_positive(detection_range, "detection_range")
-    kernel = _kernel(mode)
-    lengths = np.array([len(t) for t in tracks], dtype=int)
-    n_steps = int(lengths.max(initial=0))
-    if n_steps == 0:
-        return constant_raster(grid, 0.0)
-    alive = np.arange(n_steps)[:, None] < lengths[None, :]
-    stacked = np.zeros((n_steps, len(tracks), 2))
-    for o, t in enumerate(tracks):
-        stacked[: len(t), o] = t.positions
-    steps = np.nonzero(alive)[0]
-    first = np.concatenate(([0], np.cumsum(alive.sum(axis=1))))
-    iw, mi, mj, width = _frame(grid, detection_range)
-    # positions step-major, observer-minor, set up once per trip
-    iy, origin, fx, fy = _positions(grid, *stacked[alive].T, width)
-    # per step: position group, then cell row from the top; a cell then
-    # takes its entries in the order of one step at a time
-    group = max(1, _POSITION_CHUNK // (2 * iw + 1))
-    order = np.lexsort((-iy, (np.arange(len(steps)) - first[steps]) // group, steps))
-    iy, origin, fx, fy = iy[order], origin[order], fx[order], fy[order]
-    # a step's keys span the frame rows the trip's fields of view reach
-    top, bottom = int(iy.min()), int(iy.max()) + 2 * mj + 1
-    span = (bottom - top) * width
-    origin += steps * span - top * width
-    # the grid rows among them, cropped from each step's span
-    g0, g1 = max(top - mj, 0), min(bottom - mj, grid.ny)
-    rows = slice(g0 + mj - top, g1 + mj - top)
-    # each position's squared row and column offsets over the stencil, and its keys' offsets
-    d2ys = (np.arange(-mj, mj + 1) - fy[:, None]) * grid.dy
-    d2ys *= d2ys
-    d2xs = (np.arange(-mi, mi + 1) - fx[:, None]) * grid.dx
-    d2xs *= d2xs
-    stencil = (np.arange(0, (2 * mj + 1) * width, width)[:, None] + np.arange(2 * mi + 1)).ravel()
-    half = _POSITION_CHUNK // 2
-    per_block, piece = max(1, half // span), max(1, half // stencil.size)
-    acc = np.zeros((grid.ny, grid.nx))
-    with np.errstate(divide="ignore"):
-        for b0 in range(0, n_steps, per_block):
-            b1 = min(b0 + per_block, n_steps)
-            # log(1 - p) summed per (step, cell)
-            block = np.zeros((b1 - b0) * span)
-            for p in range(first[b0], first[b1], piece):
-                q = min(p + piece, first[b1])
-                d = np.add(d2ys[p:q, :, None], d2xs[p:q, None, :])
-                w = detection_kernel(np.sqrt(d, out=d), detection_range, kernel, out=d)
-                # a zero weight adds log1p(-0) = -0.0, which leaves every sum's bits
-                np.log1p(np.negative(w, out=w), out=w)
-                np.add.at(block, ((origin[p:q, None] - b0 * span) + stencil).ravel(), w.ravel())
-            # prod(1 - p) - 1, the step's coverage negated
-            np.expm1(block, out=block)
-            for minus_cover in block.reshape(b1 - b0, -1, width)[:, rows, mi : mi + grid.nx]:
-                acc[g0:g1] -= minus_cover
-    return Raster(grid, acc)
+    return _overlap_effort([tracks], grid, detection_range, mode)
 
 
 def trip_grouped_effort(
@@ -266,16 +306,14 @@ def trip_grouped_effort(
 ) -> Raster:
     """Total effort over many trips.
 
-    Summed effort is one pass over every trip's tracks; the overlap
-    correction applies per trip.
+    Summed effort is one pass over every trip's tracks. The overlap
+    correction applies within each trip, in one pass over every trip's
+    steps; each trip's field is summed on its own, then added in trip order.
     """
-    if not overlap:
-        tracks = [t for trip in tracks_by_trip.values() for t in trip]
-        return path_integral_effort(tracks, grid, detection_range, mode)
-    total = np.zeros((grid.ny, grid.nx))
-    for trip in tracks_by_trip.values():
-        total += overlap_corrected_effort(trip, grid, detection_range, mode).values
-    return Raster(grid, total)
+    if overlap:
+        return _overlap_effort(list(tracks_by_trip.values()), grid, detection_range, mode)
+    tracks = [t for trip in tracks_by_trip.values() for t in trip]
+    return path_integral_effort(tracks, grid, detection_range, mode)
 
 
 def floored_log_offset(effort: Raster, floor: float) -> Raster:

@@ -92,18 +92,25 @@ class EncounterDataset:
         return np.asarray(pts, dtype=float)
 
 
-def detection_kernel(d: np.ndarray, detection_range, mode: str, out=None) -> np.ndarray:
-    """Detection probability at distances ``d >= 0``, without argument checks.
+def miss_probability(d: np.ndarray, detection_range, mode: str, out=None) -> np.ndarray:
+    """Probability that an observer at distances ``d >= 0`` misses, without argument checks.
 
-    linear-decay: 1 at distance 0 falling linearly to 0 at the range.
-    uniform: 1 within the range (inclusive), 0 beyond.
+    linear-decay: ``min(d / r, 1)``, 0 at distance 0 rising linearly to 1 at the range.
+    uniform: 0 within the range (inclusive), 1 beyond.
     ``detection_range`` may be an array broadcasting against ``d``; ``out`` receives the result.
     """
     if mode == "linear-decay":
-        # max(1 - d/r, 0): for d >= 0 the bits of clip(1 - d/r, 0, 1)
-        p = np.subtract(1.0, np.divide(d, detection_range, out=out), out=out)
-        return np.maximum(p, 0.0, out=out)
-    return np.multiply(d <= detection_range, 1.0, out=out)
+        return np.minimum(np.divide(d, detection_range, out=out), 1.0, out=out)
+    return np.multiply(d > detection_range, 1.0, out=out)
+
+
+def detection_kernel(d: np.ndarray, detection_range, mode: str, out=None) -> np.ndarray:
+    """Detection probability ``1 - miss_probability`` at distances ``d >= 0``.
+
+    For ``d >= 0`` these are the bits of ``clip(1 - d/r, 0, 1)`` (linear-decay)
+    and of ``d <= r`` cast to float (uniform).
+    """
+    return np.subtract(1.0, miss_probability(d, detection_range, mode, out=out), out=out)
 
 
 def run_study(

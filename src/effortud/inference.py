@@ -249,7 +249,9 @@ def _assemble(blocks, t, c: np.ndarray, d: np.ndarray):
         q = np.exp(-np.logaddexp(0.0, t))  # 1 - g(t)
         parts.append(q[:, None] * W1)
     parts.append(W2)
-    U = np.column_stack(parts)
+    # the one block with columns is U itself: no copy per evaluation
+    parts = [b for b in parts if b.shape[1]] or parts
+    U = parts[0] if len(parts) == 1 else np.column_stack(parts)
     grad = c @ U
     info = -(U.T * d) @ U
     if p_det:
@@ -278,7 +280,7 @@ class _Design:
         )
         # excluded: zero effort (offset -inf) or missing covariates
         active = cov_ok & (off > -np.inf)
-        self.cells = tuple(blk[active] for blk in blocks)
+        self.cells = blocks if active.all() else tuple(blk[active] for blk in blocks)
         self.w_act = np.full(np.count_nonzero(active), model.grid.cell_area)
 
         if data.kind == "presence":

@@ -24,7 +24,10 @@ list like the detection block. When "log" is true the offset raster holds
 effort, which must not be negative; it is floored then logged, and with a
 floor of 0 empty cells become -inf and drop out of the fitted integral.
 The optional "rename" map aliases qualified coefficient names so several
-components of a joint fit can share them.
+components of a joint fit can share them. Any other key, at any depth, is
+refused with a ConfigError naming its JSON path (``unknown entry
+"offset.flor"``): a misspelt "offset" would otherwise fit the uncorrected
+model. The keys of "rename" are coefficient names, and stay free.
 Entries keep their JSON types: "intercept" and "log" are true or false,
 "maxiter" is an integer and "gtol" and "floor" are numbers.
 
@@ -128,10 +131,53 @@ def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
     return floored_log_offset(raster, floor)
 
 
+_COVARIATES = [dict.fromkeys(("name", "path"))]
+# the entries a model spec documents: an object schema maps each key to its value's
+# schema, a list schema checks each entry, a pair takes the object or list form, and
+# None leaves a value's keys free
+_MODEL_SPEC = {
+    "region": dict.fromkeys(("xmin", "xmax", "ymin", "ymax")),
+    "grid": dict.fromkeys(("nx", "ny")),
+    "intercept": None,
+    "env": ({"builtin": None, "covariates": _COVARIATES}, _COVARIATES),
+    "detection": {"link": None, "covariates": _COVARIATES},
+    "effort_covariates": _COVARIATES,
+    "offset": dict.fromkeys(("path", "log", "floor")),
+    "rename": None,
+    "optimizer": dict.fromkeys(("gtol", "maxiter")),
+}
+
+
+def _unknown_entry(value: Any, schema: Any, where: str = "") -> str | None:
+    """The JSON path of the first key in ``value`` that ``schema`` does not hold, or None.
+
+    Values of another type than their schema's are left to the readers.
+    """
+    if isinstance(schema, tuple):
+        schema = schema[isinstance(value, list)]
+    if isinstance(value, dict) and isinstance(schema, dict):
+        for key, v in value.items():
+            at = f"{where}.{key}" if where else key
+            if key not in schema:
+                return at
+            if (bad := _unknown_entry(v, schema[key], at)) is not None:
+                return bad
+    elif isinstance(value, list) and isinstance(schema, list):
+        for i, v in enumerate(value):
+            if (bad := _unknown_entry(v, schema[0], f"{where}[{i}]")) is not None:
+                return bad
+    return None
+
+
 def read_model_spec(path: str | Path) -> ModelSpec:
-    """Parse and load a model-spec JSON file, reading referenced rasters."""
+    """Parse and load a model-spec JSON file, reading referenced rasters.
+
+    A key the spec does not document raises ConfigError naming its JSON path.
+    """
     path = Path(path)
     doc = read_json_object(path, "model spec")
+    if (bad := _unknown_entry(doc, _MODEL_SPEC)) is not None:
+        raise ConfigError(f'{path}: model spec: unknown entry "{bad}"')
     base = path.parent
     try:
         grid = grid_from_doc(doc)

@@ -1362,6 +1362,14 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"{model}: not valid JSON" in err and "Traceback" not in err
 
+    def test_unknown_model_spec_entry_exit_2(self, tmp_path, capsys):
+        # a misspelt offset would fit the uncorrected model without a word
+        (tmp_path / "eff.csv").write_text(_raster_rows(GOOD_2X2))
+        assert self._fit(tmp_path, {"offest": {"path": "eff.csv"}}) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert 'model spec: unknown entry "offest"' in err and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_counts_off_the_model_grid_exit_3(self, tmp_path):
         (tmp_path / "n.csv").write_text(_raster_rows([(x + 1, y, 0.0) for x, y, _ in GOOD_2X2]))
         model = tmp_path / "model.json"

@@ -11,7 +11,7 @@ from effortud.effort import (
     path_integral_effort,
     trip_grouped_effort,
 )
-from effortud.encounters import detection_kernel
+from effortud.encounters import detection_kernel, miss_probability
 from effortud.errors import OutOfDomainError
 from effortud.geometry import StudyRegion, build_grid, cells_xy
 from effortud.movement import Trajectory
@@ -99,13 +99,14 @@ def _decided_cells(tracks, grid, radius, mode):
     return ~rim
 
 
-def compacting_stencil(grid, xs, ys, radius, mode, base=0):
+def compacting_stencil(grid, xs, ys, radius, mode, base=0, miss=False):
     """The stencil before the padded frame: compacted ``(flat cell + base, weight)`` chunks.
 
     Positions run in groups of ``effort._POSITION_CHUNK // (2 iw + 1)``; a
     group yields one chunk per stencil row that one of its positions
     reaches on the grid, keeping only the in-grid entries of positive
     weight, in position then column order. The reference summation order.
+    ``miss`` yields those entries' miss probabilities in place of weights.
     """
     kernel = {"indicator": "uniform", "detection": "linear-decay"}[mode]
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
@@ -134,10 +135,13 @@ def compacting_stencil(grid, xs, ys, radius, mode, base=0):
             d *= dx
             d *= d
             d += kd2y[:, None]
-            w = detection_kernel(np.sqrt(d, out=d), radius, kernel)
+            dist = np.sqrt(d, out=d)
+            w = detection_kernel(dist, radius, kernel)
             tx = ix[keep][:, None] + dr[None, :]
             valid = np.flatnonzero((tx.view(np.uint64) < nx) & (w > 0))
             keys = np.add(origin[keep][:, None], (dj * nx + dr)[None, :], out=tx).ravel()
+            if miss:
+                w = miss_probability(dist, radius, kernel)
             yield keys.take(valid), w.ravel().take(valid)
 
 
@@ -162,24 +166,24 @@ def compacting_path_integral(tracks, grid, radius, mode, cell_order=True):
 def per_step_overlap(tracks, grid, radius, mode, row_sums=False):
     """The overlap correction one synchronized step at a time: the reference summation order.
 
-    Each step adds its compacted entries' log(1 - p) to its cells with
-    ``np.add.at``, in stencil order. ``row_sums`` replays the order before
-    that: each chunk summed on its own by ``np.bincount``, then added.
+    Each step adds its compacted entries' log miss probabilities to its
+    cells with ``np.add.at``, in stencil order. ``row_sums`` replays the
+    form before that: each chunk's log1p(-p) summed on its own by
+    ``np.bincount``, then added.
     """
     n_steps = max(len(t) for t in tracks)
     acc = np.zeros(grid.ncells)
     for s in range(n_steps):
         xs = np.array([t.positions[s, 0] for t in tracks if len(t) > s])
         ys = np.array([t.positions[s, 1] for t in tracks if len(t) > s])
-        # log(1 - p) per cell, summed over the observers covering it
+        # log(1 - p), the log miss probability, per cell, summed over the observers covering it
         step_acc = np.zeros(grid.ncells)
-        for flat, w in compacting_stencil(grid, xs, ys, radius, mode):
+        for flat, w in compacting_stencil(grid, xs, ys, radius, mode, miss=not row_sums):
             with np.errstate(divide="ignore"):
-                logmiss = np.log1p(-w)
-            if row_sums:
-                step_acc += np.bincount(flat, weights=logmiss, minlength=step_acc.size)
-            else:
-                np.add.at(step_acc, flat, logmiss)
+                if row_sums:
+                    step_acc += np.bincount(flat, weights=np.log1p(-w), minlength=step_acc.size)
+                else:
+                    np.add.at(step_acc, flat, np.log(w))
         touched = np.nonzero(step_acc)[0]
         acc[touched] += -np.expm1(step_acc[touched])
     return acc.reshape(grid.ny, grid.nx)
@@ -524,6 +528,75 @@ def test_overlap_bytes_when_chunks_end_inside_a_step(monkeypatch):
         radius = rng.uniform(1.5, 3.5)
         got = overlap_corrected_effort(tracks, g, radius, mode="detection").values
         assert_overlap_matches_per_step(got, tracks, g, radius, "detection")
+
+
+@st.composite
+def trip_sets(draw):
+    """Several trips' ragged step-aligned tracks on one grid, and a chunk size.
+
+    Trips are often one step long, and a trip may keep its observers on one
+    cell row, so trips' keys span different frame rows. A 64-entry chunk
+    puts every slot in a block of its own, and a step of more than one
+    observer past a block's position budget; at the default chunk a block
+    holds several slots and may end between trips. A trip may have no tracks.
+    """
+    big = draw(st.booleans())
+    if big:
+        g = build_grid(REGION, 100, 100)
+        radius = draw(st.sampled_from([2.5, 10.0, 25.0]))
+    else:
+        g, radius = draw(small_grids())
+    xs = _coordinate(g.region.xmin, g.region.xmax, g.nx)
+    ys = _coordinate(g.region.ymin, g.region.ymax, g.ny)
+    trips = []
+    for _ in range(draw(st.integers(1, 6))):
+        n_steps = draw(st.sampled_from([1, 1, 2, 5]))
+        lengths = [n_steps] + [draw(st.integers(1, n_steps)) for _ in range(draw(st.integers(0, 5)))]
+        row = draw(st.one_of(st.none(), ys))
+        paths = [draw(st.lists(st.tuples(xs, ys if row is None else st.just(row)),
+                               min_size=n, max_size=n)) for n in lengths]
+        trips.append([Trajectory(positions=path) for path in paths] if draw(st.integers(0, 9)) else [])
+    mode = draw(st.sampled_from(["indicator", "detection"]))
+    chunk = draw(st.sampled_from([effort._POSITION_CHUNK, 64]))
+    return g, trips, radius, mode, chunk
+
+
+def one_step_trips(n_trips, chunk):
+    """Pairs of observers, one step a trip, each trip on its own cell rows."""
+    g = build_grid(StudyRegion(0.0, 12.0, 0.0, 12.0), 12, 12)
+    where = np.random.default_rng(n_trips).uniform(0.0, 12.0, size=(n_trips, 2, 1, 2))
+    return g, [[Trajectory(positions=p) for p in trip] for trip in where], 2.5, "detection", chunk
+
+
+def crowded_trips():
+    """Twenty observers a step at range 10 on the 100 x 100 grid: a block holds three
+    steps at the default chunk, so blocks end inside trips of two to four steps and
+    between them."""
+    g = build_grid(REGION, 100, 100)
+    rng = np.random.default_rng(3)
+    trips = [[Trajectory(positions=p) for p in rng.uniform(5.0, 95.0, size=(20, n, 2))]
+             for n in (2, 4, 3, 2, 1, 4)]
+    return g, trips, 10.0, "detection", effort._POSITION_CHUNK
+
+
+@settings(max_examples=120, deadline=None)
+@given(trip_sets())
+@example(crowded_trips())
+@example(one_step_trips(30, effort._POSITION_CHUNK))
+@example(one_step_trips(5, 64))
+@example((*crowded_trip(3, 16)[:1], [crowded_trip(3, 16)[1], crowded_trip(2, 9)[1]],
+          25.0, "detection", 64))
+def test_trip_grouped_overlap_bytes_match_per_trip_calls(case):
+    # one pass over every trip's steps gives the bytes of the one-trip fields
+    # added in trip order
+    g, trips, radius, mode, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(effort, "_POSITION_CHUNK", chunk)
+        got = trip_grouped_effort(dict(enumerate(trips)), g, radius, mode, overlap=True).values
+        want = np.zeros((g.ny, g.nx))
+        for tracks in trips:
+            want += overlap_corrected_effort(tracks, g, radius, mode).values
+    assert got.tobytes() == want.tobytes()
 
 
 class TestTripGroupedEffort:

@@ -11,6 +11,7 @@ from effortud.encounters import (
     ObserverSpec,
     TripRecord,
     detection_kernel,
+    miss_probability,
     read_encounters_csv,
     read_tracks_csv,
     run_study,
@@ -77,6 +78,22 @@ class TestDetectionProb:
                           ("uniform", (d <= r).astype(float))):
             out = d.copy()
             assert detection_kernel(out, r, mode, out=out).tobytes() == old.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.lists(st.floats(0.0, 1e6), max_size=20), r=st.floats(1e-6, 1e6))
+    def test_kernel_is_one_minus_the_miss_probability(self, d, r):
+        # the miss probability is min(d/r, 1) or d > r; the kernel is 1 - miss, bit for bit
+        d = np.array(d + [0.0, r, np.nextafter(r, 0.0), np.nextafter(r, np.inf), np.inf])
+        for mode, want in (("linear-decay", [min(x / r, 1.0) for x in d]),
+                           ("uniform", [float(x > r) for x in d])):
+            miss = miss_probability(d, r, mode)
+            assert miss.tobytes() == np.array(want).tobytes()
+            p = detection_kernel(d, r, mode)
+            assert p.tobytes() == (1.0 - miss).tobytes()
+            for fn, bits in ((miss_probability, miss), (detection_kernel, p)):
+                out = d.copy()
+                assert fn(out, r, mode, out=out) is out
+                assert out.tobytes() == bits.tobytes()
 
     def test_invalid_arguments(self):
         # the range and mode an observer detects with are checked where they are set

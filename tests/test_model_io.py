@@ -1,6 +1,8 @@
 """Model-spec and fit-result JSON files."""
 
 import json
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from effortud import model_io
 from effortud.errors import ConfigError, GridMismatchError, NotConvergedError
 from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
 from effortud.inference import (
@@ -236,6 +239,108 @@ class TestReadModelSpec:
         assert ms.model.env.rasters[0].grid == g
         assert np.array_equal(ms.model.env.rasters[0].values, z.values)
         assert np.allclose(ms.model.log_effort_offset.values, np.log(2.0))
+
+
+# every section a model spec documents, on a 5 x 5 grid; "env" takes one of its three forms
+ENVS = [
+    {"builtin": "quadratic"},
+    {"covariates": [{"name": "z", "path": "z.csv"}]},
+    [{"name": "z", "path": "z.csv"}, {"name": "w", "path": "day.csv"}],
+]
+FULL_SPEC = {
+    **small_grid_doc(),
+    "intercept": False,
+    "detection": {"link": "logistic", "covariates": [{"name": "vis", "path": "vis.csv"}]},
+    "effort_covariates": [{"name": "day", "path": "day.csv"}],
+    "offset": {"path": "eff.csv", "log": True, "floor": 1e-6},
+    "rename": {"det:vis": "shared:vis"},
+    "optimizer": {"gtol": 1e-6, "maxiter": 50},
+}
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    """A directory holding the rasters FULL_SPEC names."""
+    root = tmp_path_factory.mktemp("spec")
+    g = build_grid(REGION, 5, 5)
+    for name in ("z.csv", "vis.csv", "day.csv", "eff.csv"):
+        write_raster_csv(raster_from_function(g, lambda X, Y: 1.0 + X / 100.0), root / name)
+    return root
+
+
+def _objects(value, at=()):
+    """Every JSON object in ``value`` but the keys of "rename", with its path of keys and indices."""
+    if isinstance(value, dict):
+        yield at, value
+        for k, v in value.items():
+            if k != "rename" or at:
+                yield from _objects(v, at + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _objects(v, at + (i,))
+
+
+def _json_path(at):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in at).lstrip(".")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ENVS), st.data())
+def test_unknown_key_at_any_depth_names_its_path(spec_dir, env, data):
+    doc = json.loads(json.dumps({**FULL_SPEC, "env": env}))
+    assert read_model_spec(write_spec(spec_dir, doc)).model.parameter_names()
+    at, obj = data.draw(st.sampled_from(list(_objects(doc))))
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in obj))
+    obj[key] = data.draw(st.sampled_from([1, "x", None, {}, [{"name": "q"}]]))
+    path = _json_path(at + (key,))
+    with pytest.raises(ConfigError, match=re.escape(f'model spec: unknown entry "{path}"')):
+        read_model_spec(write_spec(spec_dir, doc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3))
+def test_rename_keys_stay_free(spec_dir, rename):
+    ms = read_model_spec(write_spec(spec_dir, {**FULL_SPEC, "rename": rename}))
+    assert ms.rename == rename
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"offest": {"path": "eff.csv"}}, "offest"),
+    ({"offset": {"path": "eff.csv", "flor": 0.0}}, "offset.flor"),
+    ({"env": {"builtin": "quadratic", "degree": 2}}, "env.degree"),
+    ({"env": [{"name": "z", "path": "z.csv", "unit": "m"}]}, "env[0].unit"),
+    ({"optimizer": {"gtol": 1e-8, "max_iter": 9}}, "optimizer.max_iter"),
+])
+def test_misspelt_entry_refused(spec_dir, doc, path):
+    with pytest.raises(ConfigError, match=re.escape(f'unknown entry "{path}"')):
+        read_model_spec(write_spec(spec_dir, {**small_grid_doc(), **doc}))
+
+
+def test_module_docstring_example_spec_loads(tmp_path):
+    text = model_io.__doc__
+    block = text[text.index("\n    {") : text.index("\n    }") + 6]
+    doc = json.loads(textwrap.dedent(block))
+    g = build_grid(REGION, 100, 100)
+    for name in ("vis.csv", "day.csv", "effort.csv"):
+        write_raster_csv(constant_raster(g, 1.0), tmp_path / name)
+    ms = read_model_spec(write_spec(tmp_path, doc))
+    assert ms.rename == {"env:x": "shared:x"} and ms.maxiter == 500
+    assert ms.model.log_effort_offset is not None
+
+
+def test_fine_grid_benchmark_spec_loads(tmp_path):
+    # the spec perfbench's fine-grid-400 workload writes, on a smaller grid
+    g = build_grid(REGION, 8, 8)
+    write_raster_csv(constant_raster(g, 2.0), tmp_path / "effort.csv")
+    doc = {
+        "region": {"xmin": 0.0, "xmax": 100.0, "ymin": 0.0, "ymax": 100.0},
+        "grid": {"nx": 8, "ny": 8},
+        "env": {"builtin": "quadratic"},
+        "offset": {"path": "effort.csv", "log": True, "floor": 1e-6},
+        "optimizer": {"gtol": 1e-8, "maxiter": 500},
+    }
+    ms = read_model_spec(write_spec(tmp_path, doc))
+    assert np.allclose(ms.model.log_effort_offset.values, np.log(2.0))
 
 
 @st.composite
