@@ -64,9 +64,7 @@ from .inference import (
     CovariateBlock,
     FitResult,
     IntensityModel,
-    JointComponent,
     LikelihoodData,
-    fit_joint,
     fit_mle,
     loglik,
     predict_intensity,

@@ -135,7 +135,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ms = read_model_spec(args.model)
     data = _likelihood_data(args, ms.model.grid)
     fit = fit_mle(ms.model, data, gtol=ms.gtol, maxiter=ms.maxiter)
-    fit = dataclasses.replace(fit, names=ms.parameter_names())
     write_fit_json(fit, args.out)
     tag = "converged" if fit.converged else "NOT converged"
     print(f"fit written to {args.out} ({tag}, loglik {fit.loglik:.6g})")
@@ -149,7 +148,7 @@ def _read_model_fit(args: argparse.Namespace):
             raise ConfigError(f"{flag} must be finite, got {value}")
     ms = read_model_spec(args.model)
     fit = read_fit_json(args.fit)
-    expected = ms.parameter_names()
+    expected = ms.model.parameter_names()
     if fit.names != expected:
         raise DataInconsistencyError(
             f"{args.fit}: fit coefficients {fit.names} do not match the model's {expected}"

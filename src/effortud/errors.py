@@ -85,6 +85,29 @@ def config_entry(doc: dict, path: str, default: Any, kind: type) -> Any:
     return value
 
 
+def unknown_entry(value: Any, schema: Any, where: str = "") -> str | None:
+    """The JSON path of the first key in ``value`` that ``schema`` does not hold, or None.
+
+    An object schema maps each key to its value's schema, a list schema checks
+    each entry, a pair takes the object or list form, and None marks a leaf.
+    Values of another type than their schema's are left to the readers.
+    """
+    if isinstance(schema, tuple):
+        schema = schema[isinstance(value, list)]
+    if isinstance(value, dict) and isinstance(schema, dict):
+        for key, v in value.items():
+            at = f"{where}.{key}" if where else key
+            if key not in schema:
+                return at
+            if (bad := unknown_entry(v, schema[key], at)) is not None:
+                return bad
+    elif isinstance(value, list) and isinstance(schema, list):
+        for i, v in enumerate(value):
+            if (bad := unknown_entry(v, schema[0], f"{where}[{i}]")) is not None:
+                return bad
+    return None
+
+
 def read_json_object(path: str | Path, what: str, error: type[ValueError] = ConfigError) -> dict:
     """The object in the JSON file at ``path``, which holds a ``what`` ("model spec", say).
 

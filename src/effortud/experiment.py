@@ -16,7 +16,8 @@ EFFORTUD_WORKERS to 1, so they run their stages on one thread. The count
 is not part of the config: it changes no result.
 
 Each plain study-config entry is written once, in ``_ENTRIES``, the
-table that reads and writes the entries and checks their lower bounds.
+table that reads and writes the entries, checks their lower bounds and
+makes most of ``_CONFIG_ENTRIES``, the keys a config may hold.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .analysis import (
 )
 from .encounters import EncounterDataset, ObserverSpec, run_study
 from .errors import (ConfigError, NonConcaveFitError, check_positive, config_entry, is_number,
-                     read_json_object)
-from .geometry import Grid, StudyRegion, build_grid, grid_from_doc
+                     read_json_object, unknown_entry)
+from .geometry import GRID_ENTRIES, Grid, StudyRegion, build_grid, grid_from_doc
 from .effort import floored_log_offset, trip_grouped_effort
 from .inference import IntensityModel, LikelihoodData, fit_mle, predict_intensity
 from .movement import BivariateNormalPotential, HalfNormalYPotential, MovementSpec, analytic_ud
@@ -78,6 +79,19 @@ _ENTRIES = (
     ("replicates", "replicates", 1, int, 1),
     ("base_seed", "base_seed", 0, int, 0),
 )
+
+
+def _put(doc: dict[str, Any], path: str, value: Any) -> None:
+    """Set the entry at ``path`` ("key" or "section.key") of a config document."""
+    *section, key = path.split(".")
+    (doc.setdefault(section[0], {}) if section else doc)[key] = value
+
+
+# every entry a study config documents, as an ``errors.unknown_entry`` schema; a
+# top-level "workers" is accepted and ignored, as the worker count changes no result
+_CONFIG_ENTRIES: dict[str, Any] = {**GRID_ENTRIES, "workers": None}
+for _path in ("label", "animal.center", "observers.bias", *(e[1] for e in _ENTRIES)):
+    _put(_CONFIG_ENTRIES, _path, None)
 
 
 @dataclass(frozen=True)
@@ -158,7 +172,12 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig; entries keep their JSON types."""
+    """Validate a parsed JSON document into an ExperimentConfig; entries keep their JSON types.
+
+    A key the config does not document raises ConfigError naming its JSON path.
+    """
+    if (bad := unknown_entry(doc, _CONFIG_ENTRIES)) is not None:
+        raise ConfigError(f'study config: unknown entry "{bad}"')
     try:
         grid = grid_from_doc(doc)
         center = config_entry(doc, "animal.center", [50.0, 50.0], list)
@@ -193,8 +212,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
         "animal": {"center": list(cfg.animal_center)},
     }
     for name, path, *_ in _ENTRIES:
-        *section, key = path.split(".")
-        (doc.setdefault(section[0], {}) if section else doc)[key] = getattr(cfg, name)
+        _put(doc, path, getattr(cfg, name))
     return doc
 
 

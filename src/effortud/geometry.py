@@ -101,6 +101,13 @@ def build_grid(region: StudyRegion, nx: int, ny: int) -> Grid:
     return Grid(region=region, nx=nx, ny=ny)
 
 
+# the entries grid_from_doc reads, as an ``errors.unknown_entry`` schema
+GRID_ENTRIES = {
+    "region": dict.fromkeys(("xmin", "xmax", "ymin", "ymax")),
+    "grid": dict.fromkeys(("nx", "ny")),
+}
+
+
 def grid_from_doc(doc: dict) -> Grid:
     """The grid of a config document's "region" and "grid" sections.
 

@@ -25,14 +25,13 @@ data resolutions share the same eta:
 
 ``loglik(model, theta, data)`` is the one evaluation: the data's kind
 picks the likelihood, and it returns the log likelihood, its gradient
-and the observed information. ``fit_joint`` sums the same three over
-components that share coefficients by name.
+and the observed information.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -370,63 +369,6 @@ def loglik(model: IntensityModel, theta: np.ndarray, data: LikelihoodData):
     return _Design(model, data).loglik_grad(theta)
 
 
-def renamed_names(model: IntensityModel, rename: dict[str, str] | None = None) -> list[str]:
-    """The model's coefficient names, each replaced by its alias in ``rename``."""
-    rename = rename or {}
-    return [rename.get(n, n) for n in model.parameter_names()]
-
-
-@dataclass
-class JointComponent:
-    """One (model, data) pair of a joint fit.
-
-    Coefficients are shared across components by qualified name: two
-    components using the same name in the same block namespace estimate
-    one common coefficient. Rename (e.g. intercepts) to keep them apart.
-    """
-
-    model: IntensityModel
-    data: LikelihoodData
-    rename: dict[str, str] = field(default_factory=dict)
-
-
-def _joint_designs(components: Sequence[JointComponent]):
-    """Shared coefficient names, each component's index map into them, and its design."""
-    if not components:
-        raise ValueError("no components")
-    names: list[str] = []
-    maps = []
-    for comp in components:
-        local = renamed_names(comp.model, comp.rename)
-        if len(set(local)) != len(local):
-            raise ValueError(f"duplicate parameter names within a component: {local}")
-        idx = []
-        for nm in local:
-            if nm not in names:
-                names.append(nm)
-            idx.append(names.index(nm))
-        maps.append(np.asarray(idx, dtype=int))
-    return names, maps, [_Design(c.model, c.data) for c in components]
-
-
-def _joint_evaluate(designs: Sequence[_Design], maps, theta: np.ndarray):
-    """Summed (ll, grad, info) of the components over the shared theta.
-
-    A component whose likelihood is not finite makes the sum ``-inf``,
-    with no gradient or information.
-    """
-    p = len(theta)
-    ll, grad, info = 0.0, np.zeros(p), np.zeros((p, p))
-    for d, m in zip(designs, maps):
-        li, gi, ii = d.loglik_grad(theta[m])
-        if not np.isfinite(li):
-            return -np.inf, None, None
-        ll += li
-        grad[m] += gi
-        info[np.ix_(m, m)] += ii
-    return ll, grad, info
-
-
 def _covariance_from_info(info: np.ndarray) -> tuple[np.ndarray, bool]:
     """Invert the observed information; flag rank deficiency.
 
@@ -445,13 +387,14 @@ def _covariance_from_info(info: np.ndarray) -> tuple[np.ndarray, bool]:
     return 0.5 * (cov + cov.T), singular
 
 
-def fit_joint(
-    components: Sequence[JointComponent],
+def fit_mle(
+    model: IntensityModel,
+    data: LikelihoodData,
     gtol: float = 1e-8,
     maxiter: int = 500,
     start: np.ndarray | None = None,
 ) -> FitResult:
-    """Damped Newton maximum likelihood over shared coefficients.
+    """Damped Newton maximum likelihood.
 
     Starts from zero (unless ``start`` is given). Each step solves
     ``(info + lam * diag|info|) s = grad`` by Cholesky, with the analytic
@@ -462,20 +405,20 @@ def fit_joint(
     coefficient covariance is the inverse observed information at the
     estimate. A start where the likelihood is not finite is returned
     unfitted, with a NaN gradient norm and no covariance. Data with no
-    point, count or presence in any component, or with presence on every
-    active cell of every component, have no maximum likelihood estimate
-    and raise DataInconsistencyError.
+    point, count or presence, or with presence on every active cell, have
+    no maximum likelihood estimate and raise DataInconsistencyError.
     """
-    names, maps, designs = _joint_designs(components)
-    if not any(d.has_events for d in designs):
+    design = _Design(model, data)
+    if not design.has_events:
         raise DataInconsistencyError("the data hold no events, so the fit has no maximum")
-    if all(d.kind == "presence" and d.O_act.all() for d in designs):
+    if design.kind == "presence" and design.O_act.all():
         raise DataInconsistencyError("the presence data hold no absences, so the fit has no maximum")
+    names = model.parameter_names()
     p = len(names)
     theta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
     if theta.shape != (p,):
         raise ValueError(f"start must have {p} entries")
-    ll, grad, info = _joint_evaluate(designs, maps, theta)
+    ll, grad, info = design.loglik_grad(theta)
     if not np.isfinite(ll):
         return FitResult(names=names, theta=theta, loglik=ll, converged=False, iterations=0)
     gmax = float(np.max(np.abs(grad))) if p else 0.0
@@ -491,7 +434,7 @@ def fit_joint(
             lam *= 10.0
             continue
         step = np.linalg.solve(L.T, np.linalg.solve(L, grad))
-        ll_new, grad_new, info_new = _joint_evaluate(designs, maps, theta + step)
+        ll_new, grad_new, info_new = design.loglik_grad(theta + step)
         # a loss within 1e-12 of |ll| is rounding in the sums, not a worse fit
         if not ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
             lam *= 10.0
@@ -511,17 +454,6 @@ def fit_joint(
         singular_information=singular,
         gradient_max_norm=gmax,
     )
-
-
-def fit_mle(
-    model: IntensityModel,
-    data: LikelihoodData,
-    gtol: float = 1e-8,
-    maxiter: int = 500,
-    start: np.ndarray | None = None,
-) -> FitResult:
-    """Single-component maximum likelihood; see fit_joint."""
-    return fit_joint([JointComponent(model, data)], gtol=gtol, maxiter=maxiter, start=start)
 
 
 def _env_log_intensity(

@@ -12,7 +12,6 @@ rasters of each model component:
                     "covariates": [{"name": "visibility", "path": "vis.csv"}]},
       "effort_covariates": [{"name": "daylight", "path": "day.csv"}],
       "offset": {"path": "effort.csv", "log": true, "floor": 0.0},
-      "rename": {"env:x": "shared:x"},
       "optimizer": {"gtol": 1e-8, "maxiter": 500}
     }
 
@@ -23,11 +22,9 @@ either the built-in scaled quadratic surface or an explicit covariate
 list like the detection block. When "log" is true the offset raster holds
 effort, which must not be negative; it is floored then logged, and with a
 floor of 0 empty cells become -inf and drop out of the fitted integral.
-The optional "rename" map aliases qualified coefficient names so several
-components of a joint fit can share them. Any other key, at any depth, is
-refused with a ConfigError naming its JSON path (``unknown entry
-"offset.flor"``): a misspelt "offset" would otherwise fit the uncorrected
-model. The keys of "rename" are coefficient names, and stay free.
+Any other key, at any depth, is refused with a ConfigError naming its
+JSON path (``unknown entry "offset.flor"``): a misspelt "offset" would
+otherwise fit the uncorrected model.
 Entries keep their JSON types: "intercept" and "log" are true or false,
 "maxiter" is an integer and "gtol" and "floor" are numbers.
 
@@ -55,9 +52,10 @@ from .errors import (
     config_entry,
     is_number,
     read_json_object,
+    unknown_entry,
 )
-from .geometry import Grid, Raster, grid_from_doc
-from .inference import CovariateBlock, FitResult, IntensityModel, renamed_names
+from .geometry import GRID_ENTRIES, Grid, Raster, grid_from_doc
+from .inference import CovariateBlock, FitResult, IntensityModel
 from .raster_io import (
     read_ascii_grid,
     read_raster_csv,
@@ -74,11 +72,6 @@ class ModelSpec:
     model: IntensityModel
     gtol: float = 1e-8
     maxiter: int = 500
-    rename: dict[str, str] | None = None
-
-    def parameter_names(self) -> list[str]:
-        """The model's qualified coefficient names after ``rename``."""
-        return renamed_names(self.model, self.rename)
 
 
 def read_raster(path: str | Path, grid: Grid) -> Raster:
@@ -132,41 +125,16 @@ def _offset_raster(doc: Any, base: Path, grid: Grid) -> Raster:
 
 
 _COVARIATES = [dict.fromkeys(("name", "path"))]
-# the entries a model spec documents: an object schema maps each key to its value's
-# schema, a list schema checks each entry, a pair takes the object or list form, and
-# None leaves a value's keys free
+# the entries a model spec documents, as an ``unknown_entry`` schema
 _MODEL_SPEC = {
-    "region": dict.fromkeys(("xmin", "xmax", "ymin", "ymax")),
-    "grid": dict.fromkeys(("nx", "ny")),
+    **GRID_ENTRIES,
     "intercept": None,
     "env": ({"builtin": None, "covariates": _COVARIATES}, _COVARIATES),
     "detection": {"link": None, "covariates": _COVARIATES},
     "effort_covariates": _COVARIATES,
     "offset": dict.fromkeys(("path", "log", "floor")),
-    "rename": None,
     "optimizer": dict.fromkeys(("gtol", "maxiter")),
 }
-
-
-def _unknown_entry(value: Any, schema: Any, where: str = "") -> str | None:
-    """The JSON path of the first key in ``value`` that ``schema`` does not hold, or None.
-
-    Values of another type than their schema's are left to the readers.
-    """
-    if isinstance(schema, tuple):
-        schema = schema[isinstance(value, list)]
-    if isinstance(value, dict) and isinstance(schema, dict):
-        for key, v in value.items():
-            at = f"{where}.{key}" if where else key
-            if key not in schema:
-                return at
-            if (bad := _unknown_entry(v, schema[key], at)) is not None:
-                return bad
-    elif isinstance(value, list) and isinstance(schema, list):
-        for i, v in enumerate(value):
-            if (bad := _unknown_entry(v, schema[0], f"{where}[{i}]")) is not None:
-                return bad
-    return None
 
 
 def read_model_spec(path: str | Path) -> ModelSpec:
@@ -176,7 +144,7 @@ def read_model_spec(path: str | Path) -> ModelSpec:
     """
     path = Path(path)
     doc = read_json_object(path, "model spec")
-    if (bad := _unknown_entry(doc, _MODEL_SPEC)) is not None:
+    if (bad := unknown_entry(doc, _MODEL_SPEC)) is not None:
         raise ConfigError(f'{path}: model spec: unknown entry "{bad}"')
     base = path.parent
     try:
@@ -212,13 +180,6 @@ def read_model_spec(path: str | Path) -> ModelSpec:
         if doc.get("offset") is not None:
             offset = _offset_raster(doc["offset"], base, grid)
 
-        rename = doc.get("rename")
-        if rename is not None and not (
-            isinstance(rename, dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in rename.items())
-        ):
-            raise ConfigError("rename must map coefficient names to names")
-
         model = IntensityModel(
             grid=grid,
             env=env,
@@ -232,7 +193,7 @@ def read_model_spec(path: str | Path) -> ModelSpec:
         maxiter = config_entry(doc, "optimizer.maxiter", 500, int)
         if maxiter < 1:
             raise ConfigError(f"optimizer.maxiter must be at least 1, got {maxiter}")
-        return ModelSpec(model=model, gtol=gtol, maxiter=maxiter, rename=rename)
+        return ModelSpec(model=model, gtol=gtol, maxiter=maxiter)
     except ConfigError:
         raise
     except (TypeError, KeyError) as exc:

@@ -148,6 +148,7 @@ class TestSimulate:
         ("base_seed", 1.5),
         ("grid", {"nx": 10.9}),
         ("base_seed", -5),
+        ("animal", {"centre": [20.0, 20.0]}),
     ],
     ids=[
         "detection-mode", "no-trips", "no-columns", "negative-variance", "negative-observers",
@@ -156,6 +157,7 @@ class TestSimulate:
         "nan-animal-center", "infinite-trips", "string-overlap", "string-detection-modeled",
         "one-number-center", "three-number-center", "section-not-an-object",
         "fractional-observers", "fractional-seed", "fractional-columns", "negative-seed",
+        "misspelt-center",
     ],
 )
 def test_malformed_study_config_exit_2(tmp_path, capsys, command, section, entry):
@@ -784,18 +786,6 @@ class TestExceed:
         assert main(["exceed", *args]) == EXIT_DATA
         assert main(["predict", *args]) == EXIT_DATA
 
-    def test_fit_names_follow_model_rename(self, tmp_path):
-        model = self._distinct_model(tmp_path)
-        doc = json.loads(model.read_text())
-        doc["rename"] = {"env:z": "shared:z"}
-        model.write_text(json.dumps(doc))
-        fit = self._fit_json(
-            tmp_path, [[0.0, 0.0], [0.0, 0.0]], names=["env:intercept", "shared:z"]
-        )
-        code = main(["predict", "--model", str(model), "--fit", str(fit),
-                     "--out", str(tmp_path / "ud.csv")])
-        assert code == EXIT_OK
-
     @pytest.mark.parametrize(
         "option, value",
         [
@@ -1362,12 +1352,17 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"{model}: not valid JSON" in err and "Traceback" not in err
 
-    def test_unknown_model_spec_entry_exit_2(self, tmp_path, capsys):
-        # a misspelt offset would fit the uncorrected model without a word
+    # a misspelt offset would fit the uncorrected model without a word
+    @pytest.mark.parametrize(
+        "key, value",
+        [("offest", {"path": "eff.csv"}), ("rename", {"env:intercept": "shared"})],
+        ids=["offest", "rename"],
+    )
+    def test_unknown_model_spec_entry_exit_2(self, tmp_path, capsys, key, value):
         (tmp_path / "eff.csv").write_text(_raster_rows(GOOD_2X2))
-        assert self._fit(tmp_path, {"offest": {"path": "eff.csv"}}) == EXIT_CONFIG
+        assert self._fit(tmp_path, {key: value}) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert 'model spec: unknown entry "offest"' in err and "Traceback" not in err
+        assert f'model spec: unknown entry "{key}"' in err and "Traceback" not in err
         assert not (tmp_path / "fit.json").exists()
 
     def test_counts_off_the_model_grid_exit_3(self, tmp_path):

@@ -296,6 +296,35 @@ def test_config_keeps_every_entry_or_raises_config_error(doc):
         assert _same(got, want), (path, got, want)
 
 
+# every key a study config documents, with the ignored "workers" and the unread bias
+FULL_CONFIG = {
+    **EVERY_ENTRY,
+    "observers": {**EVERY_ENTRY["observers"], "bias": "low"},
+    "workers": 2,
+}
+
+
+def _objects(value, at=()):
+    """Every JSON object in ``value``, with its path of keys."""
+    if isinstance(value, dict):
+        yield at, value
+        for k, v in value.items():
+            yield from _objects(v, at + (k,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unknown_key_at_any_depth_names_its_path(data):
+    doc = json.loads(json.dumps(FULL_CONFIG))
+    assert config_from_dict(doc) == config_from_dict(EVERY_ENTRY)
+    at, obj = data.draw(st.sampled_from(list(_objects(doc))))
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in obj))
+    obj[key] = data.draw(st.sampled_from([1, "x", None, {}, [50.0, 50.0]]))
+    path = ".".join(at + (key,))
+    with pytest.raises(ConfigError, match=re.escape(f'study config: unknown entry "{path}"')):
+        config_from_dict(doc)
+
+
 class TestSeeds:
     def test_replicate_seed_xor(self):
         cfg = toy_config(base_seed=47)

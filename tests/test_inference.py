@@ -13,16 +13,12 @@ from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, 
 from effortud.inference import (
     CovariateBlock,
     IntensityModel,
-    JointComponent,
     LikelihoodData,
-    fit_joint,
     fit_mle,
     loglik,
     predict_intensity,
     _Design,
     _design_blocks,
-    _joint_designs,
-    _joint_evaluate,
     _log_eta,
 )
 
@@ -469,42 +465,12 @@ class TestFitMle:
         assert fit.loglik == -np.inf
         assert np.isnan(fit.gradient_max_norm)
 
-
-def joint_loglik(components, theta):
-    """The summed component log likelihood that ``fit_joint`` climbs, at shared ``theta``."""
-    _, maps, designs = _joint_designs(components)
-    return float(_joint_evaluate(designs, maps, np.asarray(theta, dtype=float))[0])
-
-
-class TestJoint:
-    def _component(self, seed, rename=None):
-        g = build_grid(REGION, 10, 10)
-        m = IntensityModel(grid=g, env=xy_block(g))
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(0, 100, size=(20, 2))
-        return JointComponent(m, LikelihoodData.from_points(g, pts), rename=rename or {})
-
-    def test_two_identical_components_double_loglik(self):
-        a = self._component(3)
-        b = self._component(3)
-        theta = np.array([-3.0, 0.4, -0.2])
-        single = loglik(a.model, theta, a.data)[0]
-        assert joint_loglik([a, b], theta) == pytest.approx(2 * single, rel=1e-12)
-
-    def test_shared_slopes_separate_intercepts(self):
-        a = self._component(7, rename={"env:intercept": "int_a"})
-        b = self._component(8, rename={"env:intercept": "int_b"})
-        fit = fit_joint([a, b])
-        assert set(fit.names) == {"int_a", "int_b", "env:u", "env:v"}
-        # joint gradient at the optimum vanishes, checked by finite differences
-        names, theta = fit.names, fit.theta
-        fd = finite_diff_gradient(lambda t: joint_loglik([a, b], t), theta, h=1e-5)
-        assert np.abs(fd).max() < 1e-3
-
     def test_dimension_mismatch_rejected(self):
-        a = self._component(3)
+        g = build_grid(REGION, 10, 10)
+        pts = np.random.default_rng(3).uniform(0, 100, size=(20, 2))
+        m = IntensityModel(grid=g, env=xy_block(g))
         with pytest.raises(ValueError, match="start must have 3 entries"):
-            fit_joint([a], start=np.zeros(5))
+            fit_mle(m, LikelihoodData.from_points(g, pts), start=np.zeros(5))
 
     @pytest.mark.parametrize("kind", ["points", "counts", "presence", "presence-everywhere"])
     def test_no_events_refused(self, kind):
@@ -521,29 +487,7 @@ class TestJoint:
         m = IntensityModel(grid=g)
         with pytest.raises(DataInconsistencyError, match=why):
             fit_mle(m, empty)
-        with pytest.raises(DataInconsistencyError, match=why):
-            fit_joint([JointComponent(m, empty), JointComponent(m, empty)])
         assert np.isfinite(loglik(m, np.zeros(1), empty)[0])
-
-    def test_presence_everywhere_beside_other_data_still_fits(self):
-        # absences elsewhere, or other data kinds, bound the shared intercept
-        g = build_grid(REGION, 10, 10)
-        m = IntensityModel(grid=g)
-        full = JointComponent(m, LikelihoodData.from_presence(g, np.ones(g.ncells)))
-        half = np.arange(g.ncells) % 2
-        for other in (
-            LikelihoodData.from_presence(g, half),
-            LikelihoodData.from_counts(g, half),
-        ):
-            fit = fit_joint([full, JointComponent(m, other)])
-            assert fit.converged and np.all(np.isfinite(fit.theta))
-
-    def test_one_empty_component_still_fits(self):
-        # the empty component shares every coefficient, so the maximum exists
-        a = self._component(5)
-        empty = JointComponent(a.model, LikelihoodData.from_points(a.model.grid, np.empty((0, 2))))
-        fit = fit_joint([a, empty])
-        assert fit.converged and np.all(np.isfinite(fit.theta))
 
 
 class TestPredictIntensity:

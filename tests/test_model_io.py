@@ -3,6 +3,7 @@
 import json
 import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from effortud import model_io
 from effortud.errors import ConfigError, GridMismatchError, NotConvergedError
+from effortud.experiment import config_from_dict
 from effortud.geometry import Raster, StudyRegion, build_grid, constant_raster, raster_from_function
 from effortud.inference import (
     FitResult,
@@ -51,7 +53,7 @@ class TestReadModelSpec:
         assert m.grid.nx == 100 and m.grid.ny == 100
         assert m.grid.region == REGION
         assert m.intercept and m.n_parameters == 1
-        assert ms.gtol == 1e-8 and ms.maxiter == 500 and ms.rename is None
+        assert ms.gtol == 1e-8 and ms.maxiter == 500
 
     def test_builtin_quadratic_env(self, tmp_path):
         doc = {**small_grid_doc(), "env": {"builtin": "quadratic"}}
@@ -170,19 +172,9 @@ class TestReadModelSpec:
             read_model_spec(write_spec(tmp_path, doc))
 
     def test_rename_and_optimizer(self, tmp_path):
-        doc = {
-            **small_grid_doc(),
-            "rename": {"env:intercept": "shared"},
-            "optimizer": {"gtol": 1e-6, "maxiter": 50},
-        }
+        doc = {**small_grid_doc(), "optimizer": {"gtol": 1e-6, "maxiter": 50}}
         ms = read_model_spec(write_spec(tmp_path, doc))
-        assert ms.rename == {"env:intercept": "shared"}
         assert ms.gtol == 1e-6 and ms.maxiter == 50
-
-    def test_bad_rename_rejected(self, tmp_path):
-        doc = {**small_grid_doc(), "rename": {"env:intercept": 3}}
-        with pytest.raises(ConfigError):
-            read_model_spec(write_spec(tmp_path, doc))
 
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -253,7 +245,6 @@ FULL_SPEC = {
     "detection": {"link": "logistic", "covariates": [{"name": "vis", "path": "vis.csv"}]},
     "effort_covariates": [{"name": "day", "path": "day.csv"}],
     "offset": {"path": "eff.csv", "log": True, "floor": 1e-6},
-    "rename": {"det:vis": "shared:vis"},
     "optimizer": {"gtol": 1e-6, "maxiter": 50},
 }
 
@@ -269,12 +260,11 @@ def spec_dir(tmp_path_factory):
 
 
 def _objects(value, at=()):
-    """Every JSON object in ``value`` but the keys of "rename", with its path of keys and indices."""
+    """Every JSON object in ``value``, with its path of keys and indices."""
     if isinstance(value, dict):
         yield at, value
         for k, v in value.items():
-            if k != "rename" or at:
-                yield from _objects(v, at + (k,))
+            yield from _objects(v, at + (k,))
     elif isinstance(value, list):
         for i, v in enumerate(value):
             yield from _objects(v, at + (i,))
@@ -297,19 +287,13 @@ def test_unknown_key_at_any_depth_names_its_path(spec_dir, env, data):
         read_model_spec(write_spec(spec_dir, doc))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3))
-def test_rename_keys_stay_free(spec_dir, rename):
-    ms = read_model_spec(write_spec(spec_dir, {**FULL_SPEC, "rename": rename}))
-    assert ms.rename == rename
-
-
 @pytest.mark.parametrize("doc, path", [
     ({"offest": {"path": "eff.csv"}}, "offest"),
     ({"offset": {"path": "eff.csv", "flor": 0.0}}, "offset.flor"),
     ({"env": {"builtin": "quadratic", "degree": 2}}, "env.degree"),
     ({"env": [{"name": "z", "path": "z.csv", "unit": "m"}]}, "env[0].unit"),
     ({"optimizer": {"gtol": 1e-8, "max_iter": 9}}, "optimizer.max_iter"),
+    ({"rename": {"env:intercept": "shared"}}, "rename"),
 ])
 def test_misspelt_entry_refused(spec_dir, doc, path):
     with pytest.raises(ConfigError, match=re.escape(f'unknown entry "{path}"')):
@@ -324,8 +308,24 @@ def test_module_docstring_example_spec_loads(tmp_path):
     for name in ("vis.csv", "day.csv", "effort.csv"):
         write_raster_csv(constant_raster(g, 1.0), tmp_path / name)
     ms = read_model_spec(write_spec(tmp_path, doc))
-    assert ms.rename == {"env:x": "shared:x"} and ms.maxiter == 500
+    assert ms.maxiter == 500
     assert ms.model.log_effort_offset is not None
+
+
+def _readme_json(after: str) -> dict:
+    """The first JSON block of the README after the text ``after``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("```json\n", text.index(after)) + len("```json\n")
+    return json.loads(text[start : text.index("```", start)])
+
+
+def test_readme_examples_load(tmp_path):
+    cfg = config_from_dict(_readme_json("A minimal study config"))
+    assert cfg.label == "demo" and cfg.replicates == 20
+    doc = _readme_json("a matching model spec")
+    write_raster_csv(constant_raster(build_grid(REGION, 100, 100), 1.0), tmp_path / "effort.csv")
+    ms = read_model_spec(write_spec(tmp_path, doc))
+    assert ms.model.grid == cfg.grid and ms.model.log_effort_offset is not None
 
 
 def test_fine_grid_benchmark_spec_loads(tmp_path):
